@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BandViolation, DimensionMismatch, NotPositiveDefinite
+from .errors import BandViolation, DimensionMismatch
 from .linalg import Matrix
-from .rationals import SignedSquare, as_fraction
+from .rationals import as_fraction
 
-__all__ = ["BandedOperator", "OrthonormalBandView", "BlockTridiagonal"]
+__all__ = ["BandedOperator", "BlockTridiagonal"]
 
 
 class BandedOperator:
@@ -111,51 +111,6 @@ class BandedOperator:
 
     def __repr__(self):
         return f"BandedOperator(size={self.size}, lower={self.lower}, upper={self.upper})"
-
-
-class OrthonormalBandView:
-    """Squared-entry view of a symmetric banded operator in the orthonormal basis.
-
-    Built from the raw symmetric bilinear table H_raw[i][j] = B(E s_i, s_j)
-    and the squared norms of the monic sequence: the orthonormal entry is
-    H_raw / sqrt(nu_i nu_j), held as (square, sign) so everything stays
-    rational.
-    """
-
-    def __init__(self, raw: BandedOperator, norms_sq: Sequence[Fraction]):
-        if len(norms_sq) < raw.size:
-            raise DimensionMismatch("need one squared norm per row")
-        for k, nu in enumerate(norms_sq[: raw.size]):
-            if nu <= 0:
-                raise NotPositiveDefinite(k, nu)
-        self.raw = raw
-        self.norms_sq = tuple(as_fraction(v) for v in norms_sq[: raw.size])
-
-    @property
-    def size(self) -> int:
-        return self.raw.size
-
-    @property
-    def bandwidth(self) -> int:
-        return max(self.raw.lower, self.raw.upper)
-
-    def sq(self, i: int, j: int) -> Fraction:
-        v = self.raw.entry(i, j)
-        return v * v / (self.norms_sq[i] * self.norms_sq[j])
-
-    def sign(self, i: int, j: int) -> int:
-        v = self.raw.entry(i, j)
-        return (v > 0) - (v < 0)
-
-    def entry(self, i: int, j: int) -> SignedSquare:
-        return SignedSquare(self.sq(i, j), self.sign(i, j))
-
-    def float_entry(self, i: int, j: int) -> float:
-        return self.entry(i, j).value()
-
-    def symmetric_in_squares(self) -> bool:
-        n = self.size
-        return all(self.sq(i, j) == self.sq(j, i) for i in range(n) for j in range(i))
 
 
 @dataclass(frozen=True)

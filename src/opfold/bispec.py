@@ -1,10 +1,9 @@
 """Right-acting matrix differential operators on folded sequences.
 
 Eigen verification and operator discovery are exact: discovery assembles
-one integer linear system per unknown column and takes its nullspace.
-The nullspace kernel runs modulo deterministic 61-bit primes, rationally
-reconstructs a candidate basis, and then verifies every vector exactly;
-since a prime can only enlarge a nullspace, the verified count equals the
+one integer linear system per unknown column and takes its nullspace
+with linalg.exact_nullspace, the package's certified modular kernel: a
+prime can only enlarge a nullspace, so the verified count equals the
 modular dimension bound and the result is a proven exact basis, not a
 heuristic.
 
@@ -18,7 +17,7 @@ and diagonal folds admit constant diagonal multipliers) certify nothing.
 """
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -30,7 +29,7 @@ from .errors import (
     NumericalInstability,
     Underdetermined,
 )
-from .linalg import Matrix, _int_rows, nullspace
+from .linalg import Matrix, _int_rows, exact_nullspace, nullspace
 from .matfold import MatrixPolySequence, build_matrix_sequence
 from .orthopoly import MonicSequence
 from .poly import Poly
@@ -228,173 +227,6 @@ def verify_eigen(
             first = n
             res_repr = repr(residual)
     return EigenReport(first is None, tuple(results), first, res_repr)
-
-
-# -- exact nullspace via modular elimination -----------------------------
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic witness set for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_stream(count: int) -> list[int]:
-    primes = []
-    candidate = (1 << 61) + 1
-    while len(primes) < count:
-        if _is_probable_prime(candidate):
-            primes.append(candidate)
-        candidate += 2
-    return primes
-
-
-_PRIMES = _prime_stream(8)
-
-
-def _mod_nullspace(int_rows, ncols: int, p: int):
-    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis)."""
-    piv_rows: list[list[int]] = []
-    piv_cols: list[int] = []
-    for raw in int_rows:
-        row = [x % p for x in raw]
-        for pr, pc in zip(piv_rows, piv_cols):
-            f = row[pc]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, pr)]
-        lead = next((c for c in range(ncols) if row[c]), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], p - 2, p)
-        row = [a * inv % p for a in row]
-        piv_rows.append(row)
-        piv_cols.append(lead)
-    # back substitution to reduced form
-    order = sorted(range(len(piv_cols)), key=lambda t: piv_cols[t])
-    for idx in range(len(order) - 1, -1, -1):
-        r = order[idx]
-        prow = piv_rows[r]
-        pc = piv_cols[r]
-        for other in range(len(piv_rows)):
-            if other == r:
-                continue
-            f = piv_rows[other][pc]
-            if f:
-                piv_rows[other] = [
-                    (a - f * b) % p for a, b in zip(piv_rows[other], prow)
-                ]
-    pivset = set(piv_cols)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for pr, pc in zip(piv_rows, piv_cols):
-            v[pc] = (-pr[f]) % p
-        basis.append(v)
-    return sorted(piv_cols), free, basis
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, m2 - 2, m2)
-    t = (r2 - r1) % m2 * inv % m2
-    return r1 + m1 * t, m1 * m2
-
-
-def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """Wang reconstruction: p/q = a mod m with |p|, q <= sqrt(m/2)."""
-    a %= m
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or math.gcd(r1, abs(s1)) != 1:
-        return None
-    return Fraction(r1 * (1 if s1 > 0 else -1), abs(s1))
-
-
-def _verify_null_vector(int_rows, vec: list[Fraction]) -> bool:
-    den = 1
-    for q in vec:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    ints = [int(q * den) for q in vec]
-    idx = [i for i, v in enumerate(ints) if v]
-    for row in int_rows:
-        if sum(row[i] * ints[i] for i in idx):
-            return False
-    return True
-
-
-def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
-    """Proven exact nullspace basis of an integer matrix.
-
-    Modular elimination gives the structure and a dimension upper bound
-    (reduction mod p never shrinks a nullspace); candidates are rationally
-    reconstructed and verified over the integers, which makes the basis a
-    certificate rather than a guess. Primes are fixed, so runs are
-    deterministic.
-    """
-    rows = [r for r in int_rows if any(r)]
-    if not rows:
-        return [
-            [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
-            for f in range(ncols)
-        ]
-    best = None
-    residues = None
-    modulus = None
-    for k, p in enumerate(_PRIMES):
-        piv, free, basis = _mod_nullspace(rows, ncols, p)
-        if best is None or len(free) < len(best[1]):
-            best = (piv, free)
-            residues = [list(v) for v in basis]
-            modulus = p
-        elif (piv, free) == best and modulus is not None and p != modulus:
-            for v, w in zip(residues, basis):
-                for c in range(ncols):
-                    v[c], _ = _crt_pair(v[c], modulus, w[c], p)
-            modulus *= p
-        candidate = []
-        good = True
-        for v in residues:
-            vec = []
-            for c in range(ncols):
-                q = _rational_reconstruct(v[c], modulus)
-                if q is None:
-                    good = False
-                    break
-                vec.append(q)
-            if not good:
-                break
-            if not _verify_null_vector(rows, vec):
-                good = False
-                break
-            candidate.append(vec)
-        if good:
-            return candidate
-    raise NumericalInstability("rational reconstruction failed on all primes")
 
 
 # -- discovery -----------------------------------------------------------
@@ -842,52 +674,57 @@ def conjugation_eval(
     if precision == "double":
         import cmath
 
-        w = cmath.exp(2j * cmath.pi / step)
-        r = float(y0) ** (1.0 / step)
-        y0f = float(y0)
-        to_c = complex
+        scope = contextlib.nullcontext()
     else:
         from mpmath import mp, mpf, mpc
 
-        mp.dps = 50
-        w = mp.expjpi(mpf(2) / step)
-        y0f = mpf(y0.numerator) / y0.denominator
-        r = mp.power(y0f, mpf(1) / step)
-        to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
-    pts = [w**k * r for k in range(step)]
-    m2 = []
-    for j in range(step):
-        ds = apply_scalar(D, scalar_seq.poly(step * n + j))
-        m2.append([ds(pt) for pt in pts])
-    lhs = []
-    for j in range(step):
-        row = []
-        for k in range(step):
-            acc = 0
-            for l in range(step):
-                acc += m2[j][l] * w ** (-(l * k) % step)
-            row.append(acc / step / r**k)
-        lhs.append(row)
-    block = R.mat(n)
-    rhs = []
-    dev = 0.0
-    scale = 1.0
-    for j in range(step):
-        lam = to_c(as_fraction(lams[step * n + j]))
-        row = []
-        for k in range(step):
-            val = lam * block[j, k](y0f)
-            row.append(val)
-            scale = max(scale, abs(val))
-        rhs.append(row)
-    for j in range(step):
-        for k in range(step):
-            dev = max(dev, abs(lhs[j][k] - rhs[j][k]))
-    return ConjugationResult(
-        tuple(tuple(r) for r in lhs),
-        tuple(tuple(r) for r in rhs),
-        float(dev / scale),
-    )
+        # mp precision is process-global; hold 50 digits only for this call
+        scope = mp.workdps(50)
+    with scope:
+        if precision == "double":
+            w = cmath.exp(2j * cmath.pi / step)
+            r = float(y0) ** (1.0 / step)
+            y0f = float(y0)
+            to_c = complex
+        else:
+            w = mp.expjpi(mpf(2) / step)
+            y0f = mpf(y0.numerator) / y0.denominator
+            r = mp.power(y0f, mpf(1) / step)
+            to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
+        pts = [w**k * r for k in range(step)]
+        m2 = []
+        for j in range(step):
+            ds = apply_scalar(D, scalar_seq.poly(step * n + j))
+            m2.append([ds(pt) for pt in pts])
+        lhs = []
+        for j in range(step):
+            row = []
+            for k in range(step):
+                acc = 0
+                for l in range(step):
+                    acc += m2[j][l] * w ** (-(l * k) % step)
+                row.append(acc / step / r**k)
+            lhs.append(row)
+        block = R.mat(n)
+        rhs = []
+        dev = 0.0
+        scale = 1.0
+        for j in range(step):
+            lam = to_c(as_fraction(lams[step * n + j]))
+            row = []
+            for k in range(step):
+                val = lam * block[j, k](y0f)
+                row.append(val)
+                scale = max(scale, abs(val))
+            rhs.append(row)
+        for j in range(step):
+            for k in range(step):
+                dev = max(dev, abs(lhs[j][k] - rhs[j][k]))
+        return ConjugationResult(
+            tuple(tuple(r) for r in lhs),
+            tuple(tuple(r) for r in rhs),
+            float(dev / scale),
+        )
 
 
 # -- serialization -------------------------------------------------------

@@ -44,7 +44,6 @@ from .matfold import (
     leading_orthonormal_sq,
     matrix_ttrr,
     monic_normalize,
-    orthonormal_blocks,
     reference_block_ttrr,
     similarity_from_block,
 )

@@ -7,23 +7,16 @@ with transpose as the adjoint.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .banded import BandedOperator, BlockTridiagonal
-from .errors import (
-    DimensionMismatch,
-    IdentityViolated,
-    NotPositiveDefinite,
-    SingularMatrix,
-    SingularPivotBlock,
-)
-from .linalg import Matrix, solve_linear
+from .errors import DimensionMismatch, IdentityViolated, SingularMatrix, SingularPivotBlock
+from .linalg import Matrix, ldlt, solve_linear
 from .orthopoly import BandedRecurrence, ConnectionMatrix, JacobiMatrix
 from .poly import Poly
-from .rationals import as_fraction
+from .rationals import _csqrt, as_fraction
 
 __all__ = [
     "BandFactorization",
@@ -38,12 +31,6 @@ __all__ = [
     "reference_sum_product",
     "w_interlace_check",
 ]
-
-
-def _csqrt(q: Fraction):
-    if q >= 0:
-        return math.sqrt(q)
-    return 1j * math.sqrt(-q)
 
 
 @dataclass(frozen=True)
@@ -61,22 +48,6 @@ class BandFactorization:
     @property
     def size(self) -> int:
         return self.T_monic.size
-
-    @property
-    def residual_rows(self) -> int:
-        # factoring a leading principal block is exact on every row
-        return self.T_monic.size
-
-    def as_connection(self, from_norms_sq) -> ConnectionMatrix:
-        """View the factor as a connection matrix: columns weighted by the
-        pivot norms, rows by the supplied squared norms."""
-        return ConnectionMatrix(
-            self.T_monic, tuple(from_norms_sq), self.pivots, self.bandwidth - 1
-        )
-
-    def orthonormal_sq(self, n: int, j: int, norms_sq) -> Fraction:
-        v = self.T_monic.entry(n, j)
-        return v * v * self.pivots[j] / norms_sq[n]
 
     def float_factor(self, norms_sq) -> list[list[complex]]:
         n = self.size
@@ -100,25 +71,10 @@ def band_symmetric_factorize(
     """
     if not H_raw.is_symmetric:
         raise IdentityViolated("factorization input is not symmetric")
-    n = H_raw.size
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D: list[Fraction] = []
-    for j in range(n):
-        d = H_raw.entry(j, j)
-        for k in range(max(0, j - bandwidth), j):
-            d -= L[j][k] * L[j][k] * D[k]
-        if require_positive and d <= 0:
-            raise NotPositiveDefinite(j, d)
-        if d == 0:
-            raise SingularMatrix(f"zero pivot at index {j}")
-        D.append(d)
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, min(n, j + bandwidth + 1)):
-            v = H_raw.entry(i, j)
-            for k in range(max(0, i - bandwidth), j):
-                v -= L[i][k] * L[j][k] * D[k]
-            L[i][j] = v / d
-    T = BandedOperator(n, bandwidth, 0, L)
+    L, D = ldlt(
+        H_raw.to_matrix(), bandwidth, "positive" if require_positive else "nonzero"
+    )
+    T = BandedOperator(H_raw.size, bandwidth, 0, L)
     return BandFactorization(T, tuple(D), bandwidth)
 
 
@@ -170,21 +126,13 @@ def verify_h_factorization(
     return FactorizationReport(True, n, rel, worst)
 
 
-@dataclass(frozen=True)
-class ShiftPowerReport:
-    exact_ok: bool
-    trusted_rows: int
-    float_max_rel: float
-    worst_entry: Optional[tuple[int, int]] = None
-
-
 def verify_ul_identity(
     jac: JacobiMatrix,
     c,
     N: int,
     conn: ConnectionMatrix,
     float_tol: float = 1e-12,
-) -> ShiftPowerReport:
+) -> FactorizationReport:
     """Check (J - c)^{N+1} = T^* T on rows unaffected by truncation.
 
     Monic-conjugated exact form: (J_monic - c)^{N+1} = diag(d) K with
@@ -251,7 +199,7 @@ def verify_ul_identity(
     rel = err / scale
     if rel > float_tol:
         raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
-    return ShiftPowerReport(True, trusted, rel, worst)
+    return FactorizationReport(True, trusted, rel, worst)
 
 
 # -- block Darboux ------------------------------------------------------

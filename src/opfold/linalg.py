@@ -1,22 +1,33 @@
-"""Exact dense matrices and fraction-free elimination kernels.
+"""Exact dense matrices and the package's exact elimination kernels.
 
 Matrix is generic over its entry ring (rationals for numeric work,
-Poly entries for polynomial matrices); the solvers below require
-Fraction entries. Elimination is fraction-free: Bareiss two-product
-updates over denominator-cleared integer rows, with periodic content
-stripping on the incremental kernel to control coefficient growth.
+Poly entries for polynomial matrices); the kernels below require
+Fraction entries. This module is the only home of exact elimination:
+
+- solve_linear: fraction-free Bareiss over denominator-cleared rows;
+- ldlt: the one symmetric (optionally banded) LDL^T, whose pivot policy
+  covers Gram factorization, positive-definiteness and PSD tests;
+- exact_nullspace / nullspace: a certified multi-modular nullspace.
+  Elimination runs modulo primes drawn lazily from a deterministic
+  stream of 61-bit primes; the candidate basis is rationally
+  reconstructed and verified exactly over the integers, and the number
+  of primes is bounded by the Hadamard bound of the input.
 """
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from math import gcd, isqrt, lcm
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NumericalInstability,
+    SingularMatrix,
+)
 from .rationals import as_fraction
 
-__all__ = ["Matrix", "solve_linear", "nullspace", "ldlt", "IntEchelon"]
+__all__ = ["Matrix", "solve_linear", "inverse", "ldlt", "exact_nullspace", "nullspace"]
 
 
 class Matrix:
@@ -139,14 +150,13 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _int_rows(mat_rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def _int_rows(mat_rows: Sequence[Sequence]) -> list[list[int]]:
     """Clear denominators row by row (row scaling leaves solution sets alone)."""
     out = []
     for r in mat_rows:
-        den = 1
-        for v in r:
-            den = lcm(den, as_fraction(v).denominator)
-        out.append([int(as_fraction(v) * den) for v in r])
+        fr = [as_fraction(v) for v in r]
+        den = lcm(*(v.denominator for v in fr))
+        out.append([v.numerator * (den // v.denominator) for v in fr])
     return out
 
 
@@ -195,29 +205,51 @@ def inverse(a: Matrix) -> Matrix:
     return solve_linear(a, Matrix.identity(a.nrows))
 
 
-def ldlt(g: Matrix):
+_PIVOT_POLICIES = ("nonzero", "positive", "psd")
+
+
+def ldlt(g: Matrix, bandwidth: Optional[int] = None, pivots: str = "nonzero"):
     """Symmetric factorization g = L D L^T with unit lower L.
 
-    Returns (L rows, D pivots) as plain lists. Raises SingularMatrix on a
-    zero pivot; positivity policy is the caller's concern (quasi-definite
-    inputs are legal here).
+    Returns (L rows, D pivots) as plain lists. With a bandwidth, entries
+    of g and L farther than that below the diagonal are taken as zero.
+    The pivot policy decides which pivots are fatal:
+
+    - "nonzero": a zero pivot raises SingularMatrix (quasi-definite
+      inputs are legal);
+    - "positive": the first nonpositive pivot raises NotPositiveDefinite;
+    - "psd": a negative pivot, or a zero pivot whose remaining column is
+      not all zero, raises NotPositiveDefinite; a zero pivot over a zero
+      column is skipped, so the call decides positive semidefiniteness.
     """
+    if pivots not in _PIVOT_POLICIES:
+        raise ValueError(f"pivot policy must be one of {_PIVOT_POLICIES}")
     n = g.nrows
+    w = n if bandwidth is None else bandwidth
+    a = g.rows
     L = [[Fraction(0)] * n for _ in range(n)]
     D: list[Fraction] = []
     for j in range(n):
-        d = as_fraction(g[j, j])
-        for k in range(j):
-            d -= L[j][k] * L[j][k] * D[k]
-        if d == 0:
-            raise SingularMatrix(f"zero Gram pivot at index {j}")
+        Lj = L[j]
+        d = as_fraction(a[j][j])
+        for k in range(max(0, j - w), j):
+            d -= Lj[k] * Lj[k] * D[k]
+        if d < 0 and pivots != "nonzero" or d == 0 and pivots == "positive":
+            raise NotPositiveDefinite(j, d)
+        if d == 0 and pivots == "nonzero":
+            raise SingularMatrix(f"zero pivot at index {j}")
         D.append(d)
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            v = as_fraction(g[i, j])
-            for k in range(j):
-                v -= L[i][k] * L[j][k] * D[k]
-            L[i][j] = v / d
+        Lj[j] = Fraction(1)
+        for i in range(j + 1, min(n, j + w + 1)):
+            Li = L[i]
+            v = as_fraction(a[i][j])
+            for k in range(max(0, i - w), j):
+                v -= Li[k] * Lj[k] * D[k]
+            if d == 0:
+                if v != 0:
+                    raise NotPositiveDefinite(j, d)
+            else:
+                Li[j] = v / d
     return L, D
 
 
@@ -234,132 +266,174 @@ def unit_lower_inverse(L: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return M
 
 
-class IntEchelon:
-    """Incremental integer row echelon over a fixed column count.
+# -- certified nullspace via modular elimination --------------------------
 
-    Rows arrive as Fraction/int vectors; each is denominator-cleared and
-    reduced against the stored pivot rows with two-product updates,
-    stripping the content gcd periodically. Supports rank queries,
-    residual checks, and canonical rational nullspace extraction.
-    """
 
-    _STRIP_EVERY = 24
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._pivots: dict[int, list[int]] = {}
-        self._cols: list[int] = []  # sorted pivot columns
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(self._cols)
-
-    @staticmethod
-    def _strip(row: list[int]) -> None:
-        g = 0
-        for v in row:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    return
-        if g > 1:
-            for i, v in enumerate(row):
-                row[i] = v // g
-
-    def _integerize(self, row: Sequence) -> list[int]:
-        den = 1
-        vals = [as_fraction(v) for v in row]
-        for v in vals:
-            den = lcm(den, v.denominator)
-        return [int(v * den) for v in vals]
-
-    def reduce(self, row: Sequence) -> list[int]:
-        """Return the residual of row against the current echelon."""
-        work = self._integerize(row)
-        if len(work) != self.ncols:
-            raise DimensionMismatch("row length mismatch")
-        steps = 0
-        for c in self._cols:
-            v = work[c]
-            if v == 0:
-                continue
-            p = self._pivots[c]
-            pc = p[c]
-            g = gcd(v, pc)
-            mult_row, mult_piv = pc // g, v // g
-            # pivot row is zero before column c, but work may not be:
-            # the whole row has to carry the scaling.
-            if mult_row != 1:
-                for i in range(c):
-                    work[i] *= mult_row
-            for i in range(c, self.ncols):
-                work[i] = work[i] * mult_row - p[i] * mult_piv
-            steps += 1
-            if steps % self._STRIP_EVERY == 0:
-                self._strip(work)
-        self._strip(work)
-        return work
-
-    def add(self, row: Sequence) -> bool:
-        """Insert a row; returns True when it increased the rank."""
-        res = self.reduce(row)
-        lead = next((i for i, v in enumerate(res) if v != 0), None)
-        if lead is None:
+def _is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # deterministic witness set for n < 3.3e24
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        if res[lead] < 0:
-            res = [-v for v in res]
-        self._pivots[lead] = res
-        insort(self._cols, lead)
-        return True
+    return True
 
-    def is_member(self, row: Sequence) -> bool:
-        """True when row lies in the current row space."""
-        return all(v == 0 for v in self.reduce(row))
 
-    def rref_rows(self) -> dict[int, list[Fraction]]:
-        """Fully reduced rows keyed by pivot column, pivot normalized to 1."""
-        rows: dict[int, list[Fraction]] = {}
-        for c in reversed(self._cols):
-            r = [Fraction(v) for v in self._pivots[c]]
-            piv = r[c]
-            r = [v / piv for v in r]
-            for c2 in self._cols:
-                if c2 > c and r[c2] != 0:
-                    factor = r[c2]
-                    done = rows[c2]
-                    for i in range(c2, self.ncols):
-                        r[i] -= factor * done[i]
-            rows[c] = r
-        return rows
+def _primes() -> Iterator[int]:
+    """The deterministic stream of primes above 2**61, in increasing order."""
+    candidate = (1 << 61) + 1
+    while True:
+        if _is_probable_prime(candidate):
+            yield candidate
+        candidate += 2
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Canonical basis of the solution set of (stored rows) @ x = 0.
 
-        One vector per free column in ascending order, unit entry at the
-        free column.
-        """
-        rref = self.rref_rows()
-        pivot_set = set(self._cols)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
+def _mod_nullspace(int_rows, ncols: int, p: int):
+    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis)."""
+    piv_rows: list[list[int]] = []
+    piv_cols: list[int] = []
+    for raw in int_rows:
+        row = [x % p for x in raw]
+        for pr, pc in zip(piv_rows, piv_cols):
+            f = row[pc]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, pr)]
+        lead = next((c for c in range(ncols) if row[c]), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [a * inv % p for a in row]
+        piv_rows.append(row)
+        piv_cols.append(lead)
+    # back substitution to reduced form
+    order = sorted(range(len(piv_cols)), key=lambda t: piv_cols[t])
+    for idx in range(len(order) - 1, -1, -1):
+        r = order[idx]
+        prow = piv_rows[r]
+        pc = piv_cols[r]
+        for other in range(len(piv_rows)):
+            if other == r:
                 continue
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for c in self._cols:
-                if c < f:
-                    vec[c] = -rref[c][f]
-            basis.append(vec)
-        return basis
+            f = piv_rows[other][pc]
+            if f:
+                piv_rows[other] = [
+                    (a - f * b) % p for a, b in zip(piv_rows[other], prow)
+                ]
+    pivset = set(piv_cols)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for pr, pc in zip(piv_rows, piv_cols):
+            v[pc] = (-pr[f]) % p
+        basis.append(v)
+    return tuple(sorted(piv_cols)), free, basis
+
+
+def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    inv = pow(m1 % m2, m2 - 2, m2)
+    t = (r2 - r1) % m2 * inv % m2
+    return r1 + m1 * t
+
+
+def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
+    """Wang reconstruction: p/q = a mod m with |p|, q <= sqrt(m/2)."""
+    a %= m
+    bound = isqrt(m // 2)
+    r0, r1 = m, a
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
+        return None
+    return Fraction(r1 * (1 if s1 > 0 else -1), abs(s1))
+
+
+def _verify_null_vector(int_rows, vec: list[Fraction]) -> bool:
+    ints = _int_rows([vec])[0]
+    idx = [i for i, v in enumerate(ints) if v]
+    return all(not sum(row[i] * ints[i] for i in idx) for row in int_rows)
+
+
+def _reconstruct_basis(residues, modulus: int, int_rows) -> Optional[list[list[Fraction]]]:
+    """Rational lift of every residue vector, or None unless all verify."""
+    basis = []
+    for v in residues:
+        vec = []
+        for x in v:
+            q = _rational_reconstruct(x, modulus)
+            if q is None:
+                return None
+            vec.append(q)
+        if not _verify_null_vector(int_rows, vec):
+            return None
+        basis.append(vec)
+    return basis
+
+
+def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
+    """Proven exact nullspace basis of an integer matrix (canonical RREF).
+
+    Modular elimination gives the structure and a dimension upper bound
+    (reduction mod p never shrinks a nullspace); candidates are rationally
+    reconstructed and verified over the integers, which makes the basis a
+    certificate rather than a guess. Primes come lazily from a fixed
+    deterministic stream, so runs are reproducible. The structure with
+    the fewest free columns, then the smallest pivot columns, wins; only
+    primes that agree on it are combined by CRT. Every basis entry is a
+    ratio of minors bounded by the Hadamard bound H of the rows, so once
+    the combined modulus exceeds 2 H^2 a correct structure must verify,
+    and failing that raises NumericalInstability.
+    """
+    rows = [r for r in int_rows if any(r)]
+    if not rows:
+        return [
+            [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
+            for f in range(ncols)
+        ]
+    limit = 2
+    for r in rows:
+        limit *= sum(v * v for v in r)
+    key = residues = modulus = None
+    for p in _primes():
+        piv, free, basis = _mod_nullspace(rows, ncols, p)
+        structure = (len(free), piv)
+        if key is None or structure < key:
+            key, residues, modulus = structure, basis, p
+        elif structure == key:
+            for v, w in zip(residues, basis):
+                for c in range(ncols):
+                    v[c] = _crt_pair(v[c], modulus, w[c], p)
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct_basis(residues, modulus, rows)
+        if candidate is not None:
+            return candidate
+        if modulus > limit:
+            raise NumericalInstability(
+                "rational reconstruction failed past the Hadamard bound"
+            )
 
 
 def nullspace(a: Matrix) -> list[list[Fraction]]:
     """Exact rational nullspace basis of a (canonical RREF convention)."""
-    ech = IntEchelon(a.ncols)
-    for r in a.rows:
-        ech.add(r)
-    return ech.nullspace()
+    return exact_nullspace(_int_rows(a.rows), a.ncols)

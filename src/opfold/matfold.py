@@ -261,26 +261,16 @@ def orthonormal_blocks(rec: BandedRecurrence, N: int) -> tuple[tuple[Matrix, ...
     """
     step = N + 1
     nblocks = rec.size // step
-    B_list = []
-    A_list = []
 
-    def entry(a: int, b: int) -> SignedSquare:
-        v = rec.raw.entry(a, b)
-        sq = v * v / (rec.norms_sq[a] * rec.norms_sq[b])
-        sign = 1 if v > 0 else (-1 if v < 0 else 0)
-        return SignedSquare(sq, sign)
+    def block(n: int, m: int) -> Matrix:
+        return Matrix.from_fn(
+            step, step, lambda i, j: rec.orthonormal_entry(step * n + i, step * m + j)
+        )
 
-    for n in range(nblocks):
-        B_list.append(
-            Matrix.from_fn(step, step, lambda i, j: entry(step * n + i, step * n + j))
-        )
-    for n in range(nblocks - 1):
-        A_list.append(
-            Matrix.from_fn(
-                step, step, lambda i, j: entry(step * n + i, step * (n + 1) + j)
-            )
-        )
-    return tuple(A_list), tuple(B_list)
+    return (
+        tuple(block(n, n + 1) for n in range(nblocks - 1)),
+        tuple(block(n, n) for n in range(nblocks)),
+    )
 
 
 def leading_orthonormal_sq(scalars: MonicSequence, N: int, n: int) -> Matrix:
@@ -291,17 +281,14 @@ def leading_orthonormal_sq(scalars: MonicSequence, N: int, n: int) -> Matrix:
     the sign are rational data.
     """
     step = N + 1
-    out = []
-    for i in range(step):
-        s = scalars.poly(step * n + i)
-        nu = scalars.norm_sq(step * n + i)
-        row = []
-        for j in range(step):
-            c = s.coeff(step * n + j)
-            sign = 1 if c > 0 else (-1 if c < 0 else 0)
-            row.append(SignedSquare(c * c / nu, sign))
-        out.append(row)
-    return Matrix(out)
+    return Matrix.from_fn(
+        step,
+        step,
+        lambda i, j: SignedSquare.of(
+            scalars.poly(step * n + i).coeff(step * n + j),
+            1 / scalars.norm_sq(step * n + i),
+        ),
+    )
 
 
 def similarity_from_block(computed: Matrix, reference: Matrix) -> tuple[int, ...]:
@@ -333,12 +320,6 @@ def apply_similarity(block: Matrix, eps: tuple[int, ...]) -> Matrix:
         block.ncols,
         lambda i, j: SignedSquare(block[i, j].sq, block[i, j].sign * eps[i] * eps[j]),
     )
-
-
-def _ss(sq: Fraction, sign: int) -> SignedSquare:
-    if sq == 0:
-        return SignedSquare(Fraction(0), 0)
-    return SignedSquare(sq, sign)
 
 
 def reference_block_ttrr(n: int) -> tuple[Matrix, Matrix]:
@@ -376,8 +357,8 @@ def reference_block_ttrr(n: int) -> tuple[Matrix, Matrix]:
     )
     A = Matrix(
         [
-            [_ss(a00, 1), _ss(F(0), 0)],
-            [_ss(a10, -1), _ss(a11, 1)],
+            [SignedSquare(a00, 1), SignedSquare(F(0), 0)],
+            [SignedSquare(a10, -1), SignedSquare(a11, 1)],
         ]
     )
     b00 = F(
@@ -430,8 +411,8 @@ def reference_block_ttrr(n: int) -> tuple[Matrix, Matrix]:
     )
     B = Matrix(
         [
-            [_ss(b00 * b00, 1 if b00 > 0 else -1), _ss(b01, -1)],
-            [_ss(b01, -1), _ss(b11 * b11, 1 if b11 > 0 else -1)],
+            [SignedSquare.of(b00, 1), SignedSquare(b01, -1)],
+            [SignedSquare(b01, -1), SignedSquare.of(b11, 1)],
         ]
     )
     return A, B
@@ -470,7 +451,7 @@ def reference_leading_sq(n: int) -> Matrix:
     e11 = F((8 * n**2 - 2 * n + 3) * (n + 1), (4 * n**2 + 3 * n + 2) * (2 * n + 3) * f0**2)
     return Matrix(
         [
-            [_ss(e00, 1), _ss(F(0), 0)],
-            [_ss(e10, 1), _ss(e11, -1)],
+            [SignedSquare(e00, 1), SignedSquare(F(0), 0)],
+            [SignedSquare(e10, 1), SignedSquare(e11, -1)],
         ]
     )

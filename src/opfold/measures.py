@@ -6,13 +6,13 @@ so nothing here ever touches quadrature or floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .errors import ConfigError, InsufficientMoments
-from .linalg import Matrix
+from .errors import ConfigError, InsufficientMoments, NotPositiveDefinite
+from .linalg import Matrix, ldlt
 from .poly import Poly
 from .rationals import as_fraction
 
@@ -69,21 +69,11 @@ class MomentFunctional:
         ratios of consecutive leading minors, so the first nonpositive
         pivot marks the first nonpositive minor.
         """
-        size = n + 1
-        a = [[self.moment(i + j) for j in range(size)] for i in range(size)]
-        L = [[Fraction(0)] * size for _ in range(size)]
-        for j in range(size):
-            d = a[j][j]
-            for k in range(j):
-                d -= L[j][k] * L[j][k] * L[k][k]
-            if d <= 0:
-                return j
-            L[j][j] = d
-            for i in range(j + 1, size):
-                v = a[i][j]
-                for k in range(j):
-                    v -= L[i][k] * L[j][k] * L[k][k]
-                L[i][j] = v / d
+        hankel = Matrix.from_fn(n + 1, n + 1, lambda i, j: self.moment(i + j))
+        try:
+            ldlt(hankel, pivots="positive")
+        except NotPositiveDefinite as exc:
+            return exc.degree
         return None
 
 
@@ -129,32 +119,6 @@ def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
     return MomentFunctional(tuple(vals), label=f"({mu.label})*(x-{c})^{power}")
 
 
-def _psd_pivots(m: Matrix) -> bool:
-    """Exact PSD test by symmetric elimination with diagonal pivoting."""
-    n = m.nrows
-    a = [[as_fraction(m[i, j]) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    while active:
-        piv = max(active, key=lambda i: a[i][i])
-        if a[piv][piv] < 0:
-            return False
-        if a[piv][piv] == 0:
-            # all remaining diagonal entries are <= 0 here; PSD forces the
-            # whole remaining block to vanish
-            return all(a[i][j] == 0 for i in active for j in active)
-        active.remove(piv)
-        d = a[piv][piv]
-        for i in active:
-            f = a[i][piv] / d
-            if f == 0:
-                continue
-            for j in active:
-                a[i][j] -= f * a[piv][j]
-            a[i][piv] = Fraction(0)
-            a[piv][i] = Fraction(0)
-    return True
-
-
 @dataclass(frozen=True)
 class SobolevSpec:
     """Base measure plus a point-mass quadratic form in derivative values at c."""
@@ -174,8 +138,10 @@ class SobolevSpec:
         object.__setattr__(self, "M", m)
         if m != m.transpose():
             raise ConfigError("mass matrix must be symmetric")
-        if not _psd_pivots(m):
-            raise ConfigError("mass matrix must be positive semi-definite")
+        try:
+            ldlt(m, pivots="psd")
+        except NotPositiveDefinite:
+            raise ConfigError("mass matrix must be positive semi-definite") from None
 
 
 class BilinearForm:

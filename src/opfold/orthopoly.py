@@ -9,15 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .banded import BandedOperator, OrthonormalBandView
-from .errors import (
-    BandViolation,
-    IdentityViolated,
-    NotPositiveDefinite,
-    SymmetryViolated,
-)
+from .banded import BandedOperator
+from .errors import BandViolation, IdentityViolated, SymmetryViolated
 from .linalg import ldlt, unit_lower_inverse
 from .measures import BilinearForm, gram_matrix
 from .poly import Poly
@@ -25,7 +19,6 @@ from .rationals import SignedSquare, as_fraction
 
 __all__ = [
     "MonicSequence",
-    "OrthonormalView",
     "monic_sequence",
     "JacobiMatrix",
     "jacobi_matrix",
@@ -62,40 +55,6 @@ class MonicSequence:
     def is_positive(self) -> bool:
         return all(v > 0 for v in self.norms_sq)
 
-    def orthonormal(self) -> "OrthonormalView":
-        for k, v in enumerate(self.norms_sq):
-            if v <= 0:
-                raise NotPositiveDefinite(k, v)
-        return OrthonormalView(self)
-
-
-@dataclass(frozen=True)
-class OrthonormalView:
-    """Scaled view s_n / sqrt(norm); positive leading coefficient.
-
-    Exact quantities are squares; float_poly materializes coefficients.
-    """
-
-    base: MonicSequence
-
-    @property
-    def scale_sq(self) -> tuple[Fraction, ...]:
-        return tuple(1 / v for v in self.base.norms_sq)
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def value_sq(self, n: int, x) -> Fraction:
-        v = self.base.poly(n)(as_fraction(x))
-        return v * v / self.base.norm_sq(n)
-
-    def leading_sq(self, n: int) -> Fraction:
-        return 1 / self.base.norm_sq(n)
-
-    def float_poly(self, n: int) -> list[float]:
-        scale = self.base.norm_sq(n) ** -0.5
-        return [float(c) * scale for c in self.base.poly(n).coeffs]
-
 
 def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True) -> MonicSequence:
     """Generate s_0..s_{n_max} by LDL^T of the monomial Gram matrix.
@@ -106,11 +65,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     quasi-definiteness) is fatal.
     """
     g = gram_matrix(form, n_max)
-    L, D = ldlt(g)
-    if require_positive:
-        for k, d in enumerate(D):
-            if d <= 0:
-                raise NotPositiveDefinite(k, d)
+    L, D = ldlt(g, pivots="positive" if require_positive else "nonzero")
     inv = unit_lower_inverse(L)
     polys = tuple(Poly(inv[n][: n + 1]) for n in range(n_max + 1))
     return MonicSequence(polys, tuple(D), form)
@@ -144,16 +99,6 @@ class JacobiMatrix:
     def offdiag_sq(self, n: int) -> Fraction:
         """Squared orthonormal offdiagonal entry: a_n^2 = lam_{n+1}."""
         return self.lam[n]
-
-    def orthonormal_entry(self, i: int, j: int) -> SignedSquare:
-        if i == j:
-            v = self.b[i]
-            return SignedSquare(v * v, (v > 0) - (v < 0))
-        lo, hi = min(i, j), max(i, j)
-        if hi == lo + 1:
-            v = self.lam[lo]
-            return SignedSquare(v, (v > 0) - (v < 0))
-        return SignedSquare(Fraction(0), 0)
 
 
 def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
@@ -205,16 +150,16 @@ class BandedRecurrence:
     def size(self) -> int:
         return self.raw.size
 
-    def orthonormal_view(self) -> OrthonormalBandView:
-        return OrthonormalBandView(self.raw, self.norms_sq)
+    def orthonormal_entry(self, n: int, k: int) -> SignedSquare:
+        """Orthonormal entry raw[n][k] / sqrt(nu_n nu_k) by square and sign."""
+        scale = 1 / (self.norms_sq[n] * self.norms_sq[k])
+        return SignedSquare.of(self.raw.entry(n, k), scale)
 
     def orthonormal_sq(self, n: int, k: int) -> Fraction:
-        v = self.raw.entry(n, k)
-        return v * v / (self.norms_sq[n] * self.norms_sq[k])
+        return self.orthonormal_entry(n, k).sq
 
     def orthonormal_sign(self, n: int, k: int) -> int:
-        v = self.raw.entry(n, k)
-        return (v > 0) - (v < 0)
+        return self.orthonormal_entry(n, k).sign
 
 
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
@@ -306,15 +251,8 @@ class ConnectionMatrix:
         return self.T_monic.size
 
     def orthonormal_sq(self, n: int, j: int) -> Fraction:
-        v = self.T_monic.entry(n, j)
-        return v * v * self.to_norms_sq[j] / self.from_norms_sq[n]
-
-    def orthonormal_sign(self, n: int, j: int) -> int:
-        v = self.T_monic.entry(n, j)
-        return (v > 0) - (v < 0)
-
-    def orthonormal_entry(self, n: int, j: int) -> SignedSquare:
-        return SignedSquare(self.orthonormal_sq(n, j), self.orthonormal_sign(n, j))
+        scale = self.to_norms_sq[j] / self.from_norms_sq[n]
+        return SignedSquare.of(self.T_monic.entry(n, j), scale).sq
 
 
 def connection_matrix(

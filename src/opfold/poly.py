@@ -11,7 +11,7 @@ from typing import Iterable
 
 from .rationals import as_fraction, rat_str
 
-__all__ = ["Poly", "poly_derivative", "poly_shift_compose"]
+__all__ = ["Poly"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -219,13 +219,3 @@ class Poly:
                 xs = "x" if k == 1 else f"x^{k}"
                 terms.append(xs if c == 1 else f"{rat_str(c)}*{xs}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def poly_derivative(p: Poly, order: int = 1) -> Poly:
-    """k-th derivative with exact degree bookkeeping."""
-    return p.derivative(order)
-
-
-def poly_shift_compose(p: Poly, c) -> Poly:
-    """Compose with a shift: returns q(x) = p(x + c)."""
-    return p.shift(c)

@@ -66,6 +66,12 @@ class SignedSquare:
         if (self.sign == 0) != (self.sq == 0):
             raise ValueError("sign is zero exactly when the square is zero")
 
+    @classmethod
+    def of(cls, value, scale) -> "SignedSquare":
+        """The pair for value * sqrt(scale): (value**2 * scale, sign(value))."""
+        value = as_fraction(value)
+        return cls(value * value * scale, (value > 0) - (value < 0))
+
     def value(self):
         """Floating (possibly complex) realization sign * sqrt(sq)."""
         if self.sign == 0:

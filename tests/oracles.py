@@ -1,16 +1,25 @@
-"""Independent symbolic oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Everything in this module is computed with sympy over exact rationals,
-through formulas and algorithms deliberately different from the library
-code paths they check. Conversions in and out go through plain Fractions
-so a disagreement can only come from the mathematics, not the carrier.
+Almost everything in this module is computed with sympy over exact
+rationals, through formulas and algorithms deliberately different from the
+library code paths they check. Conversions in and out go through plain
+Fractions so a disagreement can only come from the mathematics, not the
+carrier. IntEchelon is the exception: an incremental integer row echelon
+that used to be the library's nullspace engine, kept here as the second,
+independent route to the nullspace that the modular kernel replaced.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import sympy as sp
+
+from opfold.errors import DimensionMismatch
+from opfold.linalg import _int_rows
 
 X = sp.Symbol("x")
 
@@ -138,3 +147,133 @@ def in_span(rows: list[list[int]], vec: list[Fraction]) -> bool:
     m = sp.Matrix(rows)
     v = sp.Matrix([[sp.Rational(x.numerator, x.denominator)] for x in vec])
     return (m * v).is_zero_matrix
+
+
+def is_psd_by_minors(rows) -> bool:
+    """Symmetric matrix test: every principal minor is >= 0."""
+    m = sp.Matrix([[sp.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in r] for r in rows])
+    n = m.rows
+    return all(
+        m.extract(list(idx), list(idx)).det() >= 0
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+    )
+
+
+class IntEchelon:
+    """Incremental integer row echelon over a fixed column count.
+
+    Rows arrive as Fraction/int vectors; each is denominator-cleared and
+    reduced against the stored pivot rows with two-product updates,
+    stripping the content gcd periodically. Gives the rank, the pivot
+    columns and the canonical rational nullspace.
+    """
+
+    _STRIP_EVERY = 24
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._pivots: dict[int, list[int]] = {}
+        self._cols: list[int] = []  # sorted pivot columns
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def pivot_cols(self) -> tuple[int, ...]:
+        return tuple(self._cols)
+
+    @staticmethod
+    def _strip(row: list[int]) -> None:
+        g = 0
+        for v in row:
+            if v:
+                g = gcd(g, v)
+                if g == 1:
+                    return
+        if g > 1:
+            for i, v in enumerate(row):
+                row[i] = v // g
+
+    def reduce(self, row) -> list[int]:
+        """Return the residual of row against the current echelon."""
+        work = _int_rows([row])[0]
+        if len(work) != self.ncols:
+            raise DimensionMismatch("row length mismatch")
+        steps = 0
+        for c in self._cols:
+            v = work[c]
+            if v == 0:
+                continue
+            p = self._pivots[c]
+            pc = p[c]
+            g = gcd(v, pc)
+            mult_row, mult_piv = pc // g, v // g
+            # pivot row is zero before column c, but work may not be:
+            # the whole row has to carry the scaling.
+            if mult_row != 1:
+                for i in range(c):
+                    work[i] *= mult_row
+            for i in range(c, self.ncols):
+                work[i] = work[i] * mult_row - p[i] * mult_piv
+            steps += 1
+            if steps % self._STRIP_EVERY == 0:
+                self._strip(work)
+        self._strip(work)
+        return work
+
+    def add(self, row) -> bool:
+        """Insert a row; returns True when it increased the rank."""
+        res = self.reduce(row)
+        lead = next((i for i, v in enumerate(res) if v != 0), None)
+        if lead is None:
+            return False
+        if res[lead] < 0:
+            res = [-v for v in res]
+        self._pivots[lead] = res
+        insort(self._cols, lead)
+        return True
+
+    def rref_rows(self) -> dict[int, list[Fraction]]:
+        """Fully reduced rows keyed by pivot column, pivot normalized to 1."""
+        rows: dict[int, list[Fraction]] = {}
+        for c in reversed(self._cols):
+            r = [Fraction(v) for v in self._pivots[c]]
+            piv = r[c]
+            r = [v / piv for v in r]
+            for c2 in self._cols:
+                if c2 > c and r[c2] != 0:
+                    factor = r[c2]
+                    done = rows[c2]
+                    for i in range(c2, self.ncols):
+                        r[i] -= factor * done[i]
+            rows[c] = r
+        return rows
+
+    def nullspace(self) -> list[list[Fraction]]:
+        """Canonical basis of the solution set of (stored rows) @ x = 0.
+
+        One vector per free column in ascending order, unit entry at the
+        free column.
+        """
+        rref = self.rref_rows()
+        pivot_set = set(self._cols)
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            vec = [Fraction(0)] * self.ncols
+            vec[f] = Fraction(1)
+            for c in self._cols:
+                if c < f:
+                    vec[c] = -rref[c][f]
+            basis.append(vec)
+        return basis
+
+
+def echelon_nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    ech = IntEchelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return ech.nullspace()

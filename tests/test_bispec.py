@@ -153,6 +153,18 @@ def test_nullspace_of_no_constraints_is_full():
     assert exact_nullspace([[0, 0, 0]], 3) == basis
 
 
+def test_exact_nullspace_survives_an_unlucky_first_prime():
+    # the first prime divides the pivot entry, so that prime alone sees
+    # the wrong pivot column
+    p0 = int(sp.nextprime(2**61))  # first prime of the modular stream
+    assert exact_nullspace([[p0, 1]], 2) == [[Fraction(-1, p0), Fraction(1)]]
+
+
+def test_exact_nullspace_takes_as_many_primes_as_the_entries_need():
+    a, b = 3**189 + 2, -(5**129) - 4  # about 300 bits each
+    assert exact_nullspace([[a, b]], 2) == [[Fraction(-b, a), Fraction(1)]]
+
+
 # -- discovery -------------------------------------------------------------
 
 
@@ -297,6 +309,18 @@ def test_conjugation_extended_precision_tightens_the_residual(canon):
     r = op.conjugation_eval(
         D8, 1, canon["seq"], 1, Fraction(1, 2), precision="extended"
     )
+    assert float(r.max_deviation) < 1e-40
+
+
+def test_extended_conjugation_leaves_the_global_precision_alone(hermite):
+    from mpmath import mp
+
+    with mp.workdps(15):
+        # a leak would show here as mp.dps == 50
+        r = op.conjugation_eval(
+            hermite["D"], 1, hermite["seq"], 2, Fraction(1, 2), precision="extended"
+        )
+        assert mp.dps == 15
     assert float(r.max_deviation) < 1e-40
 
 

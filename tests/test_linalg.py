@@ -7,7 +7,18 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfold import DimensionMismatch, Matrix, SingularMatrix, inverse, nullspace, solve_linear
+from opfold import (
+    DimensionMismatch,
+    Matrix,
+    NotPositiveDefinite,
+    SingularMatrix,
+    inverse,
+    nullspace,
+    solve_linear,
+)
+from opfold.linalg import ldlt
+
+import oracles
 
 entry = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -101,3 +112,71 @@ def test_dimension_mismatch_raises():
         a @ b
     with pytest.raises(DimensionMismatch):
         a + b
+
+
+def test_nullspace_survives_an_unlucky_first_prime():
+    p0 = int(sp.nextprime(2**61))  # first prime of the modular stream
+    assert nullspace(Matrix([[p0, 1]])) == [[Fraction(-1, p0), Fraction(1)]]
+
+
+def test_nullspace_of_a_row_with_300_bit_entries():
+    a, b = 2**299 + 5, -(2**300) + 3
+    assert nullspace(Matrix([[a, b]])) == [[Fraction(-b, a), Fraction(1)]]
+
+
+big = st.one_of(
+    st.integers(-(2**300), 2**300),
+    st.integers(-3, 3),
+    st.just(0),
+)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_nullspace_matches_the_integer_echelon_oracle(nr, nc, data):
+    rows = [[data.draw(big) for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and data.draw(st.booleans()):
+        # a dependent row keeps rank deficiency in play
+        rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
+    assert nullspace(Matrix.rational(rows)) == oracles.echelon_nullspace(rows, nc)
+
+
+def test_ldlt_pivot_policies():
+    indefinite = Matrix.rational([[1, 2], [2, 1]])
+    L, D = ldlt(indefinite)
+    assert D == [1, -3] and L[1][0] == 2
+    with pytest.raises(NotPositiveDefinite) as exc:
+        ldlt(indefinite, pivots="positive")
+    assert (exc.value.degree, exc.value.pivot) == (1, -3)
+    with pytest.raises(NotPositiveDefinite):
+        ldlt(indefinite, pivots="psd")
+    singular_psd = Matrix.rational([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
+    assert ldlt(singular_psd, pivots="psd")[1] == [0, 1, 0]
+    with pytest.raises(SingularMatrix):
+        ldlt(singular_psd)
+    with pytest.raises(NotPositiveDefinite):
+        ldlt(singular_psd, pivots="positive")
+    with pytest.raises(NotPositiveDefinite):
+        ldlt(Matrix.rational([[0, 1], [1, 0]]), pivots="psd")
+    with pytest.raises(ValueError):
+        ldlt(indefinite, pivots="pivoted")
+
+
+@given(square(4))
+@settings(max_examples=40)
+def test_banded_ldlt_matches_dense_on_a_banded_matrix(a):
+    # symmetrize and cut to bandwidth 1; whenever the dense factorization
+    # exists the banded one must agree with it and reproduce the input
+    band = Matrix.from_fn(
+        4, 4, lambda i, j: a[min(i, j)][max(i, j)] if abs(i - j) <= 1 else Fraction(0)
+    )
+    try:
+        dense = ldlt(band)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            ldlt(band, bandwidth=1)
+        return
+    L, D = ldlt(band, bandwidth=1)
+    assert (L, D) == dense
+    lm = Matrix(L)
+    assert lm @ Matrix.from_fn(4, 4, lambda i, j: D[i] if i == j else Fraction(0)) @ lm.transpose() == band

@@ -132,6 +132,54 @@ def test_mass_matrix_validation():
     op.SobolevSpec(mu, Fraction(0), 1, psd_offdiag)
 
 
+def test_mass_matrix_psd_regressions():
+    # b b^T with b = (2, -2, 3) is PSD with rank one; the second matrix has
+    # every diagonal entry positive but a negative determinant
+    mu = op.laguerre_moments(0, 10)
+    rank_one = op.Matrix.rational([[4, -4, 6], [-4, 4, -6], [6, -6, 9]])
+    op.SobolevSpec(mu, Fraction(0), 2, rank_one)
+    indefinite = op.Matrix.rational([[8, -10, 6], [-10, 13, -8], [6, -8, 3]])
+    assert not oracles.is_psd_by_minors(indefinite.rows)
+    with pytest.raises(op.ConfigError):
+        op.SobolevSpec(mu, Fraction(0), 2, indefinite)
+
+
+def _symmetric(n, entries):
+    rows = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return rows
+
+
+@st.composite
+def mass_matrices(draw):
+    """Symmetric 1x1..3x3 matrices: half are sums of b b^T (often singular
+    PSD) with the corner sometimes nudged by one, half have free entries."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        vecs = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=3))
+        rows = [[sum(b[i] * b[j] for b in vecs) for j in range(n)] for i in range(n)]
+        rows[0][0] += draw(st.sampled_from([0, 0, -1, 1]))
+        return rows
+    return _symmetric(n, draw(st.lists(small, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+
+
+@given(mass_matrices())
+@settings(max_examples=150, deadline=None)
+def test_mass_matrix_accepted_exactly_when_principal_minors_are_nonnegative(rows):
+    mu = op.laguerre_moments(0, 10)
+    N = len(rows) - 1
+    try:
+        op.SobolevSpec(mu, Fraction(0), N, op.Matrix.rational(rows))
+        accepted = True
+    except op.ConfigError:
+        accepted = False
+    assert accepted == oracles.is_psd_by_minors(rows)
+
+
 def test_gram_matrix_matches_oracle_and_is_symmetric(canon):
     form = canon["form"]
     g = op.gram_matrix(form, 6)
