@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .darboux import (
     verify_ul_identity,
     w_interlace_check,
 )
-from .errors import ConfigError, OpfoldError
+from .errors import ConfigError, DimensionMismatch, OpfoldError
 from .linalg import Matrix
 from .matfold import (
     apply_similarity,
@@ -53,6 +54,7 @@ from .measures import (
     christoffel_shift,
     hermite_moments,
     laguerre_moments,
+    mass_matrix,
     measure_form,
     sobolev_form,
 )
@@ -65,7 +67,12 @@ from .orthopoly import (
 )
 from .rationals import as_fraction, rat_str
 
-__all__ = ["RunConfig", "run", "emit_tables", "main", "TASK_NAMES"]
+__all__ = ["RunConfig", "run", "emit_tables", "main", "TASK_NAMES", "N_MAX_LIMIT"]
+
+# Largest accepted n_max. The scalar sequence has up to (N+1)(n_max+1)
+# members and exact cost grows about as the cube of that count at growing
+# coefficient bit length, so a larger run would not finish in useful time.
+N_MAX_LIMIT = 100
 
 TASK_NAMES = (
     "moments",
@@ -96,6 +103,11 @@ _DEPS = {
     "min-order": ("fold",),
     "conjugation": ("orthopoly",),
 }
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -130,35 +142,31 @@ class RunConfig:
         if mtype not in ("laguerre", "hermite", "moments"):
             raise ConfigError(f"unknown measure type {mtype!r}")
         alpha = measure.get("alpha", 0)
-        if mtype == "laguerre" and (not isinstance(alpha, int) or alpha < 0):
+        if mtype == "laguerre" and (not _is_int(alpha) or alpha < 0):
             raise ConfigError("laguerre alpha must be a nonnegative integer")
         raw_moments = None
         if mtype == "moments":
             try:
                 raw_moments = tuple(as_fraction(v) for v in measure["moments"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad explicit moments: {exc}") from exc
         try:
             c = as_fraction(data.get("c", "0"))
-        except ValueError as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad shift c: {exc}") from exc
         N = data.get("N", 1)
-        if not isinstance(N, int) or N < 0:
+        if not _is_int(N) or N < 0:
             raise ConfigError("N must be a nonnegative integer")
         mrows = data.get("M")
         if mrows is None:
             raise ConfigError("config needs the mass matrix M")
         try:
-            M = Matrix.rational(mrows)
-        except (ValueError, TypeError) as exc:
+            M = mass_matrix(mrows, N)
+        except (ValueError, TypeError, ZeroDivisionError, DimensionMismatch) as exc:
             raise ConfigError(f"bad mass matrix M: {exc}") from exc
-        if M.shape != (N + 1, N + 1):
-            raise ConfigError(f"M must be {N + 1}x{N + 1}, got {M.shape}")
-        if M != M.transpose():
-            raise ConfigError("mass matrix M must be symmetric")
         n_max = data.get("n_max", 10)
-        if not isinstance(n_max, int) or n_max < 2:
-            raise ConfigError("n_max must be an integer >= 2")
+        if not _is_int(n_max) or not 2 <= n_max <= N_MAX_LIMIT:
+            raise ConfigError(f"n_max must be an integer from 2 to {N_MAX_LIMIT}")
         tasks = data.get("tasks", ["all"])
         if not isinstance(tasks, list) or not tasks:
             raise ConfigError("tasks must be a nonempty list")
@@ -175,11 +183,11 @@ class RunConfig:
             tol = float(tol_str)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad float_tolerance: {exc}") from exc
-        if tol <= 0:
-            raise ConfigError("float_tolerance must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ConfigError("float_tolerance must be positive and finite")
         return cls(
             mtype,
-            alpha if isinstance(alpha, int) else 0,
+            alpha if _is_int(alpha) else 0,
             raw_moments,
             c,
             N,

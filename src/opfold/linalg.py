@@ -150,14 +150,16 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(ints, den) with values[i] == ints[i] / den, den the lcm of the
+    denominators of the int or Fraction values."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _int_rows(mat_rows: Sequence[Sequence]) -> list[list[int]]:
     """Clear denominators row by row (row scaling leaves solution sets alone)."""
-    out = []
-    for r in mat_rows:
-        fr = [as_fraction(v) for v in r]
-        den = lcm(*(v.denominator for v in fr))
-        out.append([v.numerator * (den // v.denominator) for v in fr])
-    return out
+    return [clear_denominators([as_fraction(v) for v in r])[0] for r in mat_rows]
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix:

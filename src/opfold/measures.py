@@ -1,18 +1,24 @@
 """Moment functionals and point-mass bilinear forms.
 
-A measure enters the pipeline only through its moment sequence; every inner
-product is evaluated as an exact linear functional on polynomial products,
-so nothing here ever touches quadrature or floating point.
+A measure enters the pipeline only through its moment sequence, and a
+bilinear form only through its monomial Gram G[i][j] = B(x^i, x^j). The
+Gram is written down in closed form, never by multiplying polynomials:
+the moment Hankel m_{i+j}, plus for a point mass the rank <= N+1 term
+sum_{a,b} M_ab v_a[i] v_b[j] with v_a[i] = i!/(i-a)! c^(i-a). It is built
+on first use, cached on the form as integer rows over one common
+denominator, and every inner product, Gram slice and table downstream is
+an exact integer matrix product against it. Nothing here touches
+quadrature or floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm, perm
 from typing import Optional
 
 from .errors import ConfigError, InsufficientMoments, NotPositiveDefinite
-from .linalg import Matrix, ldlt
+from .linalg import Matrix, clear_denominators, ldlt
 from .poly import Poly
 from .rationals import as_fraction
 
@@ -22,6 +28,7 @@ __all__ = [
     "hermite_moments",
     "christoffel_shift",
     "SobolevSpec",
+    "mass_matrix",
     "BilinearForm",
     "sobolev_form",
     "measure_form",
@@ -48,18 +55,6 @@ class MomentFunctional:
         if k >= len(self.moments):
             raise InsufficientMoments(k, len(self.moments) - 1)
         return self.moments[k]
-
-    def integrate(self, p: Poly) -> Fraction:
-        if p.degree >= len(self.moments):
-            raise InsufficientMoments(p.degree, len(self.moments) - 1)
-        total = Fraction(0)
-        for k, c in enumerate(p.coeffs):
-            if c:
-                total += c * self.moments[k]
-        return total
-
-    def bilinear(self, p: Poly, q: Poly) -> Fraction:
-        return self.integrate(p * q)
 
     def hankel_positive_through(self, n: int) -> Optional[int]:
         """First k <= n whose leading principal Hankel minor is not positive.
@@ -119,6 +114,25 @@ def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
     return MomentFunctional(tuple(vals), label=f"({mu.label})*(x-{c})^{power}")
 
 
+def mass_matrix(rows, N: int) -> Matrix:
+    """The point-mass matrix as rationals.
+
+    Raises ConfigError unless it is (N+1)x(N+1), symmetric and positive
+    semi-definite; entries that do not parse as rationals raise what
+    as_fraction raises.
+    """
+    m = Matrix.rational(rows)
+    if m.shape != (N + 1, N + 1):
+        raise ConfigError(f"mass matrix must be {N + 1}x{N + 1}, got {m.shape}")
+    if m != m.transpose():
+        raise ConfigError("mass matrix must be symmetric")
+    try:
+        ldlt(m, pivots="psd")
+    except NotPositiveDefinite:
+        raise ConfigError("mass matrix must be positive semi-definite") from None
+    return m
+
+
 @dataclass(frozen=True)
 class SobolevSpec:
     """Base measure plus a point-mass quadratic form in derivative values at c."""
@@ -132,34 +146,82 @@ class SobolevSpec:
         object.__setattr__(self, "c", as_fraction(self.c))
         if self.N < 0:
             raise ConfigError("derivative order N must be >= 0")
-        if self.M.shape != (self.N + 1, self.N + 1):
-            raise ConfigError(f"mass matrix must be {self.N + 1}x{self.N + 1}")
-        m = Matrix.rational(self.M.rows)
-        object.__setattr__(self, "M", m)
-        if m != m.transpose():
-            raise ConfigError("mass matrix must be symmetric")
-        try:
-            ldlt(m, pivots="psd")
-        except NotPositiveDefinite:
-            raise ConfigError("mass matrix must be positive semi-definite") from None
+        object.__setattr__(self, "M", mass_matrix(self.M.rows, self.N))
 
 
 class BilinearForm:
-    """Symmetric bilinear form on polynomials with an explicit degree budget."""
+    """B(f, g) = L[f g] + sum_{a,b} M_ab f^(a)(c) g^(b)(c), held as its Gram.
 
-    __slots__ = ("_fn", "max_degree", "label")
+    M is None for the plain integral form. max_degree is the highest
+    degree either argument may have: L[f g] needs moments through twice
+    it. The monomial Gram is built in closed form the first time a degree
+    is asked for, and rebuilt larger only when a higher one is.
+    """
 
-    def __init__(self, fn, max_degree: int, label: str = ""):
-        self._fn = fn
-        self.max_degree = max_degree
+    __slots__ = ("mu", "c", "M", "max_degree", "label", "_gram")
+
+    def __init__(self, mu: MomentFunctional, c=0, M: Optional[Matrix] = None, label: str = ""):
+        self.mu = mu
+        self.c = as_fraction(c)
+        self.M = M
+        self.max_degree = (mu.count - 1) // 2
         self.label = label
+        self._gram: Optional[tuple[list[list[int]], int]] = None
+
+    def gram(self, n: int) -> tuple[list[list[int]], int]:
+        """(rows, den) with B(x^i, x^j) = rows[i][j] / den for i, j <= n.
+
+        The rows are the cached ones and may extend past n; callers index,
+        they do not copy or mutate.
+        """
+        if n > self.max_degree:
+            raise InsufficientMoments(2 * n, 2 * self.max_degree)
+        if self._gram is None or len(self._gram[0]) <= n:
+            self._gram = self._build(n)
+        return self._gram
+
+    def _build(self, n: int) -> tuple[list[list[int]], int]:
+        hankel, den = clear_denominators(self.mu.moments[: 2 * n + 1])
+        if self.M is None or self.M.is_zero:
+            return [hankel[i : i + n + 1] for i in range(n + 1)], den
+        # with c = p/q, q^n v_a[i] = i!/(i-a)! p^(i-a) q^(n-i+a) is an integer
+        p, q = self.c.numerator, self.c.denominator
+        mass = [clear_denominators(r) for r in self.M.rows]
+        dM = lcm(*(d for _, d in mass))
+        mass = [[v * (dM // d) for v in r] for r, d in mass]
+        V = [
+            [perm(i, a) * p ** (i - a) * q ** (n - i + a) if i >= a else 0 for i in range(n + 1)]
+            for a in range(len(mass))
+        ]
+        W = [[sum(m * v[j] for m, v in zip(row, V)) for j in range(n + 1)] for row in mass]
+        # in integers: den * scale * G = scale * hankel + den * V^T (dM M) V
+        scale = dM * q ** (2 * n)
+        rows = [
+            [
+                hankel[i + j] * scale + den * sum(v[i] * w[j] for v, w in zip(V, W))
+                for j in range(n + 1)
+            ]
+            for i in range(n + 1)
+        ]
+        den *= scale
+        g = gcd(den, *(v for r in rows for v in r))
+        if g > 1:
+            rows = [[v // g for v in r] for r in rows]
+            den //= g
+        return rows, den
 
     def __call__(self, p: Poly, q: Poly) -> Fraction:
-        if p.degree > self.max_degree or q.degree > self.max_degree:
-            raise InsufficientMoments(
-                max(p.degree, q.degree) * 2, self.max_degree * 2
-            )
-        return self._fn(p, q)
+        """B(p, q) = p^T G q."""
+        top = max(p.degree, q.degree)
+        if top > self.max_degree:
+            raise InsufficientMoments(top * 2, self.max_degree * 2)
+        if p.is_zero or q.is_zero:
+            return Fraction(0)
+        rows, den = self.gram(top)
+        pi, dp = clear_denominators(p.coeffs)
+        qi, dq = clear_denominators(q.coeffs)
+        total = sum(a * sum(g * b for g, b in zip(rows[i], qi)) for i, a in enumerate(pi) if a)
+        return Fraction(total, dp * dq * den)
 
     def __repr__(self):
         return f"BilinearForm({self.label or 'custom'}, max_degree={self.max_degree})"
@@ -167,46 +229,20 @@ class BilinearForm:
 
 def measure_form(mu: MomentFunctional) -> BilinearForm:
     """The plain integral form (f, g) -> L[f g]."""
-    return BilinearForm(mu.bilinear, (mu.count - 1) // 2, label=mu.label)
+    return BilinearForm(mu, label=mu.label)
 
 
 def sobolev_form(spec: SobolevSpec) -> BilinearForm:
     """B(f, g) = L[f g] + sum_{j,k} M_{jk} f^(j)(c) g^(k)(c)."""
-    mu, c, N, M = spec.base, spec.c, spec.N, spec.M
-    mass_nonzero = not M.is_zero
-
-    def fn(p: Poly, q: Poly) -> Fraction:
-        total = mu.bilinear(p, q)
-        if mass_nonzero:
-            pd = [p.derivative(j)(c) for j in range(N + 1)]
-            qd = [q.derivative(k)(c) for k in range(N + 1)]
-            for j in range(N + 1):
-                if pd[j] == 0:
-                    continue
-                for k in range(N + 1):
-                    mjk = M[j, k]
-                    if mjk and qd[k]:
-                        total += mjk * pd[j] * qd[k]
-        return total
-
-    return BilinearForm(fn, (mu.count - 1) // 2, label=f"sobolev({mu.label}, c={c}, N={N})")
+    mu = spec.base
+    return BilinearForm(mu, spec.c, spec.M, label=f"sobolev({mu.label}, c={spec.c}, N={spec.N})")
 
 
 def gram_matrix(form: BilinearForm, n: int) -> Matrix:
-    """Moment-basis Gram: (n+1)x(n+1) matrix of form(x^i, x^j)."""
-    if n > form.max_degree:
-        raise InsufficientMoments(2 * n, 2 * form.max_degree)
-    mono = [Poly.monomial(k) for k in range(n + 1)]
-    rows = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if j < i:
-                row.append(rows[j][i])
-            else:
-                row.append(form(mono[i], mono[j]))
-        rows.append(row)
-    return Matrix(rows)
+    """Moment-basis Gram: (n+1)x(n+1) matrix of form(x^i, x^j), sliced
+    from the form's cached Gram."""
+    rows, den = form.gram(n)
+    return Matrix(tuple(Fraction(v, den) for v in r[: n + 1]) for r in rows[: n + 1])
 
 
 @dataclass(frozen=True)
@@ -221,20 +257,31 @@ def symmetry_check(form: BilinearForm, N: int, degree: int, c=0) -> SymmetryRepo
     """Test whether multiplication by (x-c)^{N+1} commutes symmetrically.
 
     Checks B((x-c)^{N+1} x^i, (x-c) x^j) = B((x-c) x^i, (x-c)^{N+1} x^j)
-    over all monomial pairs i, j <= degree; returns the first failing pair.
+    over all monomial pairs i, j <= degree; returns the first failing pair
+    in row-major order. With K_m the multiplication by (x-c)^m, the
+    left-hand sides are A = K_{N+1} G K_1^T and, G being symmetric, the
+    right-hand sides are A^T. A pair whose shifted monomial exceeds the
+    degree budget raises InsufficientMoments where the scan reaches it.
     """
     c = as_fraction(c)
-    if 2 * degree + N + 2 > 2 * form.max_degree:
-        raise InsufficientMoments(2 * degree + N + 2, 2 * form.max_degree)
+    top = form.max_degree
+    if 2 * degree + N + 2 > 2 * top:
+        raise InsufficientMoments(2 * degree + N + 2, 2 * top)
     lin = Poly((-c, Fraction(1)))
-    high = lin ** (N + 1)
+    hi, hden = clear_denominators((lin ** (N + 1)).coeffs)
+    lo, lden = clear_denominators(lin.coeffs)
+    G, den = form.gram(min(degree + N + 1, top))
+    fits = range(min(degree, top - N - 1) + 1)  # rows i with i + N + 1 <= top
+    KG = [[sum(h * G[i + s][j] for s, h in enumerate(hi)) for j in range(degree + 2)] for i in fits]
+    A = [[sum(r[j + t] * v for t, v in enumerate(lo)) for j in range(degree + 1)] for r in KG]
+    scale = den * hden * lden
     for i in range(degree + 1):
-        xi = Poly.monomial(i)
-        hi, li = high * xi, lin * xi
+        if i + N + 1 > top:
+            raise InsufficientMoments(2 * (i + N + 1), 2 * top)
         for j in range(degree + 1):
-            xj = Poly.monomial(j)
-            lhs = form(hi, lin * xj)
-            rhs = form(li, high * xj)
-            if lhs != rhs:
+            if j + N + 1 > top:
+                raise InsufficientMoments(2 * (j + N + 1), 2 * top)
+            if A[i][j] != A[j][i]:
+                lhs, rhs = Fraction(A[i][j], scale), Fraction(A[j][i], scale)
                 return SymmetryReport(False, (i, j), lhs, rhs)
     return SymmetryReport(True, None)

@@ -1,9 +1,15 @@
 """Monic orthogonal sequences, recurrence operators, and connection matrices.
 
-Everything is generated from a BilinearForm by exact Gram factorization.
-Square roots never appear: orthonormal data is exposed as squared
-rationals plus signs, and every operator identity has a monic-conjugated
-form that stays in Fraction arithmetic.
+Everything is generated from a BilinearForm's monomial Gram G. The monic
+sequence comes from the LDL^T of G. The recurrence and connection tables
+are integer matrix products: with S the denominator-cleared coefficient
+rows of a monic sequence and K the multiplication by (x-c)^{N+1}, the
+recurrence table is S (K G) S^T and the connection table is
+S_from G_to S_to^T diag(1/d). Each table is then checked a second way,
+polynomially, on the rows the truncation determines. Square roots never
+appear: orthonormal data is exposed as squared rationals plus signs, and
+every operator identity has a monic-conjugated form that stays in
+Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -11,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .banded import BandedOperator
-from .errors import BandViolation, IdentityViolated, SymmetryViolated
-from .linalg import ldlt, unit_lower_inverse
+from .errors import BandViolation, IdentityViolated, InsufficientMoments, SymmetryViolated
+from .linalg import clear_denominators, ldlt, unit_lower_inverse
 from .measures import BilinearForm, gram_matrix
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
@@ -165,31 +171,48 @@ class BandedRecurrence:
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     """Build the recurrence table for multiplication by (x-c)^{N+1}.
 
-    Entries with |n-k| > N+1 are asserted to vanish (this is exactly the
-    symmetry of the multiplication operator for the generating form);
-    the monic expansion is re-verified polynomially on rows unaffected by
-    truncation.
+    raw = S (K G) S^T over denominator-cleared integer rows, scanned row
+    by row. Entries with |n-k| > N+1 are asserted to vanish (this is
+    exactly the symmetry of the multiplication operator for the
+    generating form); the monic expansion is re-verified polynomially on
+    rows unaffected by truncation.
     """
     c = as_fraction(c)
     size = len(seq)
-    form = seq.form
+    top = seq.form.max_degree
     shift = Poly((-c, Fraction(1))) ** (N + 1)
-    shifted = [shift * seq.poly(n) for n in range(size)]
+    kc, kden = clear_denominators(shift.coeffs)
+    S = [clear_denominators(p.coeffs) for p in seq.polys]
+    G, gden = seq.form.gram(min(size + N, top))
+    cols = range(min(size, top + 1))
+    # (K G)[i][j] = kden gden B((x-c)^{N+1} x^i, x^j), for rows whose
+    # shifted monomial fits the degree budget
+    KG = [
+        [sum(k * G[i + t][j] for t, k in enumerate(kc)) for j in cols]
+        for i in range(min(size, top - N))
+    ]
     rows = [[Fraction(0)] * size for _ in range(size)]
     for n in range(size):
+        if n + N + 1 > top:
+            raise InsufficientMoments(2 * (n + N + 1), 2 * top)
+        sn, dn = S[n]
+        w = [sum(a * KG[i][j] for i, a in enumerate(sn) if a) for j in cols]
         for k in range(size):
-            v = form(shifted[n], seq.poly(k))
-            if abs(n - k) > N + 1:
+            if k > top:
+                raise InsufficientMoments(2 * k, 2 * top)
+            sk, dk = S[k]
+            h = sum(a * b for a, b in zip(w, sk))
+            if abs(n - k) <= N + 1:
+                rows[n][k] = Fraction(h, dn * dk * kden * gden)
+            elif h:
                 # above the band this vanishes by plain orthogonality; below
                 # it vanishes only when multiplication by the shift is
                 # symmetric for the form, so this is the real test
-                if v != 0:
-                    raise SymmetryViolated(
-                        f"entry ({n},{k}) = {v} outside band {N + 1}; "
-                        "multiplication by the shift is not symmetric for this form"
-                    )
-            else:
-                rows[n][k] = v
+                v = Fraction(h, dn * dk * kden * gden)
+                raise SymmetryViolated(
+                    f"entry ({n},{k}) = {v} outside band {N + 1}; "
+                    "multiplication by the shift is not symmetric for this form"
+                )
     raw = BandedOperator(size, N + 1, N + 1, rows)
     monic = BandedOperator.from_fn(
         size, N + 1, N + 1, lambda n, k: raw.entry(n, k) / seq.norm_sq(k)
@@ -199,7 +222,7 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
         acc = Poly()
         for k in range(max(0, n - N - 1), min(size, n + N + 2)):
             acc = acc + monic.entry(n, k) * seq.poly(k)
-        if acc != shifted[n]:
+        if acc != shift * seq.poly(n):
             raise IdentityViolated(f"banded expansion failed at row {n}")
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
@@ -262,25 +285,32 @@ def connection_matrix(
 ) -> ConnectionMatrix:
     """Connection coefficients of seq_from in the seq_to basis.
 
-    Entries are computed from inner products under seq_to's own form (the
-    one that makes it orthogonal) and then cross-validated by
+    Entries are inner products under seq_to's own form (the one that
+    makes it orthogonal), S_from G_to S_to^T diag(1/d) over
+    denominator-cleared integer rows, and are then cross-validated by
     reconstructing seq_from polynomially - two genuinely different routes
     to the same numbers. Entries below the (N+1)-th subdiagonal must
     vanish.
     """
     form_to = seq_to.form
+    top = form_to.max_degree
     size = min(len(seq_from), len(seq_to))
+    G, gden = form_to.gram(min(size - 1, top))
+    S_to = [clear_denominators(p.coeffs) for p in seq_to.polys[:size]]
     rows = [[Fraction(0)] * size for _ in range(size)]
     for n in range(size):
-        for j in range(size):
-            if j > n:
-                break
-            v = form_to(seq_from.poly(n), seq_to.poly(j)) / seq_to.norm_sq(j)
-            if j < n - (N + 1):
-                if v != 0:
-                    raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
-                continue
-            rows[n][j] = v
+        if n > top:
+            raise InsufficientMoments(2 * n, 2 * top)
+        sn, dn = clear_denominators(seq_from.poly(n).coeffs)
+        w = [sum(a * G[i][j] for i, a in enumerate(sn) if a) for j in range(n + 1)]
+        for j in range(n + 1):
+            sj, dj = S_to[j]
+            h = sum(a * b for a, b in zip(w, sj))
+            if j >= n - (N + 1):
+                rows[n][j] = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
+            elif h:
+                v = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
+                raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
         recon = Poly()
         for j in range(max(0, n - N - 1), n + 1):
             recon = recon + rows[n][j] * seq_to.poly(j)

@@ -4,9 +4,12 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. IntEchelon is the exception: an incremental integer row echelon
-that used to be the library's nullspace engine, kept here as the second,
-independent route to the nullspace that the modular kernel replaced.
+carrier. Two exceptions keep a replaced library route as the second,
+independent one: IntEchelon, an incremental integer row echelon that used
+to be the library's nullspace engine, and the pairwise_* functions, which
+evaluate a bilinear form one pair of polynomials at a time (a full
+polynomial product against the moments plus derivative values at the
+point), as the library did before it held each form as its monomial Gram.
 """
 
 from __future__ import annotations
@@ -18,8 +21,14 @@ from math import gcd
 
 import sympy as sp
 
-from opfold.errors import DimensionMismatch
+from opfold.errors import (
+    BandViolation,
+    DimensionMismatch,
+    InsufficientMoments,
+    SymmetryViolated,
+)
 from opfold.linalg import _int_rows
+from opfold.poly import Poly
 
 X = sp.Symbol("x")
 
@@ -277,3 +286,91 @@ def echelon_nullspace(rows, ncols: int) -> list[list[Fraction]]:
     for r in rows:
         ech.add(r)
     return ech.nullspace()
+
+
+def pairwise_form(form):
+    """The pairing of a BilinearForm evaluated from its definition.
+
+    L[f g] comes from the full product f g against the moment table, the
+    point part from derivative values at c; the degree budget is the one
+    BilinearForm.__call__ enforces.
+    """
+    mu, c, M, top = form.mu, form.c, form.M, form.max_degree
+
+    def pair(p, q):
+        if p.degree > top or q.degree > top:
+            raise InsufficientMoments(max(p.degree, q.degree) * 2, top * 2)
+        total = sum((a * mu.moments[k] for k, a in enumerate((p * q).coeffs)), Fraction(0))
+        if M is not None:
+            pd = [p.derivative(j)(c) for j in range(M.nrows)]
+            qd = [q.derivative(k)(c) for k in range(M.nrows)]
+            for j in range(M.nrows):
+                for k in range(M.nrows):
+                    total += M[j, k] * pd[j] * qd[k]
+        return total
+
+    return pair
+
+
+def pairwise_gram(form, n: int) -> list[list[Fraction]]:
+    if n > form.max_degree:
+        raise InsufficientMoments(2 * n, 2 * form.max_degree)
+    pair = pairwise_form(form)
+    return [[pair(Poly.monomial(i), Poly.monomial(j)) for j in range(n + 1)] for i in range(n + 1)]
+
+
+def pairwise_symmetry_check(form, N: int, degree: int, c):
+    """(ok, counterexample, lhs, rhs) of the symmetry scan, pair by pair."""
+    if 2 * degree + N + 2 > 2 * form.max_degree:
+        raise InsufficientMoments(2 * degree + N + 2, 2 * form.max_degree)
+    pair = pairwise_form(form)
+    lin = Poly((-c, Fraction(1)))
+    high = lin ** (N + 1)
+    for i in range(degree + 1):
+        xi = Poly.monomial(i)
+        for j in range(degree + 1):
+            xj = Poly.monomial(j)
+            lhs = pair(high * xi, lin * xj)
+            rhs = pair(lin * xi, high * xj)
+            if lhs != rhs:
+                return False, (i, j), lhs, rhs
+    return True, None, None, None
+
+
+def pairwise_recurrence_raw(seq, c, N: int) -> list[list[Fraction]]:
+    """raw[n][k] = B((x-c)^{N+1} s_n, s_k) inside the band, one pairing per
+    entry; a nonzero entry outside it raises SymmetryViolated."""
+    size = len(seq)
+    pair = pairwise_form(seq.form)
+    shift = Poly((-c, Fraction(1))) ** (N + 1)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(size):
+        shifted = shift * seq.poly(n)
+        for k in range(size):
+            v = pair(shifted, seq.poly(k))
+            if abs(n - k) > N + 1:
+                if v != 0:
+                    raise SymmetryViolated(
+                        f"entry ({n},{k}) = {v} outside band {N + 1}; "
+                        "multiplication by the shift is not symmetric for this form"
+                    )
+            else:
+                rows[n][k] = v
+    return rows
+
+
+def pairwise_connection(seq_from, seq_to, N: int) -> list[list[Fraction]]:
+    """T[n][j] = B_to(s_n, p_j) / B_to(p_j, p_j) for j <= n, one pairing per
+    entry; a nonzero entry below the band raises BandViolation."""
+    pair = pairwise_form(seq_to.form)
+    size = min(len(seq_from), len(seq_to))
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(size):
+        for j in range(n + 1):
+            v = pair(seq_from.poly(n), seq_to.poly(j)) / seq_to.norm_sq(j)
+            if j < n - (N + 1):
+                if v != 0:
+                    raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
+                continue
+            rows[n][j] = v
+    return rows

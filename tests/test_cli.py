@@ -2,12 +2,16 @@
 runs, deterministic reports, CSV side tables, and config validation."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import opfold as op
-from opfold.cli import RunConfig, main
+from opfold.cli import N_MAX_LIMIT, RunConfig, main
 
 
 def _write_config(path, **overrides):
@@ -244,6 +248,19 @@ def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):
         {"N": -1},
         {"c": "one"},
         {"float_tolerance": "0"},
+        {"c": "1/0"},
+        {"c": 0.5},
+        {"M": [["0", "0"], ["0", "1/0"]]},
+        {"M": [["0"], ["0", "1"]]},
+        {"measure": {"type": "moments", "moments": ["1", "1/0"]}},
+        {"N": True},
+        {"measure": {"type": "laguerre", "alpha": True}},
+        {"n_max": True},
+        {"float_tolerance": "nan"},
+        {"float_tolerance": "inf"},
+        {"M": [["0", "0"], ["0", "-1"]]},
+        {"n_max": 10**9},
+        {"n_max": N_MAX_LIMIT + 1},
     ],
 )
 def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
@@ -253,7 +270,8 @@ def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
         del data["M"]
         (tmp_path / "cfg.json").write_text(json.dumps(data))
     assert main(["run", "--config", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_unreadable_and_malformed_configs_exit_with_usage_error(tmp_path, capsys):
@@ -286,3 +304,26 @@ def test_config_resolves_task_dependencies():
         }
     )
     assert not other.is_canonical()
+    widest = RunConfig.from_dict(
+        {"measure": {"type": "hermite"}, "M": [["1", "0"], ["0", "0"]], "n_max": N_MAX_LIMIT}
+    )
+    assert widest.n_max == N_MAX_LIMIT
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = str(Path(op.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(cfg):
+        return subprocess.run(
+            [sys.executable, "-m", "opfold", "run", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    good = run(_write_config(tmp_path / "good.json"))
+    assert good.returncode == 0, good.stderr
+    assert json.loads(good.stdout)["overall"] == "PASS"
+    bad = run(_write_config(tmp_path / "bad.json", N=True))
+    assert bad.returncode == 2
+    assert "config error" in bad.stderr
