@@ -30,7 +30,7 @@ from .errors import (
     Underdetermined,
 )
 from .linalg import Matrix, _int_rows, exact_nullspace, nullspace
-from .matfold import MatrixPolySequence, build_matrix_sequence
+from .matfold import MatrixPolySequence, fold_decompose
 from .orthopoly import MonicSequence
 from .poly import Poly
 from .rationals import rat_str, as_fraction
@@ -367,7 +367,9 @@ def min_order_check(
         return ((k * size + l) * size + j) * (degree_bound + 1) + d
 
     rows = []
-    pivots = {}
+    # pivots[(n, i)]: the nonzero (unknown index, coefficient) terms of
+    # lambda_{n,i}, read off the coefficient of y^n in entry (i, i)
+    pivots: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for n in range(n_fit + 1):
         derivs = _deriv_table(R, n, max_order)
         for i in range(size):
@@ -375,14 +377,14 @@ def min_order_check(
                 raise IdentityViolated(
                     f"block {n} row {i} is not monic in its own column"
                 )
-            pivot = [Fraction(0)] * nuk
+            pivot = []
             for k in range(max_order + 1):
                 for l in range(size):
                     pol = derivs[k][i, l]
                     for d in range(degree_bound + 1):
                         c = _entry_coeff(pol, n - d)
                         if c:
-                            pivot[uidx(k, l, i, d)] = c
+                            pivot.append((uidx(k, l, i, d), c))
             pivots[(n, i)] = pivot
             maxdeg = max((derivs[0][i, l].degree for l in range(size)), default=0)
             for j in range(size):
@@ -399,30 +401,32 @@ def min_order_check(
                                     row[uidx(k, l, j, d)] = c
                     rj = _entry_coeff(derivs[0][i, j], t)
                     if rj:
-                        row = [a - rj * b for a, b in zip(row, pivots[(n, i)])]
+                        for idx, c in pivot:
+                            row[idx] -= rj * c
                     if any(row):
                         rows.append(row)
     V = exact_nullspace(_int_rows(rows), nuk)
 
-    def ladder_values(vec: list[Fraction]) -> list[list[Fraction]]:
-        out = []
-        for n in range(n_fit + 1):
-            out.append(
-                [
-                    sum(a * b for a, b in zip(pivots[(n, i)], vec))
-                    for i in range(size)
-                ]
-            )
-        return out
+    def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
+        return [
+            [sum(c * vec[idx] for idx, c in pivots[(n, i)]) for i in range(size)]
+            for n in range(n_fit + 1)
+        ]
 
-    def nonconstant(vec: list[Fraction]) -> bool:
-        lv = ladder_values(vec)
-        return any(lv[n][i] != lv[0][i] for n in range(1, n_fit + 1) for i in range(size))
+    # a section vector is sum_s alpha_s V[s], so by linearity its ladder is
+    # the same combination of the ladders of the basis vectors
+    basis_ladders = [ladder_values(v) for v in V]
+
+    def section_ladder(alpha: Sequence[Fraction]) -> list[list[Fraction]]:
+        return [
+            [sum(a * lv[n][i] for a, lv in zip(alpha, basis_ladders)) for i in range(size)]
+            for n in range(n_fit + 1)
+        ]
 
     feasible = []
     dims = []
     min_order = None
-    witness_vec = None
+    witness_alpha = witness_ladder = None
     for m in range(max_order + 1):
         banned = [
             uidx(k, l, j, d)
@@ -440,20 +444,25 @@ def min_order_check(
             alphas = nullspace(constraint)
         else:
             alphas = []
-        section = [
-            [sum(a * v[c] for a, v in zip(alpha, V)) for c in range(nuk)]
-            for alpha in alphas
-        ]
-        dims.append(len(section))
-        ok = any(nonconstant(w) for w in section)
-        feasible.append(ok)
-        if ok and min_order is None:
+        dims.append(len(alphas))
+        # the first section vector whose ladder varies with n witnesses m
+        hit = None
+        for alpha in alphas:
+            lv = section_ladder(alpha)
+            if any(row != lv[0] for row in lv[1:]):
+                hit = (alpha, lv)
+                break
+        feasible.append(hit is not None)
+        if hit is not None and min_order is None:
             min_order = m
-            witness_vec = next(w for w in section if nonconstant(w))
+            witness_alpha, witness_ladder = hit
     if min_order is None:
         raise Infeasible(
             f"no order up to {max_order} admits an n-dependent eigenvalue ladder"
         )
+    witness_vec = [
+        sum(a * v[c] for a, v in zip(witness_alpha, V)) for c in range(nuk)
+    ]
     mats = []
     for k in range(min_order + 1):
         mats.append(
@@ -473,7 +482,7 @@ def min_order_check(
     ):
         top -= 1
     witness = RightDifferentialOperator(top, tuple(mats[: top + 1]))
-    wl = tuple(tuple(row) for row in ladder_values(witness_vec))
+    wl = tuple(tuple(row) for row in witness_ladder)
     return MinOrderResult(
         min_order, tuple(feasible), tuple(dims), witness, wl
     )
@@ -629,23 +638,26 @@ class ConjugationResult:
     max_deviation: float
 
 
+def _eigen_image(D: ScalarOperator, s: Poly, m: int) -> tuple[Fraction, Poly]:
+    """(lambda_m, D s_m) for the degree-m member s, else raises.
+
+    A monic leading coefficient pins lambda_m as the top coefficient of
+    the image; the full identity D s_m = lambda_m s_m is then asserted
+    exactly.
+    """
+    ds = apply_scalar(D, s)
+    lam = ds.coeff(m)
+    if ds != Poly.constant(lam) * s:
+        raise IdentityViolated(f"degree-{m} member is not an eigenfunction")
+    return lam, ds
+
+
 def scalar_eigenvalues(
     D: ScalarOperator, seq: MonicSequence, count: int
 ) -> tuple[Fraction, ...]:
-    """Exact eigenvalues lambda_m with D s_m = lambda_m s_m, else raises.
-
-    Monic leading coefficients pin lambda_m as the top coefficient of the
-    image; the full identity is then asserted exactly.
-    """
-    out = []
-    for m in range(count):
-        s = seq.poly(m)
-        ds = apply_scalar(D, s)
-        lam = ds.coeff(m)
-        if ds != Poly.constant(lam) * s:
-            raise IdentityViolated(f"degree-{m} member is not an eigenfunction")
-        out.append(lam)
-    return tuple(out)
+    """Exact eigenvalues lambda_m with D s_m = lambda_m s_m for m < count,
+    else raises IdentityViolated naming the first failing degree."""
+    return tuple(_eigen_image(D, seq.poly(m), m)[0] for m in range(count))
 
 
 def conjugation_eval(
@@ -664,13 +676,26 @@ def conjugation_eval(
     diagonal. The result is compared against Lambda_n times the folded
     block at y0, with Lambda the exact scalar eigenvalues. Only y0 > 0 is
     meaningful on this support.
+
+    D is applied once to each member of block n, degrees (N+1)n through
+    (N+1)n+N, and only those members are checked exactly to be
+    eigenfunctions: the first that is not raises IdentityViolated naming
+    its degree. The same images are evaluated at the rotated points.
+    Looping n over 0..n_limit therefore checks every member of degree
+    below (N+1)(n_limit+1).
     """
     y0 = as_fraction(y0)
     if y0 <= 0:
         raise NumericalInstability("evaluation point must be strictly positive")
     step = N + 1
-    lams = scalar_eigenvalues(D, scalar_seq, step * (n + 1))
-    R = build_matrix_sequence(scalar_seq, N)
+    members = [scalar_seq.poly(step * n + j) for j in range(step)]
+    lams, images = [], []
+    for j, s in enumerate(members):
+        lam, ds = _eigen_image(D, s, step * n + j)
+        lams.append(lam)
+        images.append(ds)
+    # row j of block n is the fold of member j
+    block = [fold_decompose(s, N).parts for s in members]
     if precision == "double":
         import cmath
 
@@ -692,10 +717,7 @@ def conjugation_eval(
             r = mp.power(y0f, mpf(1) / step)
             to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
         pts = [w**k * r for k in range(step)]
-        m2 = []
-        for j in range(step):
-            ds = apply_scalar(D, scalar_seq.poly(step * n + j))
-            m2.append([ds(pt) for pt in pts])
+        m2 = [[ds(pt) for pt in pts] for ds in images]
         lhs = []
         for j in range(step):
             row = []
@@ -705,15 +727,14 @@ def conjugation_eval(
                     acc += m2[j][l] * w ** (-(l * k) % step)
                 row.append(acc / step / r**k)
             lhs.append(row)
-        block = R.mat(n)
         rhs = []
         dev = 0.0
         scale = 1.0
         for j in range(step):
-            lam = to_c(as_fraction(lams[step * n + j]))
+            lam = to_c(lams[j])
             row = []
             for k in range(step):
-                val = lam * block[j, k](y0f)
+                val = lam * block[j][k](y0f)
                 row.append(val)
                 scale = max(scale, abs(val))
             rhs.append(row)

@@ -105,6 +105,12 @@ _DEPS = {
 }
 
 
+# tasks that read (N+1)(n_max+1) scalar members: n_max+1 folded blocks
+_MATRIX_TASKS = frozenset(
+    ("darboux", "fold", "ttrr", "bispec-verify", "bispec-discover", "min-order", "conjugation")
+)
+
+
 def _is_int(value) -> bool:
     # bool is an int subclass, but true is not a count
     return isinstance(value, int) and not isinstance(value, bool)
@@ -185,7 +191,7 @@ class RunConfig:
             raise ConfigError(f"bad float_tolerance: {exc}") from exc
         if not (math.isfinite(tol) and tol > 0):
             raise ConfigError("float_tolerance must be positive and finite")
-        return cls(
+        cfg = cls(
             mtype,
             alpha if _is_int(alpha) else 0,
             raw_moments,
@@ -198,6 +204,12 @@ class RunConfig:
             tol,
             str(tol_str),
         )
+        if raw_moments is not None and len(raw_moments) < cfg.moment_count():
+            raise ConfigError(
+                f"explicit moments: need at least {cfg.moment_count()}, "
+                f"have {len(raw_moments)}"
+            )
+        return cfg
 
     def resolved_tasks(self) -> tuple[str, ...]:
         wanted: set[str] = set()
@@ -212,6 +224,17 @@ class RunConfig:
         for t in self.tasks:
             pull(t)
         return tuple(t for t in TASK_NAMES if t in wanted)
+
+    def scalar_count(self) -> int:
+        """Members of the scalar sequence the resolved tasks build."""
+        if _MATRIX_TASKS.intersection(self.resolved_tasks()):
+            return (self.N + 1) * (self.n_max + 1)
+        return self.n_max + 1
+
+    def moment_count(self) -> int:
+        """Moments the run reads: the band recurrence pairs (x-c)^(N+1) s_n
+        with s_n, so twice the top degree plus the band width, with margin."""
+        return 2 * (self.scalar_count() + self.N + 2) + 2
 
     def is_canonical(self) -> bool:
         return (
@@ -258,21 +281,6 @@ class _Context:
         self.cfg = cfg
         self.cache: dict[str, object] = {}
 
-    def scalar_count(self) -> int:
-        cfg = self.cfg
-        matrix_tasks = {
-            "darboux",
-            "fold",
-            "ttrr",
-            "bispec-verify",
-            "bispec-discover",
-            "min-order",
-            "conjugation",
-        }
-        if matrix_tasks & set(cfg.resolved_tasks()):
-            return (cfg.N + 1) * (cfg.n_max + 1)
-        return cfg.n_max + 1
-
     def get(self, key: str, build: Callable[[], object]):
         if key not in self.cache:
             self.cache[key] = build()
@@ -281,18 +289,14 @@ class _Context:
     # ----- shared builders -----
     def moments(self) -> MomentFunctional:
         cfg = self.cfg
-        count = 2 * (self.scalar_count() + cfg.N + 2) + 2
+        count = cfg.moment_count()
 
         def build():
             if cfg.measure_type == "laguerre":
                 return laguerre_moments(cfg.alpha, count)
             if cfg.measure_type == "hermite":
                 return hermite_moments(count)
-            if cfg.moments is None or len(cfg.moments) < count:
-                raise ConfigError(
-                    f"explicit moments: need at least {count}, have "
-                    f"{0 if cfg.moments is None else len(cfg.moments)}"
-                )
+            # RunConfig.from_dict has checked that there are enough
             return MomentFunctional(cfg.moments[:count])
 
         return self.get("moments", build)
@@ -306,7 +310,7 @@ class _Context:
 
     def seq(self):
         return self.get(
-            "seq", lambda: monic_sequence(self.form(), self.scalar_count() - 1)
+            "seq", lambda: monic_sequence(self.form(), self.cfg.scalar_count() - 1)
         )
 
     def rec(self):
@@ -319,7 +323,7 @@ class _Context:
             "shifted",
             lambda: monic_sequence(
                 measure_form(christoffel_shift(self.moments(), cfg.c, cfg.N + 1)),
-                self.scalar_count() - 1,
+                cfg.scalar_count() - 1,
                 require_positive=False,
             ),
         )
@@ -405,7 +409,7 @@ def _task_connection(ctx: _Context) -> tuple[str, dict]:
     conn = connection_matrix(ctx.seq(), shifted, cfg.N)
     jac = jacobi_matrix(shifted)
     ulrep = verify_ul_identity(jac, cfg.c, cfg.N, conn)
-    base = monic_sequence(measure_form(ctx.moments()), ctx.scalar_count() - 1)
+    base = monic_sequence(measure_form(ctx.moments()), cfg.scalar_count() - 1)
     conn0 = connection_matrix(base, shifted, cfg.N)
     ulrep0 = verify_ul_identity(jac, cfg.c, cfg.N, conn0)
     same_t = all(

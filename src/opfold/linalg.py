@@ -11,7 +11,14 @@ Fraction entries. This module is the only home of exact elimination:
   Elimination runs modulo primes drawn lazily from a deterministic
   stream of 61-bit primes; the candidate basis is rationally
   reconstructed and verified exactly over the integers, and the number
-  of primes is bounded by the Hadamard bound of the input.
+  of primes is bounded by the Hadamard bound of the input. The GF(p)
+  step is a sparse elimination with deferred reduction (pivot rows held
+  as their nonzero entries, entries reduced mod p only when read as a
+  multiplier, back substitution from the rightmost pivot); its output is
+  the canonical RREF mod p.
+
+Everything here is pure Python: numpy would cost more to import than a
+whole verify-paper setup takes.
 """
 from __future__ import annotations
 
@@ -306,46 +313,68 @@ def _primes() -> Iterator[int]:
 
 
 def _mod_nullspace(int_rows, ncols: int, p: int):
-    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis)."""
-    piv_rows: list[list[int]] = []
-    piv_cols: list[int] = []
+    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis).
+
+    Sparse elimination with deferred reduction. Each pivot row is held as
+    its nonzero (column, value) pairs right of its lead, normalised to lead
+    1. An incoming row is reduced against the pivots in increasing column
+    order; an entry is taken mod p only when it is read as a multiplier,
+    and the row once more when it becomes a pivot. Back substitution runs
+    from the rightmost pivot, so each pivot row it reads is already
+    reduced to free columns. The RREF mod p is canonical, so the result
+    does not depend on the elimination order.
+    """
+    tails: dict[int, list[tuple[int, int]]] = {}
     for raw in int_rows:
-        row = [x % p for x in raw]
-        for pr, pc in zip(piv_rows, piv_cols):
-            f = row[pc]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, pr)]
-        lead = next((c for c in range(ncols) if row[c]), None)
+        row = list(raw)
+        lead = None
+        for c in range(ncols):
+            x = row[c]
+            if not x:
+                continue
+            x %= p
+            if not x:
+                continue
+            tail = tails.get(c)
+            if tail is None:
+                if lead is None:
+                    lead = c
+                continue
+            row[c] = 0
+            for j, v in tail:
+                row[j] -= x * v
         if lead is None:
             continue
-        inv = pow(row[lead], p - 2, p)
-        row = [a * inv % p for a in row]
-        piv_rows.append(row)
-        piv_cols.append(lead)
-    # back substitution to reduced form
-    order = sorted(range(len(piv_cols)), key=lambda t: piv_cols[t])
-    for idx in range(len(order) - 1, -1, -1):
-        r = order[idx]
-        prow = piv_rows[r]
-        pc = piv_cols[r]
-        for other in range(len(piv_rows)):
-            if other == r:
-                continue
-            f = piv_rows[other][pc]
-            if f:
-                piv_rows[other] = [
-                    (a - f * b) % p for a, b in zip(piv_rows[other], prow)
-                ]
-    pivset = set(piv_cols)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for pr, pc in zip(piv_rows, piv_cols):
-            v[pc] = (-pr[f]) % p
-        basis.append(v)
-    return tuple(sorted(piv_cols)), free, basis
+        inv = pow(row[lead] % p, p - 2, p)
+        tail = []
+        for j in range(lead + 1, ncols):
+            x = row[j]
+            if x:
+                x = x * inv % p
+                if x:
+                    tail.append((j, x))
+        tails[lead] = tail
+    # back substitution: reduced[c] holds pivot row c on the free columns
+    reduced: dict[int, list[tuple[int, int]]] = {}
+    for c in sorted(tails, reverse=True):
+        acc: dict[int, int] = {}
+        for j, v in tails[c]:
+            right = reduced.get(j)
+            if right is None:
+                acc[j] = acc.get(j, 0) + v
+            else:
+                for f, w in right:
+                    acc[f] = acc.get(f, 0) - v * w
+        reduced[c] = [(f, w % p) for f, w in acc.items() if w % p]
+    free = [c for c in range(ncols) if c not in tails]
+    index = {f: k for k, f in enumerate(free)}
+    basis = [[0] * ncols for _ in free]
+    for k, f in enumerate(free):
+        basis[k][f] = 1
+    for c, right in reduced.items():
+        for f, w in right:
+            basis[index[f]][c] = p - w
+    return tuple(sorted(tails)), free, basis
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -6,7 +6,7 @@ polynomial has an empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Iterable
 
 from .rationals import as_fraction, rat_str
@@ -156,10 +156,10 @@ class Poly:
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:
             raise ValueError("negative derivative order")
-        p = self
-        for _ in range(order):
-            p = Poly(tuple(Fraction(k) * c for k, c in enumerate(p.coeffs) if k >= 1))
-        return p
+        if order == 0:
+            return self
+        # d^order x^k = k!/(k-order)! x^(k-order)
+        return Poly(tuple(perm(k, order) * c for k, c in enumerate(self.coeffs) if k >= order))
 
     def shift(self, c) -> "Poly":
         """Return q with q(x) = p(x + c)."""

@@ -4,12 +4,14 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Two exceptions keep a replaced library route as the second,
+carrier. Three exceptions keep a replaced library route as the second,
 independent one: IntEchelon, an incremental integer row echelon that used
-to be the library's nullspace engine, and the pairwise_* functions, which
-evaluate a bilinear form one pair of polynomials at a time (a full
-polynomial product against the moments plus derivative values at the
-point), as the library did before it held each form as its monomial Gram.
+to be the library's nullspace engine; dense_mod_nullspace, the dense GF(p)
+elimination the modular kernel used before it went sparse; and the
+pairwise_* functions, which evaluate a bilinear form one pair of
+polynomials at a time (a full polynomial product against the moments plus
+derivative values at the point), as the library did before it held each
+form as its monomial Gram.
 """
 
 from __future__ import annotations
@@ -286,6 +288,54 @@ def echelon_nullspace(rows, ncols: int) -> list[list[Fraction]]:
     for r in rows:
         ech.add(r)
     return ech.nullspace()
+
+
+def dense_mod_nullspace(int_rows, ncols: int, p: int):
+    """Dense RREF nullspace over GF(p): (pivot_cols, free_cols, basis).
+
+    The library's modular kernel before it went sparse: every row is
+    reduced mod p up front, updated in full against the pivots in the
+    order they were found, and the whole pivot set is back-substituted
+    against every other pivot row.
+    """
+    piv_rows: list[list[int]] = []
+    piv_cols: list[int] = []
+    for raw in int_rows:
+        row = [x % p for x in raw]
+        for pr, pc in zip(piv_rows, piv_cols):
+            f = row[pc]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, pr)]
+        lead = next((c for c in range(ncols) if row[c]), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [a * inv % p for a in row]
+        piv_rows.append(row)
+        piv_cols.append(lead)
+    order = sorted(range(len(piv_cols)), key=lambda t: piv_cols[t])
+    for idx in range(len(order) - 1, -1, -1):
+        r = order[idx]
+        prow = piv_rows[r]
+        pc = piv_cols[r]
+        for other in range(len(piv_rows)):
+            if other == r:
+                continue
+            f = piv_rows[other][pc]
+            if f:
+                piv_rows[other] = [
+                    (a - f * b) % p for a, b in zip(piv_rows[other], prow)
+                ]
+    pivset = set(piv_cols)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for pr, pc in zip(piv_rows, piv_cols):
+            v[pc] = (-pr[f]) % p
+        basis.append(v)
+    return tuple(sorted(piv_cols)), free, basis
 
 
 def pairwise_form(form):

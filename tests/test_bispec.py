@@ -229,6 +229,21 @@ def test_min_order_certificate_for_the_fold(hermite):
     assert op.verify_eigen(hermite["fold"], res.witness, wrapped, range(7)).ok
 
 
+def test_min_order_certificate_for_the_canonical_fold(canon):
+    # the verify-paper window: orders up to 8, coefficient degree 6, blocks 0..10
+    res = op.min_order_check(canon["fold"], 8, 6, 10)
+    assert res.min_order == 8
+    assert res.feasible == (False,) * 8 + (True,)
+    assert res.section_dims == (1,) * 8 + (2,)
+    assert res.witness is not None and res.witness.order == 8
+    wl = res.witness_ladder
+    assert len(wl) == 11 and len(set(wl)) > 1
+    wrapped = op.EigenvalueLadder(
+        lambda n: op.Matrix.rational([[wl[n][0], 0], [0, wl[n][1]]]), 2
+    )
+    assert op.verify_eigen(canon["fold"], res.witness, wrapped, range(11)).ok
+
+
 # -- scalar route ----------------------------------------------------------
 
 
@@ -322,6 +337,18 @@ def test_extended_conjugation_leaves_the_global_precision_alone(hermite):
         )
         assert mp.dps == 15
     assert float(r.max_deviation) < 1e-40
+
+
+def test_conjugation_checks_the_eigen_identity_on_block_n(hermite):
+    # adding d^3/dx^3 leaves degrees 0..2 eigenfunctions and breaks degree 3,
+    # the second member of block 1 at N=1
+    c0, c1, c2 = hermite["D"].coeffs
+    D = op.ScalarOperator(3, (c0, c1, c2, op.Poly((1,))))
+    assert op.conjugation_eval(D, 1, hermite["seq"], 0, Fraction(1, 2)).max_deviation < 1e-12
+    with pytest.raises(op.IdentityViolated, match="degree-3 member"):
+        op.conjugation_eval(D, 1, hermite["seq"], 1, Fraction(1, 2))
+    with pytest.raises(op.IdentityViolated, match="degree-3 member"):
+        op.scalar_eigenvalues(D, hermite["seq"], 6)
 
 
 def test_conjugation_requires_a_positive_point(canon):

@@ -219,16 +219,24 @@ def test_explicit_moments_measure(tmp_path, capsys):
 
 
 def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):
+    # the count depends on the resolved tasks: 16 moments cover a scalar
+    # run at n_max=3, but "all" folds 8 members and needs 24
+    values = [str(v) for v in range(1, 17)]
     cfg = _write_config(
         tmp_path / "cfg.json",
-        measure={"type": "moments", "moments": ["1", "1", "2", "6", "24"]},
+        measure={"type": "moments", "moments": values},
         n_max=3,
+        tasks=["all"],
     )
-    assert main(["run", "--config", cfg]) == 1
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["overall"] == "FAIL"
-    assert rep["tasks"]["moments"]["status"] == "FAIL"
-    assert rep["tasks"]["moments"]["error"] == "ConfigError"
+    assert main(["run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "explicit moments: need at least 24, have 16" in captured.err
+    assert "Traceback" not in captured.err
+    data = json.loads((tmp_path / "cfg.json").read_text())
+    data["tasks"] = ["orthopoly"]
+    scalar = RunConfig.from_dict(data)
+    assert (scalar.scalar_count(), scalar.moment_count()) == (4, 16)
 
 
 # -- config validation -----------------------------------------------------
@@ -308,6 +316,26 @@ def test_config_resolves_task_dependencies():
         {"measure": {"type": "hermite"}, "M": [["1", "0"], ["0", "0"]], "n_max": N_MAX_LIMIT}
     )
     assert widest.n_max == N_MAX_LIMIT
+
+
+def test_verify_paper_imports_no_numeric_stack(tmp_path):
+    # the exact kernels are pure Python: pulling in numpy, scipy or sympy
+    # would add to start-up time and resident memory for nothing
+    src = str(Path(op.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from opfold.cli import main\n"
+        f"code = main(['verify-paper', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted({'numpy', 'scipy', 'sympy'} & set(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

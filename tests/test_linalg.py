@@ -1,5 +1,6 @@
 """Dense exact linear algebra checked against a symbolic oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from opfold import (
     nullspace,
     solve_linear,
 )
-from opfold.linalg import ldlt
+from opfold.linalg import _mod_nullspace, _primes, ldlt
 
 import oracles
 
@@ -139,6 +140,52 @@ def test_nullspace_matches_the_integer_echelon_oracle(nr, nc, data):
         # a dependent row keeps rank deficiency in play
         rows.append([x - 2 * y for x, y in zip(rows[0], rows[1])])
     assert nullspace(Matrix.rational(rows)) == oracles.echelon_nullspace(rows, nc)
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Integer matrices with 0-30 rows and 1-30 columns, density 0.1-1,
+    entries up to 2**200, and zero and duplicate rows mixed in."""
+    nrows, ncols = draw(st.integers(0, 30)), draw(st.integers(1, 30))
+    density = draw(st.floats(0.1, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        bits = rng.choice((2, 200))
+        return rng.randint(-(2**bits), 2**bits)
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(("random", "random", "random", "zero", "duplicate"))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate" and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows, ncols
+
+
+# the first prime of the modular stream, and two small primes that make
+# zero pivots (entries divisible by p) common
+KERNEL_PRIMES = (next(_primes()), 7, 101)
+
+
+@given(sparse_int_rows(), st.sampled_from(KERNEL_PRIMES))
+@settings(max_examples=150, deadline=None)
+def test_sparse_mod_nullspace_matches_the_dense_oracle(system, p):
+    rows, ncols = system
+    assert _mod_nullspace(rows, ncols, p) == oracles.dense_mod_nullspace(rows, ncols, p)
+
+
+def test_sparse_mod_nullspace_with_a_zero_pivot_mod_p():
+    # mod 7 the first column vanishes in row 0 and the rows become dependent
+    rows = [[7, 1, 2], [14, 2, 4], [1, 0, 0]]
+    for p in KERNEL_PRIMES:
+        assert _mod_nullspace(rows, 3, p) == oracles.dense_mod_nullspace(rows, 3, p)
+    assert _mod_nullspace(rows, 3, 7)[:2] == ((0, 1), [2])
 
 
 def test_ldlt_pivot_policies():
