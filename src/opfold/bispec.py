@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, perm
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -236,11 +237,23 @@ def _entry_coeff(p: Poly, k: int) -> Fraction:
     return p.coeff(k) if k >= 0 else Fraction(0)
 
 
-def _deriv_table(R: MatrixPolySequence, n: int, order: int) -> list[Matrix]:
-    mats = [R.mat(n)]
-    for _ in range(order):
-        mats.append(mats[-1].map(lambda e: e.derivative()))
-    return mats
+def _int_deriv_table(R: MatrixPolySequence, n: int, order: int):
+    """(table, den): table[k][i][l] lists the coefficients of the k-th
+    y-derivative of entry (i, l) of block n, as integers over den, the
+    common denominator of the block. No list has trailing zeros."""
+    m = R.mat(n)
+    den = lcm(*(c.denominator for row in m.rows for p in row for c in p.coeffs))
+    base = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row] for row in m.rows]
+    table = [base]
+    for k in range(1, order + 1):
+        table.append(
+            [[[perm(t + k, k) * a for t, a in enumerate(e[k:])] for e in row] for row in base]
+        )
+    return table, den
+
+
+def _at(coeffs: list[int], t: int) -> int:
+    return coeffs[t] if 0 <= t < len(coeffs) else 0
 
 
 @dataclass(frozen=True)
@@ -273,26 +286,25 @@ def discover_operator(
     for j in range(size):
         rows = []
         for n in range(n_fit + 1):
-            derivs = _deriv_table(R, n, order)
+            derivs, _ = _int_deriv_table(R, n, order)
             lam = ladder(n)
             for i in range(size):
-                maxdeg = max(
-                    (derivs[0][i, l].degree for l in range(size)), default=0
-                )
+                # the row times den * (denominator of lambda_{n,i}), in integers
+                lii = as_fraction(lam[i, i])
+                maxdeg = max((len(derivs[0][i][l]) - 1 for l in range(size)), default=0)
                 for t in range(maxdeg + degree_bound + 1):
-                    row = [Fraction(0)] * (nuk + 1)
+                    row = [0] * (nuk + 1)
                     for k in range(order + 1):
                         for l in range(size):
-                            pol = derivs[k][i, l]
+                            pol = derivs[k][i][l]
                             for d in range(degree_bound + 1):
-                                c = _entry_coeff(pol, t - d)
+                                c = _at(pol, t - d)
                                 if c:
-                                    row[(k * size + l) * (degree_bound + 1) + d] = c
-                    rhs = lam[i, i] * _entry_coeff(derivs[0][i, j], t)
-                    row[nuk] = -rhs
+                                    row[(k * size + l) * (degree_bound + 1) + d] = c * lii.denominator
+                    row[nuk] = -lii.numerator * _at(derivs[0][i][j], t)
                     if any(row):
                         rows.append(row)
-        basis = exact_nullspace(_int_rows(rows), nuk + 1)
+        basis = exact_nullspace(rows, nuk + 1)
         particular = [v for v in basis if v[nuk] != 0]
         hom = [v for v in basis if v[nuk] == 0]
         if not particular:
@@ -368,48 +380,53 @@ def min_order_check(
 
     rows = []
     # pivots[(n, i)]: the nonzero (unknown index, coefficient) terms of
-    # lambda_{n,i}, read off the coefficient of y^n in entry (i, i)
-    pivots: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    # den_n lambda_{n,i}, read off the coefficient of y^n in entry (i, i);
+    # dens[n] is the common denominator of block n
+    pivots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    dens = []
     for n in range(n_fit + 1):
-        derivs = _deriv_table(R, n, max_order)
+        derivs, den = _int_deriv_table(R, n, max_order)
+        dens.append(den)
         for i in range(size):
-            if derivs[0][i, i].coeff(n) != 1:
+            if _at(derivs[0][i][i], n) != den:
                 raise IdentityViolated(
                     f"block {n} row {i} is not monic in its own column"
                 )
             pivot = []
             for k in range(max_order + 1):
                 for l in range(size):
-                    pol = derivs[k][i, l]
+                    pol = derivs[k][i][l]
                     for d in range(degree_bound + 1):
-                        c = _entry_coeff(pol, n - d)
+                        c = _at(pol, n - d)
                         if c:
                             pivot.append((uidx(k, l, i, d), c))
             pivots[(n, i)] = pivot
-            maxdeg = max((derivs[0][i, l].degree for l in range(size)), default=0)
+            maxdeg = max((len(derivs[0][i][l]) - 1 for l in range(size)), default=0)
             for j in range(size):
                 for t in range(maxdeg + degree_bound + 1):
                     if j == i and t == n:
                         continue
-                    row = [Fraction(0)] * nuk
+                    # the row times den (den^2 when lambda is eliminated), in integers
+                    rj = _at(derivs[0][i][j], t)
+                    scale = den if rj else 1
+                    row = [0] * nuk
                     for k in range(max_order + 1):
                         for l in range(size):
-                            pol = derivs[k][i, l]
+                            pol = derivs[k][i][l]
                             for d in range(degree_bound + 1):
-                                c = _entry_coeff(pol, t - d)
+                                c = _at(pol, t - d)
                                 if c:
-                                    row[uidx(k, l, j, d)] = c
-                    rj = _entry_coeff(derivs[0][i, j], t)
+                                    row[uidx(k, l, j, d)] = c * scale
                     if rj:
                         for idx, c in pivot:
                             row[idx] -= rj * c
                     if any(row):
                         rows.append(row)
-    V = exact_nullspace(_int_rows(rows), nuk)
+    V = exact_nullspace(rows, nuk)
 
     def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
         return [
-            [sum(c * vec[idx] for idx, c in pivots[(n, i)]) for i in range(size)]
+            [sum(c * vec[idx] for idx, c in pivots[(n, i)]) / dens[n] for i in range(size)]
             for n in range(n_fit + 1)
         ]
 
@@ -667,8 +684,8 @@ def conjugation_eval(
     n: int,
     y0,
     precision: str = "double",
-) -> ConjugationResult:
-    """Numerically realize the conjugated operator at one point.
+) -> ConjugationResult | tuple[ConjugationResult, ...]:
+    """Numerically realize the conjugated operator at one point or several.
 
     Row j of block n times the fold-conjugated scalar operator evaluates,
     via the root-of-unity chain, to (D s_{(N+1)n+j}) at the rotated points
@@ -683,9 +700,14 @@ def conjugation_eval(
     its degree. The same images are evaluated at the rotated points.
     Looping n over 0..n_limit therefore checks every member of degree
     below (N+1)(n_limit+1).
+
+    y0 is one point, giving one ConjugationResult, or a list or tuple of
+    points, giving a tuple of results in the same order; the images and
+    their exact check are then shared by all the points.
     """
-    y0 = as_fraction(y0)
-    if y0 <= 0:
+    several = isinstance(y0, (list, tuple))
+    points = tuple(as_fraction(y) for y in (y0 if several else (y0,)))
+    if any(y <= 0 for y in points):
         raise NumericalInstability("evaluation point must be strictly positive")
     step = N + 1
     members = [scalar_seq.poly(step * n + j) for j in range(step)]
@@ -697,55 +719,65 @@ def conjugation_eval(
     # row j of block n is the fold of member j
     block = [fold_decompose(s, N).parts for s in members]
     if precision == "double":
-        import cmath
-
         scope = contextlib.nullcontext()
     else:
-        from mpmath import mp, mpf, mpc
+        from mpmath import mp
 
         # mp precision is process-global; hold 50 digits only for this call
         scope = mp.workdps(50)
     with scope:
-        if precision == "double":
-            w = cmath.exp(2j * cmath.pi / step)
-            r = float(y0) ** (1.0 / step)
-            y0f = float(y0)
-            to_c = complex
-        else:
-            w = mp.expjpi(mpf(2) / step)
-            y0f = mpf(y0.numerator) / y0.denominator
-            r = mp.power(y0f, mpf(1) / step)
-            to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
-        pts = [w**k * r for k in range(step)]
-        m2 = [[ds(pt) for pt in pts] for ds in images]
-        lhs = []
-        for j in range(step):
-            row = []
-            for k in range(step):
-                acc = 0
-                for l in range(step):
-                    acc += m2[j][l] * w ** (-(l * k) % step)
-                row.append(acc / step / r**k)
-            lhs.append(row)
-        rhs = []
-        dev = 0.0
-        scale = 1.0
-        for j in range(step):
-            lam = to_c(lams[j])
-            row = []
-            for k in range(step):
-                val = lam * block[j][k](y0f)
-                row.append(val)
-                scale = max(scale, abs(val))
-            rhs.append(row)
-        for j in range(step):
-            for k in range(step):
-                dev = max(dev, abs(lhs[j][k] - rhs[j][k]))
-        return ConjugationResult(
-            tuple(tuple(r) for r in lhs),
-            tuple(tuple(r) for r in rhs),
-            float(dev / scale),
+        results = tuple(
+            _conjugate_at(images, lams, block, step, y, precision) for y in points
         )
+    return results if several else results[0]
+
+
+def _conjugate_at(images, lams, block, step: int, y0: Fraction, precision: str) -> ConjugationResult:
+    """One ConjugationResult of conjugation_eval, at the point y0 > 0."""
+    if precision == "double":
+        import cmath
+
+        w = cmath.exp(2j * cmath.pi / step)
+        r = float(y0) ** (1.0 / step)
+        y0f = float(y0)
+        to_c = complex
+    else:
+        from mpmath import mp, mpf, mpc
+
+        w = mp.expjpi(mpf(2) / step)
+        y0f = mpf(y0.numerator) / y0.denominator
+        r = mp.power(y0f, mpf(1) / step)
+        to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
+    pts = [w**k * r for k in range(step)]
+    m2 = [[ds(pt) for pt in pts] for ds in images]
+    lhs = []
+    for j in range(step):
+        row = []
+        for k in range(step):
+            acc = 0
+            for l in range(step):
+                acc += m2[j][l] * w ** (-(l * k) % step)
+            row.append(acc / step / r**k)
+        lhs.append(row)
+    rhs = []
+    dev = 0.0
+    scale = 1.0
+    for j in range(step):
+        lam = to_c(lams[j])
+        row = []
+        for k in range(step):
+            val = lam * block[j][k](y0f)
+            row.append(val)
+            scale = max(scale, abs(val))
+        rhs.append(row)
+    for j in range(step):
+        for k in range(step):
+            dev = max(dev, abs(lhs[j][k] - rhs[j][k]))
+    return ConjugationResult(
+        tuple(tuple(r) for r in lhs),
+        tuple(tuple(r) for r in rhs),
+        float(dev / scale),
+    )
 
 
 # -- serialization -------------------------------------------------------

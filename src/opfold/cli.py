@@ -187,10 +187,13 @@ class RunConfig:
         tol_str = data.get("float_tolerance", "1e-10")
         try:
             tol = float(tol_str)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad float_tolerance: {exc}") from exc
         if not (math.isfinite(tol) and tol > 0):
             raise ConfigError("float_tolerance must be positive and finite")
+        output = data.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError("output must be a directory path")
         cfg = cls(
             mtype,
             alpha if _is_int(alpha) else 0,
@@ -200,7 +203,7 @@ class RunConfig:
             M,
             n_max,
             tuple(dict.fromkeys(expanded)),
-            data.get("output"),
+            output,
             tol,
             str(tol_str),
         )
@@ -274,16 +277,42 @@ def _sig_json(entry) -> dict:
     return {"sq": rat_str(entry.sq), "sign": entry.sign}
 
 
+class _DependencyFailed(Exception):
+    """A task needs a shared builder that already failed in this run."""
+
+    def __init__(self, builder: str):
+        self.builder = builder
+        super().__init__(builder)
+
+
 class _Context:
-    """Shared artifacts across tasks, built lazily but deterministically."""
+    """Shared artifacts across tasks, built lazily but deterministically.
+
+    A builder that raises is not run again: the task that first hit it
+    reports the error, and a later task that needs it (directly or through
+    another builder) raises _DependencyFailed naming the builder whose own
+    code raised.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.cache: dict[str, object] = {}
+        # builder -> (the exception its build raised, the builder that raised it)
+        self.failed: dict[str, tuple[Exception, str]] = {}
 
     def get(self, key: str, build: Callable[[], object]):
+        if key in self.failed:
+            raise _DependencyFailed(self.failed[key][1])
         if key not in self.cache:
-            self.cache[key] = build()
+            try:
+                self.cache[key] = build()
+            except _DependencyFailed as exc:
+                self.failed[key] = (exc, exc.builder)
+                raise
+            except OpfoldError as exc:
+                root = next((r for e, r in self.failed.values() if e is exc), key)
+                self.failed[key] = (exc, root)
+                raise
         return self.cache[key]
 
     # ----- shared builders -----
@@ -619,9 +648,8 @@ def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)]
     n_limit = min(len(seq) // (cfg.N + 1) - 1, 6)
     worst = 0.0
-    for y0 in grid:
-        for n in range(n_limit + 1):
-            r = conjugation_eval(D, cfg.N, seq, n, y0)
+    for n in range(n_limit + 1):
+        for r in conjugation_eval(D, cfg.N, seq, n, grid):
             worst = max(worst, r.max_deviation)
     ok = worst < cfg.float_tolerance
     return ("PASS" if ok else "FAIL"), {
@@ -658,6 +686,9 @@ def run(cfg: RunConfig) -> dict:
         t0 = time.monotonic()
         try:
             status, payload = _TASK_FNS[name](ctx)
+        except _DependencyFailed as exc:
+            status = "SKIPPED"
+            payload = {"failed_dependency": exc.builder}
         except OpfoldError as exc:
             status = "FAIL"
             payload = {"error": type(exc).__name__, "message": str(exc)}

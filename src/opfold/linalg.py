@@ -6,7 +6,8 @@ Fraction entries. This module is the only home of exact elimination:
 
 - solve_linear: fraction-free Bareiss over denominator-cleared rows;
 - ldlt: the one symmetric (optionally banded) LDL^T, whose pivot policy
-  covers Gram factorization, positive-definiteness and PSD tests;
+  covers the banded H = T T* factorization, Hankel positive-definiteness
+  and PSD tests;
 - exact_nullspace / nullspace: a certified multi-modular nullspace.
   Elimination runs modulo primes drawn lazily from a deterministic
   stream of 61-bit primes; the candidate basis is rationally
@@ -260,19 +261,6 @@ def ldlt(g: Matrix, bandwidth: Optional[int] = None, pivots: str = "nonzero"):
             else:
                 Li[j] = v / d
     return L, D
-
-
-def unit_lower_inverse(L: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(L)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        M[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            acc = Fraction(0)
-            for k in range(j, i):
-                acc -= L[i][k] * M[k][j]
-            M[i][j] = acc
-    return M
 
 
 # -- certified nullspace via modular elimination --------------------------

@@ -1,7 +1,11 @@
 """Monic orthogonal sequences, recurrence operators, and connection matrices.
 
 Everything is generated from a BilinearForm's monomial Gram G. The monic
-sequence comes from the LDL^T of G. The recurrence and connection tables
+sequence comes from the form's own short recurrence: multiplication by
+(x-c)^r, r the size of the point-mass matrix, is symmetric for the form,
+so s_k is (x-c)^r s_{k-r} minus its components along the 2r members
+before it, each an integer dot product against G; s_i^T G s_j = 0 is then
+checked in integers for all i < j. The recurrence and connection tables
 are integer matrix products: with S the denominator-cleared coefficient
 rows of a monic sequence and K the multiplication by (x-c)^{N+1}, the
 recurrence table is S (K G) S^T and the connection table is
@@ -15,11 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .banded import BandedOperator
-from .errors import BandViolation, IdentityViolated, InsufficientMoments, SymmetryViolated
-from .linalg import clear_denominators, ldlt, unit_lower_inverse
-from .measures import BilinearForm, gram_matrix
+from .errors import (
+    BandViolation,
+    IdentityViolated,
+    InsufficientMoments,
+    NotPositiveDefinite,
+    SingularMatrix,
+    SymmetryViolated,
+)
+from .linalg import clear_denominators
+from .measures import BilinearForm
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -63,18 +76,77 @@ class MonicSequence:
 
 
 def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True) -> MonicSequence:
-    """Generate s_0..s_{n_max} by LDL^T of the monomial Gram matrix.
+    """Generate s_0..s_{n_max} by the form's own banded recurrence.
 
-    The rows of L^{-1} are the monic coefficient vectors and the pivots are
-    the squared norms. With require_positive, the first nonpositive pivot
-    raises NotPositiveDefinite(n); without it, only a zero pivot (loss of
-    quasi-definiteness) is fatal.
+    Let q = (x-c)^r with r the size of the point-mass matrix, or q = x and
+    r = 1 when there is no mass or it is zero. Every derivative of order
+    below r of q f vanishes at c, so B(q f, g) = L[q f g] = B(f, q g), and
+    q s_{k-r} is orthogonal to every s_j with j < k - 2r:
+
+        s_k = q s_{k-r} - sum_{j=max(0,k-2r)}^{k-1} B(q s_{k-r}, s_j)/d_j s_j,
+
+    with d_j = B(s_j, s_j); for k < r the start is x^k against every j < k.
+    Each s_j is held as integer coefficients over one denominator together
+    with its Gram image G s_j (G the form's cached integer Gram), so every
+    inner product and pivot is an integer dot product and only the
+    combination of the window is rational. The result is certified a
+    second way: s_i^T G s_j must vanish in integers for all i < j, else
+    IdentityViolated.
+
+    The d_k are the LDL^T pivots of the Gram, which are unique, so the
+    pivot policy is that of ldlt: with require_positive the first
+    nonpositive pivot raises NotPositiveDefinite(k, d); without it, only a
+    zero pivot (loss of quasi-definiteness) raises SingularMatrix.
     """
-    g = gram_matrix(form, n_max)
-    L, D = ldlt(g, pivots="positive" if require_positive else "nonzero")
-    inv = unit_lower_inverse(L)
-    polys = tuple(Poly(inv[n][: n + 1]) for n in range(n_max + 1))
-    return MonicSequence(polys, tuple(D), form)
+    G, gden = form.gram(n_max)
+    if form.M is None or form.M.is_zero:
+        r, shift = 1, Poly.x()
+    else:
+        r = form.M.nrows
+        shift = Poly((-form.c, Fraction(1))) ** r
+    qc, _ = clear_denominators(shift.coeffs)
+    S: list[list[int]] = []  # s_j = S[j] / S[j][j]
+    GS: list[list[int]] = []  # G S[j] on rows 0 .. j + 2r, as far as n_max
+    P: list[int] = []  # S[j]^T G S[j]; d_j = P[j] / (gden S[j][j]^2)
+    polys: list[Poly] = []
+    norms: list[Fraction] = []
+    for k in range(n_max + 1):
+        if k < r:
+            u = [0] * k + [1]
+        else:
+            u = [0] * (k + 1)
+            for i, a in enumerate(S[k - r]):
+                if a:
+                    for t, b in enumerate(qc):
+                        u[i + t] += a * b
+        # s_k is proportional to u - sum_j (H_j / P_j) S_j, H_j = u^T G S_j
+        window = range(max(0, k - 2 * r), k)
+        coef = [Fraction(sum(map(mul, u, GS[j])), P[j]) for j in window]
+        scale = lcm(*(f.denominator for f in coef))
+        w = [scale * a for a in u]
+        for j, f in zip(window, coef):
+            if f:
+                m = f.numerator * (scale // f.denominator)
+                for i, a in enumerate(S[j]):
+                    w[i] -= m * a
+        g = gcd(*w)  # w[k] is scale times the positive leading term of u
+        s = [a // g for a in w]
+        gs = [sum(map(mul, G[i], s)) for i in range(min(n_max, k + 2 * r) + 1)]
+        for i in range(k):
+            if sum(map(mul, S[i], gs)):
+                raise IdentityViolated(f"monic sequence not orthogonal: s_{i}, s_{k}")
+        p = sum(map(mul, s, gs))
+        d = Fraction(p, gden * s[k] * s[k])
+        if require_positive and d <= 0:
+            raise NotPositiveDefinite(k, d)
+        if d == 0:
+            raise SingularMatrix(f"zero pivot at index {k}")
+        S.append(s)
+        GS.append(gs)
+        P.append(p)
+        polys.append(Poly(Fraction(a, s[k]) for a in s))
+        norms.append(d)
+    return MonicSequence(tuple(polys), tuple(norms), form)
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Three exceptions keep a replaced library route as the second,
+carrier. Four exceptions keep a replaced library route as the second,
 independent one: IntEchelon, an incremental integer row echelon that used
 to be the library's nullspace engine; dense_mod_nullspace, the dense GF(p)
-elimination the modular kernel used before it went sparse; and the
+elimination the modular kernel used before it went sparse; the
 pairwise_* functions, which evaluate a bilinear form one pair of
 polynomials at a time (a full polynomial product against the moments plus
 derivative values at the point), as the library did before it held each
-form as its monomial Gram.
+form as its monomial Gram; and ldlt_monic_sequence, the Fraction LDL^T of
+the Gram plus the inverse of its unit lower factor, which generated the
+monic sequence before the form's own banded recurrence did.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from opfold.errors import (
     InsufficientMoments,
     SymmetryViolated,
 )
-from opfold.linalg import _int_rows
+from opfold.linalg import _int_rows, ldlt
+from opfold.measures import gram_matrix
+from opfold.orthopoly import MonicSequence
 from opfold.poly import Poly
 
 X = sp.Symbol("x")
@@ -423,4 +427,108 @@ def pairwise_connection(seq_from, seq_to, N: int) -> list[list[Fraction]]:
                     raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
                 continue
             rows[n][j] = v
+    return rows
+
+
+def unit_lower_inverse(L) -> list[list[Fraction]]:
+    """Inverse of a unit lower triangular matrix by forward substitution."""
+    n = len(L)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        M[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            acc = Fraction(0)
+            for k in range(j, i):
+                acc -= L[i][k] * M[k][j]
+            M[i][j] = acc
+    return M
+
+
+def ldlt_monic_sequence(form, n_max: int, require_positive: bool = True):
+    """s_0..s_{n_max} from the Fraction LDL^T of the monomial Gram.
+
+    The rows of L^{-1} are the monic coefficient vectors and the pivots
+    the squared norms, with ldlt's pivot policy deciding which pivots are
+    fatal.
+    """
+    g = gram_matrix(form, n_max)
+    L, D = ldlt(g, pivots="positive" if require_positive else "nonzero")
+    inv = unit_lower_inverse(L)
+    polys = tuple(Poly(inv[n][: n + 1]) for n in range(n_max + 1))
+    return MonicSequence(polys, tuple(D), form)
+
+
+def _deriv_table(R, n: int, order: int):
+    mats = [R.mat(n)]
+    for _ in range(order):
+        mats.append(mats[-1].map(lambda e: e.derivative()))
+    return mats
+
+
+def _coeff(p, k: int) -> Fraction:
+    return p.coeff(k) if k >= 0 else Fraction(0)
+
+
+def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int, j: int):
+    """The augmented system [A | -b] of discover_operator for column j, as
+    dense Fraction rows built from Poly derivatives."""
+    size = R.block_size
+    nuk = (order + 1) * size * (degree_bound + 1)
+    rows = []
+    for n in range(n_fit + 1):
+        derivs = _deriv_table(R, n, order)
+        lam = ladder(n)
+        for i in range(size):
+            maxdeg = max((derivs[0][i, l].degree for l in range(size)), default=0)
+            for t in range(maxdeg + degree_bound + 1):
+                row = [Fraction(0)] * (nuk + 1)
+                for k in range(order + 1):
+                    for l in range(size):
+                        for d in range(degree_bound + 1):
+                            c = _coeff(derivs[k][i, l], t - d)
+                            if c:
+                                row[(k * size + l) * (degree_bound + 1) + d] = c
+                row[nuk] = -lam[i, i] * _coeff(derivs[0][i, j], t)
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
+    """The homogeneous system of min_order_check, each lambda_{n,i}
+    eliminated through the coefficient of y^n in entry (i, i), as dense
+    Fraction rows built from Poly derivatives."""
+    size = R.block_size
+    nuk = (max_order + 1) * size * size * (degree_bound + 1)
+
+    def uidx(k, l, j, d):
+        return ((k * size + l) * size + j) * (degree_bound + 1) + d
+
+    rows = []
+    for n in range(n_fit + 1):
+        derivs = _deriv_table(R, n, max_order)
+        for i in range(size):
+            pivot = [
+                (uidx(k, l, i, d), _coeff(derivs[k][i, l], n - d))
+                for k in range(max_order + 1)
+                for l in range(size)
+                for d in range(degree_bound + 1)
+            ]
+            maxdeg = max((derivs[0][i, l].degree for l in range(size)), default=0)
+            for j in range(size):
+                for t in range(maxdeg + degree_bound + 1):
+                    if j == i and t == n:
+                        continue
+                    row = [Fraction(0)] * nuk
+                    for k in range(max_order + 1):
+                        for l in range(size):
+                            for d in range(degree_bound + 1):
+                                c = _coeff(derivs[k][i, l], t - d)
+                                if c:
+                                    row[uidx(k, l, j, d)] = c
+                    rj = _coeff(derivs[0][i, j], t)
+                    for idx, c in pivot:
+                        row[idx] -= rj * c
+                    if any(row):
+                        rows.append(row)
     return rows

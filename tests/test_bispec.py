@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import opfold as op
 from opfold.bispec import exact_nullspace
+from opfold.linalg import _int_rows
 
 import oracles
 
@@ -242,6 +243,38 @@ def test_min_order_certificate_for_the_canonical_fold(canon):
         lambda n: op.Matrix.rational([[wl[n][0], 0], [0, wl[n][1]]]), 2
     )
     assert op.verify_eigen(canon["fold"], res.witness, wrapped, range(11)).ok
+
+
+def _proportional(int_row, frac_row) -> bool:
+    k = next(i for i, v in enumerate(frac_row) if v)
+    ratio = Fraction(int_row[k]) / frac_row[k]
+    return ratio > 0 and all(a == ratio * b for a, b in zip(int_row, frac_row))
+
+
+def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, monkeypatch):
+    # discovery (one system per column) and the min-order system of the
+    # verify-paper window, captured where they reach the nullspace kernel
+    captured = []
+
+    def capture(rows, ncols):
+        basis = exact_nullspace(rows, ncols)
+        captured.append((rows, ncols, basis))
+        return basis
+
+    monkeypatch.setattr(op.bispec, "exact_nullspace", capture)
+    fold = canon["fold"]
+    _, ladder = op.reference_operator()
+    op.discover_operator(fold, ladder, 8, 6, 12)
+    op.min_order_check(fold, 8, 6, 10)
+    monkeypatch.undo()
+    expected = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j) for j in range(2)]
+    expected.append(oracles.fraction_min_order_rows(fold, 8, 6, 10))
+    assert len(captured) == 3
+    for (rows, ncols, basis), frac_rows in zip(captured, expected):
+        assert all(type(v) is int for r in rows for v in r)
+        assert len(rows) == len(frac_rows)
+        assert all(_proportional(a, b) for a, b in zip(rows, frac_rows))
+        assert basis == exact_nullspace(_int_rows(frac_rows), ncols)
 
 
 # -- scalar route ----------------------------------------------------------

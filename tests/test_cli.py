@@ -9,9 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opfold as op
-from opfold.cli import N_MAX_LIMIT, RunConfig, main
+import opfold.bispec
+import opfold.cli
+from opfold.cli import _VERIFY_PAPER_CONFIG as _BUILTIN_CONFIG
+from opfold.cli import N_MAX_LIMIT, TASK_NAMES, RunConfig, main
 
 
 def _write_config(path, **overrides):
@@ -239,6 +244,114 @@ def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):
     assert (scalar.scalar_count(), scalar.moment_count()) == (4, 16)
 
 
+def test_a_failed_shared_builder_is_built_and_reported_once(tmp_path, capsys, monkeypatch):
+    # m_2 = -3 puts B(x, x) = m_2 + 1 below zero: the Sobolev Gram is not
+    # positive definite, so the shared scalar sequence fails at degree 1
+    values = ["1", "0", "-3"] + ["0"] * 13
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        measure={"type": "moments", "moments": values},
+        n_max=3,
+        tasks=["orthopoly", "recurrence", "connection"],
+    )
+    calls = []
+    build = opfold.cli.monic_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(opfold.cli, "monic_sequence", counted)
+    assert main(["run", "--config", cfg]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    tasks = rep["tasks"]
+    assert rep["overall"] == "FAIL"
+    assert [tasks[t]["status"] for t in ("moments", "gram")] == ["PASS", "PASS"]
+    assert tasks["orthopoly"] == {
+        "status": "FAIL",
+        "error": "NotPositiveDefinite",
+        "message": "nonpositive pivot at degree 1 (pivot = -2)",
+    }
+    for name in ("recurrence", "connection"):
+        assert tasks[name] == {"status": "SKIPPED", "failed_dependency": "seq"}
+    assert calls == [3]
+
+
+def _json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(min_value=10**300, max_value=10**400)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=8)
+        | st.sampled_from(["0", "1/2", "1/0", "-1", "nan", "1e999", "all", "laguerre"])
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+_CONFIG_KEYS = sorted(_BUILTIN_CONFIG) + ["output"]
+_MEASURE_KEYS = ["type", "alpha", "moments"]
+
+
+@st.composite
+def _mutated_configs(draw):
+    data = json.loads(json.dumps(_BUILTIN_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(_CONFIG_KEYS))
+        action = draw(st.sampled_from(["set", "delete", "measure"]))
+        if action == "delete":
+            data.pop(key, None)
+        elif action == "set":
+            data[key] = draw(_json_values())
+        elif isinstance(data.get("measure"), dict):
+            data["measure"][draw(st.sampled_from(_MEASURE_KEYS))] = draw(
+                st.sampled_from(["laguerre", "hermite", "moments", "lebesgue"])
+                | _json_values()
+            )
+    return data
+
+
+@given(_mutated_configs() | st.dictionaries(st.text(max_size=8), _json_values(), max_size=6))
+@example(dict(_BUILTIN_CONFIG, float_tolerance=10**400))
+@example(dict(_BUILTIN_CONFIG, output={"dir": "out"}))
+@settings(max_examples=300, deadline=None)
+def test_from_dict_yields_a_valid_config_or_a_config_error(data):
+    try:
+        cfg = RunConfig.from_dict(data)
+    except op.ConfigError:
+        return
+    assert 2 <= cfg.n_max <= N_MAX_LIMIT
+    assert isinstance(cfg.N, int) and cfg.N >= 0
+    assert cfg.M.shape == (cfg.N + 1, cfg.N + 1)
+    assert set(cfg.tasks) <= set(TASK_NAMES)
+    assert 0 < cfg.float_tolerance < float("inf")
+    assert cfg.output is None or isinstance(cfg.output, str)
+    if cfg.moments is not None:
+        assert len(cfg.moments) >= cfg.moment_count()
+    json.dumps(cfg.echo())
+
+
+def test_verify_paper_applies_each_conjugation_operator_once_per_member(tmp_path, monkeypatch):
+    # blocks 0..6 of the N=1 fold: 14 members, each image shared by the
+    # five grid points
+    calls = []
+    apply = opfold.bispec.apply_scalar
+
+    def counted(D, p):
+        calls.append(p.degree)
+        return apply(D, p)
+
+    monkeypatch.setattr(opfold.bispec, "apply_scalar", counted)
+    assert main(["verify-paper", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == list(range(14))
+
+
 # -- config validation -----------------------------------------------------
 
 
@@ -269,6 +382,8 @@ def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):
         {"M": [["0", "0"], ["0", "-1"]]},
         {"n_max": 10**9},
         {"n_max": N_MAX_LIMIT + 1},
+        {"float_tolerance": 10**400},
+        {"output": ["out"]},
     ],
 )
 def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
