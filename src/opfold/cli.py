@@ -45,6 +45,7 @@ from .matfold import (
     leading_orthonormal_sq,
     matrix_ttrr,
     monic_normalize,
+    orthonormal_blocks,
     reference_block_ttrr,
     similarity_from_block,
 )
@@ -67,12 +68,27 @@ from .orthopoly import (
 )
 from .rationals import as_fraction, rat_str
 
-__all__ = ["RunConfig", "run", "emit_tables", "main", "TASK_NAMES", "N_MAX_LIMIT"]
+__all__ = [
+    "RunConfig",
+    "run",
+    "emit_tables",
+    "main",
+    "TASK_NAMES",
+    "N_MAX_LIMIT",
+    "SCALAR_COUNT_LIMIT",
+    "ALPHA_LIMIT",
+]
 
 # Largest accepted n_max. The scalar sequence has up to (N+1)(n_max+1)
 # members and exact cost grows about as the cube of that count at growing
 # coefficient bit length, so a larger run would not finish in useful time.
 N_MAX_LIMIT = 100
+# Largest accepted RunConfig.scalar_count(): n_max = N_MAX_LIMIT at N = 1
+# with every task. A larger N leaves a smaller n_max for the folded tasks.
+SCALAR_COUNT_LIMIT = 2 * (N_MAX_LIMIT + 1)
+# Largest accepted Laguerre alpha. The moments are (k+alpha)!, so alpha
+# adds to the bit length of every exact number the run computes.
+ALPHA_LIMIT = 100
 
 TASK_NAMES = (
     "moments",
@@ -148,8 +164,8 @@ class RunConfig:
         if mtype not in ("laguerre", "hermite", "moments"):
             raise ConfigError(f"unknown measure type {mtype!r}")
         alpha = measure.get("alpha", 0)
-        if mtype == "laguerre" and (not _is_int(alpha) or alpha < 0):
-            raise ConfigError("laguerre alpha must be a nonnegative integer")
+        if mtype == "laguerre" and (not _is_int(alpha) or not 0 <= alpha <= ALPHA_LIMIT):
+            raise ConfigError(f"laguerre alpha must be an integer from 0 to {ALPHA_LIMIT}")
         raw_moments = None
         if mtype == "moments":
             try:
@@ -207,6 +223,11 @@ class RunConfig:
             tol,
             str(tol_str),
         )
+        if cfg.scalar_count() > SCALAR_COUNT_LIMIT:
+            raise ConfigError(
+                f"the tasks need {cfg.scalar_count()} scalar polynomials "
+                f"((N+1)(n_max+1) for folded tasks); at most {SCALAR_COUNT_LIMIT}"
+            )
         if raw_moments is not None and len(raw_moments) < cfg.moment_count():
             raise ConfigError(
                 f"explicit moments: need at least {cfg.moment_count()}, "
@@ -357,9 +378,36 @@ class _Context:
             ),
         )
 
+    def base_seq(self):
+        """The plain measure's own monic sequence."""
+        return self.get(
+            "base",
+            lambda: monic_sequence(measure_form(self.moments()), self.cfg.scalar_count() - 1),
+        )
+
     def fold(self):
         cfg = self.cfg
         return self.get("fold", lambda: build_matrix_sequence(self.seq(), cfg.N))
+
+    def monic_fold(self):
+        """The monic fold of the sequence."""
+        return self.get("P", lambda: monic_normalize(self.fold()).sequence)
+
+    def block_jacobi(self):
+        """The monic block Jacobi of P."""
+        return self.get("blockJ", lambda: matrix_ttrr(self.monic_fold()).monic)
+
+    def shifted_monic_fold(self):
+        """The monic fold of the shifted sequence."""
+        cfg = self.cfg
+        return self.get(
+            "Q",
+            lambda: monic_normalize(build_matrix_sequence(self.shifted_seq(), cfg.N)).sequence,
+        )
+
+    def shifted_block_jacobi(self):
+        """The monic block Jacobi of Q."""
+        return self.get("qJ", lambda: matrix_ttrr(self.shifted_monic_fold()).monic)
 
 
 # ----- task implementations ---------------------------------------------
@@ -438,8 +486,7 @@ def _task_connection(ctx: _Context) -> tuple[str, dict]:
     conn = connection_matrix(ctx.seq(), shifted, cfg.N)
     jac = jacobi_matrix(shifted)
     ulrep = verify_ul_identity(jac, cfg.c, cfg.N, conn)
-    base = monic_sequence(measure_form(ctx.moments()), cfg.scalar_count() - 1)
-    conn0 = connection_matrix(base, shifted, cfg.N)
+    conn0 = connection_matrix(ctx.base_seq(), shifted, cfg.N)
     ulrep0 = verify_ul_identity(jac, cfg.c, cfg.N, conn0)
     same_t = all(
         fact.T_monic.entry(i, j) == conn.T_monic.entry(i, j)
@@ -489,13 +536,12 @@ def _task_fold(ctx: _Context) -> tuple[str, dict]:
 
 def _task_darboux(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    R = ctx.fold()
-    P = monic_normalize(R).sequence
-    blockJ = matrix_ttrr(P).monic
+    P = ctx.monic_fold()
+    blockJ = ctx.block_jacobi()
     lu = block_lu(blockJ)
     swap = darboux_swap(lu)
-    Q = monic_normalize(build_matrix_sequence(ctx.shifted_seq(), cfg.N)).sequence
-    qJ = matrix_ttrr(Q).monic
+    Q = ctx.shifted_monic_fold()
+    qJ = ctx.shifted_block_jacobi()
     m = swap.nblocks
     rows = []
     all_lu, all_ul, all_sum = True, True, True
@@ -546,26 +592,23 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
 
 def _task_ttrr(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    R = ctx.fold()
     rec = ctx.rec()
-    P = monic_normalize(R).sequence
-    coeffs = matrix_ttrr(P, rec)
-    nblocks = coeffs.monic.nblocks
+    blockJ = ctx.block_jacobi()
+    A, B = orthonormal_blocks(rec, cfg.N)
+    nblocks = blockJ.nblocks
     payload: dict = {
         "blocks": nblocks,
-        "monic_diag": [_mats_json(coeffs.monic.diag[n]) for n in range(min(nblocks, 6))],
+        "monic_diag": [_mats_json(blockJ.diag[n]) for n in range(min(nblocks, 6))],
     }
     status = "PASS"
-    if cfg.is_canonical() and coeffs.B:
-        eps = similarity_from_block(coeffs.B[0], reference_block_ttrr(0)[1])
-        limit = min(len(coeffs.A), len(coeffs.B), 11)
+    if cfg.is_canonical() and B:
+        eps = similarity_from_block(B[0], reference_block_ttrr(0)[1])
+        limit = min(len(A), len(B), 11)
         okA = all(
-            apply_similarity(coeffs.A[n], eps) == reference_block_ttrr(n)[0]
-            for n in range(limit)
+            apply_similarity(A[n], eps) == reference_block_ttrr(n)[0] for n in range(limit)
         )
         okB = all(
-            apply_similarity(coeffs.B[n], eps) == reference_block_ttrr(n)[1]
-            for n in range(limit)
+            apply_similarity(B[n], eps) == reference_block_ttrr(n)[1] for n in range(limit)
         )
         payload["orthonormal_reference_match"] = okA and okB
         payload["similarity"] = list(eps)

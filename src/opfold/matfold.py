@@ -211,13 +211,79 @@ class BlockTTRRCoeffs:
     B: tuple[Matrix, ...] = ()
 
 
+def int_block(mat: Matrix, step: int = 1, offset: int = 0):
+    """(rows, den): entry (i, j) of a Poly matrix as a list of integers over
+    one denominator den for the whole block, with the coefficient of y^t
+    placed at power step*t + offset (step 2 and offset 0 or 1 give the
+    rows of P(x^2) and x P(x^2)). A zero entry is the empty list."""
+    den = math.lcm(*(c.denominator for row in mat.rows for p in row for c in p.coeffs))
+    rows = []
+    for row in mat.rows:
+        out = []
+        for p in row:
+            cs = [0] * (step * len(p.coeffs) + offset - step + 1) if p.coeffs else []
+            for t, c in enumerate(p.coeffs):
+                cs[step * t + offset] = c.numerator * (den // c.denominator)
+            out.append(cs)
+        rows.append(out)
+    return rows, den
+
+
+def recurrence_holds(cur, nxt, terms) -> bool:
+    """Whether z cur = nxt + sum(coef @ blk for coef, blk in terms) holds
+    exactly, z the polynomial variable.
+
+    cur, nxt and every blk are (rows, den) from int_block; every coef is a
+    square matrix of rationals acting on the left. The identity is
+    multiplied through by one common denominator, so each side is an
+    integer combination of integer coefficient rows, and every
+    coefficient of the residual must vanish.
+    """
+    (cr, cden), (nr, nden) = cur, nxt
+    dens = [cden, nden]
+    for coef, (_, den) in terms:
+        dens.append(den * math.lcm(*(v.denominator for row in coef.rows for v in row)))
+    K = math.lcm(*dens)
+    mults = [
+        (
+            [[v.numerator * (K // (v.denominator * den)) for v in row] for row in coef.rows],
+            rows,
+        )
+        for coef, (rows, den) in terms
+    ]
+    up, down = K // cden, K // nden
+    size = len(cr)
+    for i in range(size):
+        for j in range(size):
+            res = [0] * max(
+                len(cr[i][j]) + 1,
+                len(nr[i][j]),
+                *(len(rows[l][j]) for _, rows in mults for l in range(size)),
+            )
+            for t, a in enumerate(cr[i][j]):
+                res[t + 1] += up * a
+            for t, a in enumerate(nr[i][j]):
+                res[t] -= down * a
+            for coef, rows in mults:
+                for l, u in enumerate(coef[i]):
+                    if u:
+                        for t, a in enumerate(rows[l][j]):
+                            res[t] -= u * a
+            if any(res):
+                return False
+    return True
+
+
 def matrix_ttrr(
     R: MatrixPolySequence, rec: Optional[BandedRecurrence] = None
 ) -> BlockTTRRCoeffs:
     """Extract the block recurrence y P_n = P_{n+1} + D_n P_n + C_n P_{n-1}.
 
-    Blocks multiply on the left. Coefficients are peeled degree by degree
-    against the monic basis and the remainder must vanish identically;
+    Blocks multiply on the left. P_n is monic, so D_n and C_n are read
+    from the coefficients of y P_n - P_{n+1} at y^n and y^{n-1} (the
+    latter after removing D_n P_n). The residual must then vanish as an
+    exact polynomial identity, checked over the integer coefficient rows
+    of each block with one denominator per block (recurrence_holds);
     anything nonzero raises IdentityViolated. Needs at least two blocks.
     When a scalar recurrence table is supplied the orthonormal blocks are
     attached via orthonormal_blocks.
@@ -227,21 +293,32 @@ def matrix_ttrr(
     m = len(R)
     if m < 2:
         raise InsufficientSequence("need at least two blocks for a recurrence step")
-    y = Poly.x()
+    b = R.block_size
+    blocks = [int_block(R.mat(n)) for n in range(m)]
+
+    def coeff(n: int, t: int) -> list[list[Fraction]]:
+        rows, den = blocks[n]
+        return [[Fraction(e[t] if 0 <= t < len(e) else 0, den) for e in row] for row in rows]
+
     diag = []
     sub = []
     for n in range(m - 1):
-        r = R.mat(n).map(lambda e: y * e) - R.mat(n + 1)
-        D = r.map(lambda e: e.coeff(n))
-        r = r - D.map(lambda v: Poly.constant(v)) @ R.mat(n)
+        top, nxt = coeff(n, n - 1), coeff(n + 1, n)
+        D = Matrix.from_fn(b, b, lambda i, j: top[i][j] - nxt[i][j])
+        terms = [(D, blocks[n])]
         diag.append(D)
         if n > 0:
-            C = r.map(lambda e: e.coeff(n - 1))
-            r = r - C.map(lambda v: Poly.constant(v)) @ R.mat(n - 1)
+            low, nlow = coeff(n, n - 2), coeff(n + 1, n - 1)
+            C = Matrix.from_fn(
+                b,
+                b,
+                lambda i, j: low[i][j] - nlow[i][j] - sum(D[i, l] * top[l][j] for l in range(b)),
+            )
+            terms.append((C, blocks[n - 1]))
             sub.append(C)
-        if not all(r[i, j].is_zero for i in range(r.nrows) for j in range(r.ncols)):
+        if not recurrence_holds(blocks[n], blocks[n + 1], terms):
             raise IdentityViolated(f"block recurrence residual nonzero at n={n}")
-    ident = Matrix.identity(R.block_size)
+    ident = Matrix.identity(b)
     block_j = BlockTridiagonal(
         tuple(diag), tuple(sub), tuple(ident for _ in range(len(diag) - 1))
     )

@@ -1,4 +1,5 @@
-"""Helpers around fractions.Fraction: parsing, canonical formatting, signed squares.
+"""Helpers around fractions.Fraction: parsing, canonical formatting, signed
+squares, and float views of rationals too large for a float.
 
 Fraction already guarantees the invariants the exact kernel relies on
 (always reduced, positive denominator, arbitrary precision), so it is used
@@ -10,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["as_fraction", "rat_str", "SignedSquare"]
+__all__ = ["as_fraction", "rat_str", "SignedSquare", "split_float", "split_csqrt", "ldexp2"]
 
 
 def as_fraction(value) -> Fraction:
@@ -45,6 +46,37 @@ def _csqrt(q: Fraction):
     if q >= 0:
         return math.sqrt(q)
     return 1j * math.sqrt(-q)
+
+
+def split_float(q) -> tuple[float, int]:
+    """(f, e) with float(q) == f * 2**e, |f| in [1/2, 4) and e even.
+
+    float(q) itself overflows once |q| passes about 2**1024; f never does.
+    Scaling by a power of two commutes with rounding, so wherever float(q)
+    is a normal float the product f * 2**e is that float bit for bit.
+    """
+    n, d = q.numerator, q.denominator
+    if not n:
+        return 0.0, 0
+    e = (abs(n).bit_length() - d.bit_length()) & ~1
+    return (n / (d << e) if e >= 0 else (n << -e) / d), e
+
+
+def split_csqrt(q) -> tuple[object, int]:
+    """(r, e) with _csqrt(q) == r * 2**e wherever _csqrt(q) is finite.
+
+    r is float or, for negative q, purely imaginary complex, exactly as
+    _csqrt rounds it; r * 2**e never overflows.
+    """
+    f, e = split_float(q)
+    return _csqrt(f), e // 2
+
+
+def ldexp2(z, e: int):
+    """z * 2**e for a float or complex z, exact unless it leaves the normal range."""
+    if isinstance(z, complex):
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    return math.ldexp(z, e)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,21 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Four exceptions keep a replaced library route as the second,
+carrier. Five exceptions keep a replaced library route as the second,
 independent one: IntEchelon, an incremental integer row echelon that used
 to be the library's nullspace engine; dense_mod_nullspace, the dense GF(p)
 elimination the modular kernel used before it went sparse; the
 pairwise_* functions, which evaluate a bilinear form one pair of
 polynomials at a time (a full polynomial product against the moments plus
 derivative values at the point), as the library did before it held each
-form as its monomial Gram; and ldlt_monic_sequence, the Fraction LDL^T of
+form as its monomial Gram; ldlt_monic_sequence, the Fraction LDL^T of
 the Gram plus the inverse of its unit lower factor, which generated the
-monic sequence before the form's own banded recurrence did.
+monic sequence before the form's own banded recurrence did; and the
+dense_verify_* and poly_* routes of the Darboux and fold identities:
+H = T T* and (J-c)^(N+1) = T* T checked over every entry pair with
+dense float products, and the block recurrence and interlaced
+recurrence peeled and compared as Poly matrices, as the library did
+before it checked them inside the band and over integer rows.
 """
 
 from __future__ import annotations
@@ -25,16 +30,21 @@ from math import gcd
 
 import sympy as sp
 
+from opfold.banded import BlockTridiagonal
+from opfold.darboux import FactorizationReport
 from opfold.errors import (
     BandViolation,
     DimensionMismatch,
+    IdentityViolated,
     InsufficientMoments,
+    InsufficientSequence,
     SymmetryViolated,
 )
-from opfold.linalg import _int_rows, ldlt
+from opfold.linalg import Matrix, _int_rows, ldlt
 from opfold.measures import gram_matrix
 from opfold.orthopoly import MonicSequence
 from opfold.poly import Poly
+from opfold.rationals import _csqrt, as_fraction
 
 X = sp.Symbol("x")
 
@@ -532,3 +542,157 @@ def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
                     if any(row):
                         rows.append(row)
     return rows
+
+
+def dense_verify_h(rec, fact, float_tol: float = 1e-12):
+    """verify_h_factorization over all n^2 entry pairs, with the dense
+    float orthonormal factor and square roots taken of the norms
+    themselves (which overflow a float past about degree 100)."""
+    n = rec.size
+    L, D = fact.T_monic, fact.pivots
+    worst = None
+    for i in range(n):
+        for j in range(n):
+            acc = Fraction(0)
+            for k in range(max(0, max(i, j) - fact.bandwidth), min(i, j) + 1):
+                acc += L.entry(i, k) * L.entry(j, k) * D[k]
+            if acc != rec.raw.entry(i, j):
+                raise IdentityViolated(
+                    f"H != T diag T^t at entry ({i},{j}): {acc} vs {rec.raw.entry(i, j)}"
+                )
+    size = fact.size
+    sp = [_csqrt(p) for p in D]
+    sn = [_csqrt(v) for v in rec.norms_sq]
+    Tf = [
+        [complex(L.entry(i, j)) * sp[j] / sn[i] for j in range(size)]
+        for i in range(size)
+    ]
+    err = 0.0
+    scale = 1.0
+    for i in range(n):
+        for j in range(n):
+            lhs = sum(Tf[i][k] * Tf[j][k] for k in range(min(i, j) + 1))
+            rhs = complex(rec.raw.entry(i, j)) / (sn[i] * sn[j])
+            scale = max(scale, abs(rhs))
+            d = abs(lhs - rhs)
+            if d > err:
+                err, worst = d, (i, j)
+    rel = err / scale
+    if rel > float_tol:
+        raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
+    return FactorizationReport(True, n, rel, worst)
+
+
+def dense_verify_ul(jac, c, N: int, conn, float_tol: float = 1e-12):
+    """verify_ul_identity over all trusted pairs, with the exact power of
+    the dense-stored BandedOperator and a dense O(n^3) float power."""
+    c = as_fraction(c)
+    m = conn.size
+    nu = conn.from_norms_sq
+    d = conn.to_norms_sq
+    T = conn.T_monic
+    jsize = jac.size
+    power = jac.monic_banded().minus_scalar(c).power(N + 1)
+    trusted = min(m - (N + 1), jsize - (N + 1))
+    if trusted <= 0:
+        raise IdentityViolated("truncation too small to trust any row")
+    worst = None
+    for j in range(trusted):
+        for k in range(trusted):
+            acc = Fraction(0)
+            for n in range(max(j, k), min(m - 1, min(j, k) + N + 1) + 1):
+                acc += T.entry(n, j) * T.entry(n, k) / nu[n]
+            lhs = power.entry(j, k)
+            if lhs != d[j] * acc:
+                raise IdentityViolated(
+                    f"(J-c)^{N + 1} != T^*T at entry ({j},{k}): {lhs} vs {d[j] * acc}"
+                )
+    sd = [_csqrt(v) for v in d]
+    snu = [_csqrt(v) for v in nu]
+    if len(sd) < jsize:
+        raise DimensionMismatch(
+            f"norm list covers {len(sd)} rows, Jacobi truncation has {jsize}"
+        )
+    jf = [[0.0 + 0j] * jsize for _ in range(jsize)]
+    for i in range(jsize):
+        jf[i][i] = complex(jac.b[i] - c)
+        if i + 1 < jsize:
+            off = sd[i + 1] / sd[i]
+            jf[i][i + 1] = off
+            jf[i + 1][i] = off
+    powf = [[1.0 + 0j if i == j else 0j for j in range(jsize)] for i in range(jsize)]
+    for _ in range(N + 1):
+        powf = [
+            [sum(powf[i][l] * jf[l][j] for l in range(jsize)) for j in range(jsize)]
+            for i in range(jsize)
+        ]
+    err, scale = 0.0, 1.0
+    for j in range(trusted):
+        for k in range(trusted):
+            rhs = 0j
+            for n in range(max(j, k), min(m - 1, min(j, k) + N + 1) + 1):
+                tnj = complex(T.entry(n, j)) * sd[j] / snu[n]
+                tnk = complex(T.entry(n, k)) * sd[k] / snu[n]
+                rhs += tnj * tnk
+            lhs = powf[j][k]
+            scale = max(scale, abs(lhs))
+            dd = abs(lhs - rhs)
+            if dd > err:
+                err, worst = dd, (j, k)
+    rel = err / scale
+    if rel > float_tol:
+        raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
+    return FactorizationReport(True, trusted, rel, worst)
+
+
+def poly_matrix_ttrr(R):
+    """The monic block Jacobi of matrix_ttrr, peeled degree by degree in
+    Poly arithmetic: D_n and C_n are read off the residual and multiplied
+    back, and the remaining matrix polynomial must be zero."""
+    if not R.monic:
+        raise IdentityViolated("block recurrence extraction expects monic blocks")
+    m = len(R)
+    if m < 2:
+        raise InsufficientSequence("need at least two blocks for a recurrence step")
+    y = Poly.x()
+    diag = []
+    sub = []
+    for n in range(m - 1):
+        r = R.mat(n).map(lambda e: y * e) - R.mat(n + 1)
+        D = r.map(lambda e: e.coeff(n))
+        r = r - D.map(lambda v: Poly.constant(v)) @ R.mat(n)
+        diag.append(D)
+        if n > 0:
+            C = r.map(lambda e: e.coeff(n - 1))
+            r = r - C.map(lambda v: Poly.constant(v)) @ R.mat(n - 1)
+            sub.append(C)
+        if not all(r[i, j].is_zero for i in range(r.nrows) for j in range(r.ncols)):
+            raise IdentityViolated(f"block recurrence residual nonzero at n={n}")
+    ident = Matrix.identity(R.block_size)
+    return BlockTridiagonal(tuple(diag), tuple(sub), tuple(ident for _ in range(len(diag) - 1)))
+
+
+def poly_w_interlace_check(P_mats, Q_mats, zetas, count: int) -> list[int]:
+    """w_interlace_check with W_n built as a matrix of stretched Polys and
+    the identity compared as matrix polynomials."""
+
+    def w(k: int):
+        if k < 0:
+            b = P_mats[0].nrows
+            return Matrix.zeros(b, b, zero=Poly())
+        half, odd = divmod(k, 2)
+        mat = (Q_mats if odd else P_mats)[half]
+        stretched = mat.map(lambda e: e.stretch(2) if not e.is_zero else e)
+        if odd:
+            return stretched.map(lambda e: Poly.x() * e)
+        return stretched
+
+    x = Poly.x()
+    checked = []
+    for n in range(count):
+        lhs = w(n).map(lambda e: x * e)
+        rhs = w(n + 1) + zetas.zeta(n).map(lambda v: Poly.constant(v)) @ w(n - 1)
+        if lhs != rhs:
+            raise IdentityViolated(f"interlaced recurrence failed at n={n}")
+        checked.append(n)
+    return checked

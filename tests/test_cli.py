@@ -16,7 +16,7 @@ import opfold as op
 import opfold.bispec
 import opfold.cli
 from opfold.cli import _VERIFY_PAPER_CONFIG as _BUILTIN_CONFIG
-from opfold.cli import N_MAX_LIMIT, TASK_NAMES, RunConfig, main
+from opfold.cli import ALPHA_LIMIT, N_MAX_LIMIT, SCALAR_COUNT_LIMIT, TASK_NAMES, RunConfig, main
 
 
 def _write_config(path, **overrides):
@@ -327,6 +327,8 @@ def test_from_dict_yields_a_valid_config_or_a_config_error(data):
     except op.ConfigError:
         return
     assert 2 <= cfg.n_max <= N_MAX_LIMIT
+    assert cfg.scalar_count() <= SCALAR_COUNT_LIMIT
+    assert 0 <= cfg.alpha <= ALPHA_LIMIT
     assert isinstance(cfg.N, int) and cfg.N >= 0
     assert cfg.M.shape == (cfg.N + 1, cfg.N + 1)
     assert set(cfg.tasks) <= set(TASK_NAMES)
@@ -350,6 +352,35 @@ def test_verify_paper_applies_each_conjugation_operator_once_per_member(tmp_path
     monkeypatch.setattr(opfold.bispec, "apply_scalar", counted)
     assert main(["verify-paper", "--out", str(tmp_path)]) == 0
     assert sorted(calls) == list(range(14))
+
+
+def test_verify_paper_builds_each_fold_product_once(tmp_path, monkeypatch):
+    # the darboux and ttrr tasks share the monic folds P and Q and their
+    # block Jacobis: one normalization and one recurrence extraction each
+    counts = {"matrix_ttrr": 0, "monic_normalize": 0}
+    for name in counts:
+        fn = getattr(opfold.cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(opfold.cli, name, counted)
+    assert main(["verify-paper", "--out", str(tmp_path)]) == 0
+    assert counts == {"matrix_ttrr": 2, "monic_normalize": 2}
+
+
+def test_float_cross_checks_hold_where_the_norms_overflow_a_float(tmp_path, capsys):
+    # 102 scalars: the pivots and norms of the top degrees pass the largest
+    # float, where taking their square roots used to raise OverflowError
+    cfg = _write_config(tmp_path / "cfg.json", n_max=50, tasks=["connection", "ttrr"])
+    assert main(["run", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    tasks = json.loads(captured.out)["tasks"]
+    assert tasks["connection"]["status"] == "PASS"
+    assert tasks["connection"]["h_trusted_rows"] == 102
+    assert tasks["ttrr"]["status"] == "PASS"
 
 
 # -- config validation -----------------------------------------------------
@@ -382,6 +413,10 @@ def test_verify_paper_applies_each_conjugation_operator_once_per_member(tmp_path
         {"M": [["0", "0"], ["0", "-1"]]},
         {"n_max": 10**9},
         {"n_max": N_MAX_LIMIT + 1},
+        {"measure": {"type": "laguerre", "alpha": ALPHA_LIMIT + 1}},
+        {"measure": {"type": "laguerre", "alpha": 10**6}},
+        {"N": 2, "M": [["0"] * 3] * 3, "n_max": N_MAX_LIMIT, "tasks": ["fold"]},
+        {"N": 30, "M": [["0"] * 31] * 31, "n_max": 10, "tasks": ["all"]},
         {"float_tolerance": 10**400},
         {"output": ["out"]},
     ],
@@ -431,6 +466,11 @@ def test_config_resolves_task_dependencies():
         {"measure": {"type": "hermite"}, "M": [["1", "0"], ["0", "0"]], "n_max": N_MAX_LIMIT}
     )
     assert widest.n_max == N_MAX_LIMIT
+    assert widest.scalar_count() == SCALAR_COUNT_LIMIT
+    hottest = RunConfig.from_dict(
+        {"measure": {"type": "laguerre", "alpha": ALPHA_LIMIT}, "M": [["0", "0"], ["0", "1"]]}
+    )
+    assert hottest.alpha == ALPHA_LIMIT
 
 
 def test_verify_paper_imports_no_numeric_stack(tmp_path):
