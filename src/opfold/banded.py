@@ -74,21 +74,6 @@ class BandedOperator:
                     row[j] += a * orow[j]
         return BandedOperator(n, lo, up, rows)
 
-    def power(self, k: int) -> "BandedOperator":
-        if k < 0:
-            raise ValueError("negative power")
-        result = BandedOperator.identity(self.size)
-        for _ in range(k):
-            result = result @ self
-        return result
-
-    def minus_scalar(self, c) -> "BandedOperator":
-        c = as_fraction(c)
-        rows = [list(r) for r in self.rows]
-        for i in range(self.size):
-            rows[i][i] -= c
-        return BandedOperator(self.size, self.lower, self.upper, rows)
-
     def transpose(self) -> "BandedOperator":
         return BandedOperator(self.size, self.upper, self.lower, tuple(zip(*self.rows)))
 

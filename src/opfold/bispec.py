@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import perm
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     Underdetermined,
 )
 from .linalg import Matrix, _int_rows, exact_nullspace, nullspace
-from .matfold import MatrixPolySequence, fold_decompose
+from .matfold import MatrixPolySequence, fold_decompose, int_block
 from .orthopoly import MonicSequence
 from .poly import Poly
 from .rationals import rat_str, as_fraction
@@ -40,7 +40,6 @@ __all__ = [
     "RightDifferentialOperator",
     "EigenvalueLadder",
     "apply_right",
-    "reference_operator",
     "EigenReport",
     "verify_eigen",
     "DiscoveryResult",
@@ -50,7 +49,6 @@ __all__ = [
     "ScalarOperator",
     "apply_scalar",
     "scalar_eigenvalues",
-    "reference_scalar_ladder",
     "discover_scalar",
     "cyclotomic_poly",
     "FoldConjugationData",
@@ -127,67 +125,6 @@ def apply_right(F: Matrix, op: RightDifferentialOperator) -> Matrix:
     return out
 
 
-def _pmat(rows) -> Matrix:
-    return Matrix(
-        [[Poly([Fraction(c) for c in entry]) for entry in row] for row in rows]
-    )
-
-
-def reference_operator() -> tuple[RightDifferentialOperator, EigenvalueLadder]:
-    """The tabulated order-8 operator and its eigenvalue ladder (N=1).
-
-    Coefficient matrices are stored with ascending powers of y; the ladder
-    is diag((4n^3-n+6)n, (2n^3+3n^2+n+3)(2n+1)).
-    """
-    d0 = _pmat([[[0], [0]], [[-3], [3]]])
-    d1 = _pmat([[[-6, 9], [-12]], [[54, -105], [0, 24]]])
-    d2 = _pmat(
-        [
-            [[-72, 474, 27], [0, -276]],
-            [[0, -2754, -906], [0, 3300, 57]],
-        ]
-    )
-    d3 = _pmat(
-        [
-            [[0, 2232, 3984, 24], [0, -6840, -636]],
-            [[0, 0, -27408, -1148], [0, 17640, 10224, 32]],
-        ]
-    )
-    d4 = _pmat(
-        [
-            [[0, 0, 18804, 4320, 4], [0, 0, -18024, -296]],
-            [[0, 0, 0, -39264, -376], [0, 0, 57204, 7080, 4]],
-        ]
-    )
-    d5 = _pmat(
-        [
-            [[0, 0, 0, 24192, 1248], [0, 0, 0, -11136, -32]],
-            [[0, 0, 0, 0, -17088, -32], [0, 0, 0, 47232, 1536]],
-        ]
-    )
-    d6 = _pmat(
-        [
-            [[0, 0, 0, 0, 9696, 96], [0, 0, 0, 0, -2208]],
-            [[0, 0, 0, 0, 0, -2656], [0, 0, 0, 0, 14176, 96]],
-        ]
-    )
-    d7 = _pmat(
-        [
-            [[0, 0, 0, 0, 0, 1408], [0, 0, 0, 0, 0, -128]],
-            [[0, 0, 0, 0, 0, 0, -128], [0, 0, 0, 0, 0, 1664]],
-        ]
-    )
-    d8 = _pmat([[[0, 0, 0, 0, 0, 0, 64], [0]], [[0], [0, 0, 0, 0, 0, 0, 64]]])
-    op = RightDifferentialOperator(8, (d0, d1, d2, d3, d4, d5, d6, d7, d8))
-
-    def lam(n: int) -> Matrix:
-        e0 = Fraction((4 * n**3 - n + 6) * n)
-        e1 = Fraction((2 * n**3 + 3 * n**2 + n + 3) * (2 * n + 1))
-        return Matrix([[e0, Fraction(0)], [Fraction(0), e1]])
-
-    return op, EigenvalueLadder(lam, 2)
-
-
 # -- eigen verification --------------------------------------------------
 
 
@@ -241,9 +178,7 @@ def _int_deriv_table(R: MatrixPolySequence, n: int, order: int):
     """(table, den): table[k][i][l] lists the coefficients of the k-th
     y-derivative of entry (i, l) of block n, as integers over den, the
     common denominator of the block. No list has trailing zeros."""
-    m = R.mat(n)
-    den = lcm(*(c.denominator for row in m.rows for p in row for c in p.coeffs))
-    base = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row] for row in m.rows]
+    base, den = int_block(R.mat(n))
     table = [base]
     for k in range(1, order + 1):
         table.append(
@@ -254,6 +189,29 @@ def _int_deriv_table(R: MatrixPolySequence, n: int, order: int):
 
 def _at(coeffs: list[int], t: int) -> int:
     return coeffs[t] if 0 <= t < len(coeffs) else 0
+
+
+def _trimmed(mats: list[Matrix]) -> RightDifferentialOperator:
+    """The operator with coefficient matrices mats, zero top ones dropped."""
+    top = len(mats) - 1
+    while top > 0 and all(p.is_zero for row in mats[top].rows for p in row):
+        top -= 1
+    return RightDifferentialOperator(top, tuple(mats[: top + 1]))
+
+
+def _solution(basis: list[list[Fraction]], nuk: int, infeasible: str) -> list[Fraction]:
+    """The solution of an augmented system [A | -b] from the nullspace
+    basis of its nuk+1 columns, scaled to last coordinate 1. Raises
+    Infeasible when no basis vector has that coordinate nonzero, and
+    Underdetermined, carrying the basis, when there are several."""
+    if all(v[nuk] == 0 for v in basis):
+        raise Infeasible(infeasible)
+    if len(basis) > 1:
+        exc = Underdetermined(len(basis) - 1)
+        exc.basis = basis
+        raise exc
+    (v,) = basis
+    return [x / v[nuk] for x in v[:nuk]]
 
 
 @dataclass(frozen=True)
@@ -275,14 +233,13 @@ def discover_operator(
     The action couples only one column of every D_k at a time, so each
     column gives an independent augmented system [A | -b]; a nullspace
     vector with nonzero last coordinate is a solution, and the vectors
-    with zero last coordinate are homogeneous solutions whose count is
-    the uniqueness certificate (0 means the operator is unique at this
-    order and degree bound).
+    with zero last coordinate are homogeneous solutions. Any of them
+    raises Underdetermined, so a returned operator is unique at this
+    order and degree bound (hom_dim 0).
     """
     size = R.block_size
     nuk = (order + 1) * size * (degree_bound + 1)
     cols = []
-    col_dims = []
     for j in range(size):
         rows = []
         for n in range(n_fit + 1):
@@ -304,20 +261,13 @@ def discover_operator(
                     row[nuk] = -lii.numerator * _at(derivs[0][i][j], t)
                     if any(row):
                         rows.append(row)
-        basis = exact_nullspace(rows, nuk + 1)
-        particular = [v for v in basis if v[nuk] != 0]
-        hom = [v for v in basis if v[nuk] == 0]
-        if not particular:
-            raise Infeasible(
-                f"no operator of order {order}, degree {degree_bound} fits column {j}"
+        cols.append(
+            _solution(
+                exact_nullspace(rows, nuk + 1),
+                nuk,
+                f"no operator of order {order}, degree {degree_bound} fits column {j}",
             )
-        if hom or len(particular) > 1:
-            exc = Underdetermined(len(basis) - 1)
-            exc.basis = basis
-            raise exc
-        t0 = particular[0][nuk]
-        cols.append([v / t0 for v in particular[0][:nuk]])
-        col_dims.append(len(hom))
+        )
     mats = []
     for k in range(order + 1):
         rows = []
@@ -328,13 +278,7 @@ def discover_operator(
                 row.append(Poly(cols[j][base : base + degree_bound + 1]))
             rows.append(row)
         mats.append(Matrix(rows))
-    top = order
-    while top > 0 and all(
-        mats[top][i, j].is_zero for i in range(size) for j in range(size)
-    ):
-        top -= 1
-    op = RightDifferentialOperator(top, tuple(mats[: top + 1]))
-    return DiscoveryResult(op, sum(col_dims), tuple(col_dims))
+    return DiscoveryResult(_trimmed(mats), 0, (0,) * size)
 
 
 # -- minimal order -------------------------------------------------------
@@ -493,16 +437,8 @@ def min_order_check(
                 ),
             )
         )
-    top = min_order
-    while top > 0 and all(
-        mats[top][i, j].is_zero for i in range(size) for j in range(size)
-    ):
-        top -= 1
-    witness = RightDifferentialOperator(top, tuple(mats[: top + 1]))
     wl = tuple(tuple(row) for row in witness_ladder)
-    return MinOrderResult(
-        min_order, tuple(feasible), tuple(dims), witness, wl
-    )
+    return MinOrderResult(min_order, tuple(feasible), tuple(dims), _trimmed(mats), wl)
 
 
 # -- scalar operators ----------------------------------------------------
@@ -527,15 +463,6 @@ def apply_scalar(op: ScalarOperator, p: Poly) -> Poly:
     for k in range(op.order + 1):
         out = out + op.coeffs[k] * p.derivative(k)
     return out
-
-
-def reference_scalar_ladder(m: int) -> Fraction:
-    """Eigenvalue of the scalar operator on the degree-m member.
-
-    The even and odd subsequences carry the two diagonal families of the
-    matrix ladder; one quartic covers both: m^2(m^2-1)/4 + 3m.
-    """
-    return Fraction(m * m * (m * m - 1), 4) + 3 * m
 
 
 def discover_scalar(
@@ -567,16 +494,9 @@ def discover_scalar(
             row[nuk] = -lam * s.coeff(t)
             if any(row):
                 rows.append(row)
-    basis = exact_nullspace(_int_rows(rows), nuk + 1)
-    particular = [v for v in basis if v[nuk] != 0]
-    if not particular:
-        raise Infeasible(f"no scalar operator of order {order} fits")
-    if len(basis) > 1:
-        exc = Underdetermined(len(basis) - 1)
-        exc.basis = basis
-        raise exc
-    t0 = particular[0][nuk]
-    sol = [v / t0 for v in particular[0][:nuk]]
+    sol = _solution(
+        exact_nullspace(_int_rows(rows), nuk + 1), nuk, f"no scalar operator of order {order} fits"
+    )
     coeffs = tuple(
         Poly(sol[offsets[k] : offsets[k] + k + 1]) for k in range(order + 1)
     )
@@ -726,25 +646,23 @@ def conjugation_eval(
         # mp precision is process-global; hold 50 digits only for this call
         scope = mp.workdps(50)
     with scope:
+        w = FoldConjugationData(N).w_float(precision)
         results = tuple(
-            _conjugate_at(images, lams, block, step, y, precision) for y in points
+            _conjugate_at(images, lams, block, step, w, y, precision) for y in points
         )
     return results if several else results[0]
 
 
-def _conjugate_at(images, lams, block, step: int, y0: Fraction, precision: str) -> ConjugationResult:
-    """One ConjugationResult of conjugation_eval, at the point y0 > 0."""
+def _conjugate_at(images, lams, block, step: int, w, y0: Fraction, precision: str) -> ConjugationResult:
+    """One ConjugationResult of conjugation_eval, at the point y0 > 0; w is
+    the primitive step-th root of unity at the working precision."""
     if precision == "double":
-        import cmath
-
-        w = cmath.exp(2j * cmath.pi / step)
         r = float(y0) ** (1.0 / step)
         y0f = float(y0)
         to_c = complex
     else:
         from mpmath import mp, mpf, mpc
 
-        w = mp.expjpi(mpf(2) / step)
         y0f = mpf(y0.numerator) / y0.denominator
         r = mp.power(y0f, mpf(1) / step)
         to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)

@@ -3,11 +3,14 @@
 One JSON config in, one deterministic JSON report out (plus optional CSV
 tables). Every rational is serialized as a canonical "p/q" string; floats
 appear only in fields explicitly named *_float or *_rel. Timings go to
-stderr so reports are byte-stable for a fixed config.
+stderr so reports are byte-stable for a fixed config. The paper's worked
+case, its tabulated closed forms and its verdicts live in opfold.paper;
+run applies them when a config is that case.
 """
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -17,38 +20,26 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
+from . import paper
 from .bispec import (
     conjugation_eval,
     discover_operator,
     discover_scalar,
     min_order_check,
     operator_to_json,
-    reference_operator,
-    reference_scalar_ladder,
     verify_eigen,
 )
 from .darboux import (
     band_symmetric_factorize,
     block_lu,
     darboux_swap,
-    reference_sum_product,
-    reference_zeta,
     verify_h_factorization,
     verify_ul_identity,
     w_interlace_check,
 )
-from .errors import ConfigError, DimensionMismatch, OpfoldError
+from .errors import ConfigError, DimensionMismatch, Infeasible, OpfoldError
 from .linalg import Matrix
-from .matfold import (
-    apply_similarity,
-    build_matrix_sequence,
-    leading_orthonormal_sq,
-    matrix_ttrr,
-    monic_normalize,
-    orthonormal_blocks,
-    reference_block_ttrr,
-    similarity_from_block,
-)
+from .matfold import build_matrix_sequence, matrix_ttrr, monic_normalize
 from .measures import (
     MomentFunctional,
     SobolevSpec,
@@ -64,7 +55,6 @@ from .orthopoly import (
     connection_matrix,
     jacobi_matrix,
     monic_sequence,
-    reference_abc,
 )
 from .rationals import as_fraction, rat_str
 
@@ -75,6 +65,7 @@ __all__ = [
     "main",
     "TASK_NAMES",
     "N_MAX_LIMIT",
+    "N_LIMIT",
     "SCALAR_COUNT_LIMIT",
     "ALPHA_LIMIT",
 ]
@@ -86,6 +77,10 @@ N_MAX_LIMIT = 100
 # Largest accepted RunConfig.scalar_count(): n_max = N_MAX_LIMIT at N = 1
 # with every task. A larger N leaves a smaller n_max for the folded tasks.
 SCALAR_COUNT_LIMIT = 2 * (N_MAX_LIMIT + 1)
+# Largest accepted N: a folded task at the least n_max, 2, stays within
+# SCALAR_COUNT_LIMIT up to N = 66. Scalar tasks get the same bound; without
+# it the O(N^3) check that M is positive semidefinite ran on any N.
+N_LIMIT = SCALAR_COUNT_LIMIT // 3 - 1
 # Largest accepted Laguerre alpha. The moments are (k+alpha)!, so alpha
 # adds to the bit length of every exact number the run computes.
 ALPHA_LIMIT = 100
@@ -177,8 +172,8 @@ class RunConfig:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad shift c: {exc}") from exc
         N = data.get("N", 1)
-        if not _is_int(N) or N < 0:
-            raise ConfigError("N must be a nonnegative integer")
+        if not _is_int(N) or not 0 <= N <= N_LIMIT:
+            raise ConfigError(f"N must be an integer from 0 to {N_LIMIT}")
         mrows = data.get("M")
         if mrows is None:
             raise ConfigError("config needs the mass matrix M")
@@ -261,13 +256,9 @@ class RunConfig:
         return 2 * (self.scalar_count() + self.N + 2) + 2
 
     def is_canonical(self) -> bool:
-        return (
-            self.measure_type == "laguerre"
-            and self.alpha == 0
-            and self.c == 0
-            and self.N == 1
-            and self.M == Matrix.rational([[0, 0], [0, 1]])
-        )
+        """Whether the measure, c, N and M are the paper's worked case."""
+        echo = self.echo()
+        return all(echo[key] == paper.CONFIG[key] for key in ("measure", "c", "N", "M"))
 
     def echo(self) -> dict:
         out = {
@@ -292,10 +283,6 @@ def _mats_json(m: Matrix) -> list:
 
 def _poly_json(p) -> list:
     return [rat_str(p.coeff(k)) for k in range(p.degree + 1)] or ["0"]
-
-
-def _sig_json(entry) -> dict:
-    return {"sq": rat_str(entry.sq), "sign": entry.sign}
 
 
 class _DependencyFailed(Exception):
@@ -409,6 +396,10 @@ class _Context:
         """The monic block Jacobi of Q."""
         return self.get("qJ", lambda: matrix_ttrr(self.shifted_monic_fold()).monic)
 
+    def block_lu(self):
+        """The block LU of the monic block Jacobi of P."""
+        return self.get("LU", lambda: block_lu(self.block_jacobi()))
+
 
 # ----- task implementations ---------------------------------------------
 
@@ -452,7 +443,6 @@ def _task_recurrence(ctx: _Context) -> tuple[str, dict]:
     rec = ctx.rec()
     count = max(0, rec.size - (cfg.N + 2))
     rows = []
-    ref_ok = True
     for n in range(count):
         entry = {
             "n": n,
@@ -463,18 +453,7 @@ def _task_recurrence(ctx: _Context) -> tuple[str, dict]:
                 entry[f"off{off}_sq"] = rat_str(rec.orthonormal_sq(n, n + off))
                 entry[f"off{off}_sign"] = rec.orthonormal_sign(n, n + off)
         rows.append(entry)
-    payload: dict = {"bandwidth": cfg.N + 1, "rows": rows}
-    if cfg.is_canonical():
-        for n in range(min(count, 21)):
-            a2, b2, cdiag = reference_abc(n)
-            if (
-                rec.orthonormal_sq(n, n + 2) != a2
-                or rec.orthonormal_sq(n, n + 1) != b2
-                or rec.raw.entry(n, n) / rec.norms_sq[n] != cdiag
-            ):
-                ref_ok = False
-        payload["reference_match"] = ref_ok
-    return ("PASS" if ref_ok else "FAIL"), payload
+    return "PASS", {"bandwidth": cfg.N + 1, "rows": rows}
 
 
 def _task_connection(ctx: _Context) -> tuple[str, dict]:
@@ -507,44 +486,19 @@ def _task_connection(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_fold(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
     R = ctx.fold()
-    payload: dict = {"blocks": len(R), "block_size": R.block_size}
-    if cfg.is_canonical():
-        from .matfold import reference_leading_sq
-
-        ok = True
-        for n in range(2, min(len(R), 11)):
-            comp = leading_orthonormal_sq(ctx.seq(), cfg.N, n)
-            ref = reference_leading_sq(n)
-            for i in range(2):
-                for j in range(2):
-                    if (i, j) == (1, 1):
-                        continue
-                    if comp[i, j].sq != ref[i, j].sq:
-                        ok = False
-        payload["leading_display_match_excl_11"] = ok
-        payload["leading_display_note"] = (
-            "the tabulated leading display's (1,1) entry carries (2n)! where "
-            "consistency with its own first column requires (2n+1)!; all "
-            "other entries match exactly up to one row sign"
-        )
-        if not ok:
-            return "FAIL", payload
-    return "PASS", payload
+    return "PASS", {"blocks": len(R), "block_size": R.block_size}
 
 
 def _task_darboux(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
     P = ctx.monic_fold()
     blockJ = ctx.block_jacobi()
-    lu = block_lu(blockJ)
+    lu = ctx.block_lu()
     swap = darboux_swap(lu)
     Q = ctx.shifted_monic_fold()
     qJ = ctx.shifted_block_jacobi()
     m = swap.nblocks
     rows = []
-    all_lu, all_ul, all_sum = True, True, True
     z = lu.zetas.zeta
     for n in range(m):
         lu_match = (
@@ -554,22 +508,8 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
         ul_match = swap.diag[n] == qJ.diag[n] and (
             n == 0 or swap.sub[n - 1] == qJ.sub[n - 1]
         )
-        entry = {"n": n, "lu_match": lu_match, "ul_match": ul_match}
-        if cfg.is_canonical():
-            if n >= 1:
-                ev, od = reference_zeta(n)
-                entry["zeta_match"] = z(2 * n - 1) == ev and z(2 * n) == od
-                entry["zeta_printed_labels_match"] = (
-                    z(2 * n) == ev and z(2 * n - 1) == od
-                )
-            if 2 * n + 2 < len(lu.zetas):
-                s_ref, p_ref = reference_sum_product(n)
-                entry["sum_match"] = z(2 * n + 2) + z(2 * n + 1) == s_ref
-                entry["product_match"] = z(2 * n + 1) @ z(2 * n) == p_ref
-                all_sum = all_sum and entry["sum_match"]
-        all_lu = all_lu and lu_match
-        all_ul = all_ul and ul_match
-        rows.append(entry)
+        rows.append({"n": n, "lu_match": lu_match, "ul_match": ul_match})
+    ok = all(r["lu_match"] and r["ul_match"] for r in rows)
     # interlaced recurrence in the unfolded variable
     count = 2 * len(P) - 2
     checked = w_interlace_check(
@@ -578,7 +518,7 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
         lu.zetas,
         count,
     )
-    payload: dict = {
+    return ("PASS" if ok else "FAIL"), {
         "blocks": m,
         "rows": rows,
         "interlace_checked_through": checked[-1] if checked else -1,
@@ -586,44 +526,19 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
             str(k): _mats_json(z(k)) for k in range(min(len(lu.zetas), 12))
         },
     }
-    ok = all_lu and all_ul and (not cfg.is_canonical() or all_sum)
-    return ("PASS" if ok else "FAIL"), payload
 
 
 def _task_ttrr(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
-    rec = ctx.rec()
     blockJ = ctx.block_jacobi()
-    A, B = orthonormal_blocks(rec, cfg.N)
     nblocks = blockJ.nblocks
-    payload: dict = {
+    return "PASS", {
         "blocks": nblocks,
         "monic_diag": [_mats_json(blockJ.diag[n]) for n in range(min(nblocks, 6))],
     }
-    status = "PASS"
-    if cfg.is_canonical() and B:
-        eps = similarity_from_block(B[0], reference_block_ttrr(0)[1])
-        limit = min(len(A), len(B), 11)
-        okA = all(
-            apply_similarity(A[n], eps) == reference_block_ttrr(n)[0] for n in range(limit)
-        )
-        okB = all(
-            apply_similarity(B[n], eps) == reference_block_ttrr(n)[1] for n in range(limit)
-        )
-        payload["orthonormal_reference_match"] = okA and okB
-        payload["similarity"] = list(eps)
-        if not (okA and okB):
-            status = "FAIL"
-    return status, payload
 
 
 def _task_bispec_verify(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
-    if not cfg.is_canonical():
-        return "REPORT", {
-            "note": "reference operator exists only for the canonical configuration"
-        }
-    op, ladder = reference_operator()
+    op, ladder = paper.reference_operator()
     limit = min(len(ctx.fold()) - 1, 8)
     rep = verify_eigen(ctx.fold(), op, ladder, range(limit + 1))
     return ("PASS" if rep.ok else "FAIL"), {
@@ -633,15 +548,9 @@ def _task_bispec_verify(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_bispec_discover(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
-    if not cfg.is_canonical():
-        return "REPORT", {
-            "note": "discovery ships with the canonical eigenvalue ladder only"
-        }
-    _, ladder = reference_operator()
+    ref, ladder = paper.reference_operator()
     n_fit = min(len(ctx.fold()) - 1, 12)
     res = discover_operator(ctx.fold(), ladder, 8, 6, n_fit)
-    ref, _ = reference_operator()
     matches = res.operator == ref
     return ("PASS" if matches and res.hom_dim == 0 else "FAIL"), {
         "n_fit": n_fit,
@@ -665,29 +574,23 @@ def _task_min_order(ctx: _Context) -> tuple[str, dict]:
             "rows": rows,
             "unknowns": unknowns,
         }
-    res = min_order_check(ctx.fold(), max_order, deg, n_fit)
-    payload = {
+    try:
+        res = min_order_check(ctx.fold(), max_order, deg, n_fit)
+    except Infeasible as exc:
+        return "REPORT", {"min_order": None, "n_fit": n_fit, "message": str(exc)}
+    return "REPORT", {
         "min_order": res.min_order,
         "n_fit": n_fit,
         "feasible": list(res.feasible),
         "section_dims": list(res.section_dims),
     }
-    if cfg.is_canonical():
-        payload["expected"] = 8
-        return ("PASS" if res.min_order == 8 else "FAIL"), payload
-    return "REPORT", payload
 
 
 def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    if not cfg.is_canonical():
-        return "REPORT", {
-            "note": "scalar ladder for conjugation is tabulated only for the "
-            "canonical configuration"
-        }
     seq = ctx.seq()
     n_fit = min(len(seq) - 1, 16)
-    D = discover_scalar(seq, reference_scalar_ladder, 8, n_fit)
+    D = discover_scalar(seq, paper.reference_scalar_ladder, 8, n_fit)
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)]
     n_limit = min(len(seq) // (cfg.N + 1) - 1, 6)
     worst = 0.0
@@ -719,16 +622,45 @@ _TASK_FNS = {
     "conjugation": _task_conjugation,
 }
 
+# The paper's verdict per task on the worked case: it adds the paper-only
+# fields to the payload and says whether the tabulated values hold.
+_PAPER_CHECKS = {
+    "recurrence": lambda ctx, payload: paper.check_recurrence(payload, ctx.rec()),
+    "fold": lambda ctx, payload: paper.check_fold(payload, ctx.seq()),
+    "darboux": lambda ctx, payload: paper.check_darboux(payload, ctx.block_lu().zetas),
+    "ttrr": lambda ctx, payload: paper.check_ttrr(payload, ctx.rec()),
+    "min-order": lambda ctx, payload: paper.check_min_order(payload),
+}
+
+
+def _judged(status: str, holds: Optional[bool]) -> str:
+    """A task's status after its paper check: a FAIL stays a FAIL, None
+    (nothing to compare) leaves the status, else the tables decide."""
+    if status == "FAIL" or holds is None:
+        return status
+    return "PASS" if holds else "FAIL"
+
 
 def run(cfg: RunConfig) -> dict:
-    """Execute the resolved task list and assemble the report."""
+    """Execute the resolved task list and assemble the report.
+
+    On the paper's worked case every task runs and then takes its paper
+    verdict; elsewhere the tasks that need the worked case's tables
+    report REPORT with a note instead of running.
+    """
     ctx = _Context(cfg)
+    canonical = cfg.is_canonical()
     tasks = {}
     any_fail = False
     for name in cfg.resolved_tasks():
         t0 = time.monotonic()
         try:
-            status, payload = _TASK_FNS[name](ctx)
+            if not canonical and name in paper.CANONICAL_ONLY:
+                status, payload = "REPORT", {"note": paper.CANONICAL_ONLY[name]}
+            else:
+                status, payload = _TASK_FNS[name](ctx)
+                if canonical and name in _PAPER_CHECKS:
+                    status = _judged(status, _PAPER_CHECKS[name](ctx, payload))
         except _DependencyFailed as exc:
             status = "SKIPPED"
             payload = {"failed_dependency": exc.builder}
@@ -743,22 +675,8 @@ def run(cfg: RunConfig) -> dict:
         "tasks": tasks,
         "overall": "FAIL" if any_fail else "PASS",
     }
-    if "darboux" in tasks and cfg.is_canonical():
-        report["notes"] = {
-            "zeta-display": {
-                "status": "REPORT",
-                "detail": "the two tabulated zeta closed forms reproduce the "
-                "extracted blocks with their even/odd labels interchanged; "
-                "zeta_match uses the corrected pairing, "
-                "zeta_printed_labels_match the printed one",
-            },
-            "darboux-product-display": {
-                "status": "REPORT",
-                "detail": "the tabulated product display matches "
-                "zeta_{2n+1} zeta_{2n} under the corrected labels; per-n "
-                "booleans are in the darboux task rows",
-            },
-        }
+    if canonical and "darboux" in tasks:
+        report["notes"] = copy.deepcopy(paper.NOTES)
     return report
 
 
@@ -810,17 +728,6 @@ def emit_tables(report: dict, out_dir: Path) -> list[Path]:
     return written
 
 
-_VERIFY_PAPER_CONFIG = {
-    "measure": {"type": "laguerre", "alpha": 0},
-    "c": "0",
-    "N": 1,
-    "M": [["0", "0"], ["0", "1"]],
-    "n_max": 12,
-    "tasks": ["all"],
-    "float_tolerance": "1e-10",
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="opfold",
@@ -848,7 +755,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
             cfg = RunConfig.from_dict(raw)
         else:
-            cfg = RunConfig.from_dict(_VERIFY_PAPER_CONFIG)
+            cfg = RunConfig.from_dict(paper.CONFIG)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,8 +32,6 @@ __all__ = [
     "BlockLU",
     "block_lu",
     "darboux_swap",
-    "reference_zeta",
-    "reference_sum_product",
     "w_interlace_check",
 ]
 
@@ -278,12 +276,6 @@ class BlockLU:
     block_size: int
     nblocks: int
 
-    def L_sub(self, n: int) -> Matrix:
-        return self.zetas.zeta(2 * n + 2)
-
-    def U_diag(self, n: int) -> Matrix:
-        return self.zetas.zeta(2 * n + 1)
-
 
 def _right_divide(c: Matrix, a: Matrix) -> Matrix:
     """Solve X a = c for X."""
@@ -339,72 +331,6 @@ def darboux_swap(lu: BlockLU) -> BlockTridiagonal:
     sub = tuple(z(2 * n + 1) @ z(2 * n) for n in range(1, m))
     sup = tuple(ident for _ in range(m - 1))
     return BlockTridiagonal(diag, sub, sup)
-
-
-def reference_zeta(n: int) -> tuple[Matrix, Matrix]:
-    """Tabulated closed forms for the zeta blocks, as labeled in the
-    reference tables.
-
-    Returns (zeta_even, zeta_odd), the forms filed under zeta_{2n} and
-    zeta_{2n-1}. Desk evaluation shows the two labels are interchanged
-    relative to the blocks LU extraction produces (the even-labeled form
-    reproduces zeta_{2n-1} and vice versa), so callers compare both
-    pairings and report which one holds.
-    """
-    F = Fraction
-    d1 = (4 * n**2 - 5 * n + 3) * (2 * n + 1)
-    d2 = 4 * n**2 - 5 * n + 3
-    even = Matrix(
-        [
-            [
-                F(-2 * (16 * n**2 - 12 * n - 9) * (2 * n - 1) ** 2 * (n - 1) * n, d1),
-                F(4 * (8 * n**3 - 12 * n**2 + 4 * n + 3) * n, d1),
-            ],
-            [
-                F(-2 * (16 * n**3 - 40 * n**2 + 28 * n - 3) * (2 * n + 1) * (2 * n - 1) ** 2 * n, d2),
-                F(2 * (16 * n**3 - 36 * n**2 + 29 * n - 6) * (2 * n + 1) * n, d2),
-            ],
-        ]
-    )
-    odd = Matrix(
-        [
-            [
-                F(-2 * (32 * n**4 + 8 * n**3 - 14 * n**2 + 7 * n + 3) * (2 * n - 1) * n, d1),
-                F(4 * (8 * n**3 - 2 * n + 3) * n, d1),
-            ],
-            [
-                F(-2 * (32 * n**4 + 16 * n**3 - 32 * n**2 + 14 * n + 9) * (2 * n + 1) * (2 * n - 1) * n, d2),
-                F(2 * (16 * n**3 + 4 * n**2 - 15 * n + 12) * (2 * n + 1) * n, d2),
-            ],
-        ]
-    )
-    return even, odd
-
-
-def reference_sum_product(n: int) -> tuple[Matrix, Matrix]:
-    """Tabulated closed forms for zeta_{2n+2}+zeta_{2n+1} and zeta_{2n+1}zeta_{2n}."""
-    F = Fraction
-    s = 4 * (n + 1)
-    sum_matrix = Matrix(
-        [
-            [F(-s * (4 * n + 3) * (2 * n + 1)), F(2 * s)],
-            [
-                F(-2 * s * (4 * n**2 + 8 * n + 5) * (2 * n + 3) * (2 * n + 1)),
-                F(s * (4 * n + 5) * (2 * n + 3)),
-            ],
-        ]
-    )
-    p = 4 * (n + 1) * n * (2 * n + 1)
-    product_matrix = Matrix(
-        [
-            [F(-p * (8 * n + 3) * (2 * n - 1)), F(4 * p)],
-            [
-                F(-4 * p * (2 * n + 3) * (2 * n + 1) ** 2 * (2 * n - 1)),
-                F(p * (8 * n + 5) * (2 * n + 3)),
-            ],
-        ]
-    )
-    return sum_matrix, product_matrix
 
 
 def w_interlace_check(P_mats, Q_mats, zetas: ZetaSequence, count: int) -> list[int]:

@@ -89,9 +89,6 @@ class Matrix:
     def row(self, i: int):
         return self.rows[i]
 
-    def col(self, j: int):
-        return tuple(r[j] for r in self.rows)
-
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "Matrix"):
         if not isinstance(other, Matrix):

@@ -5,9 +5,7 @@ folds of N+1 consecutive sequence members gives an (N+1)x(N+1) matrix
 polynomial in the variable y = x^{N+1}. All matrix inner products reduce
 to scalar form evaluations of the underlying polynomials, which keeps
 every identity in rational arithmetic. Orthonormal block data is exposed
-as squared rationals with signs; a single diagonal +-1 similarity, fixed
-from the first block, reconciles sign conventions with the reference
-tables.
+as squared rationals with signs.
 """
 from __future__ import annotations
 
@@ -42,10 +40,6 @@ __all__ = [
     "matrix_ttrr",
     "orthonormal_blocks",
     "leading_orthonormal_sq",
-    "reference_block_ttrr",
-    "reference_leading_sq",
-    "similarity_from_block",
-    "apply_similarity",
 ]
 
 
@@ -199,16 +193,11 @@ def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
 
 @dataclass(frozen=True)
 class BlockTTRRCoeffs:
-    """Three-term block recurrence data.
+    """Three-term block recurrence data: monic holds the block Jacobi
+    operator (diagonal D_n, subdiagonal C_n, identity superdiagonal)
+    extracted with zero residual."""
 
-    monic holds the block Jacobi operator (diagonal D_n, subdiagonal C_n,
-    identity superdiagonal) extracted with zero residual. A and B hold the
-    orthonormal blocks as SignedSquare matrices when scalar data allows.
-    """
-
-    monic: Optional[BlockTridiagonal]
-    A: tuple[Matrix, ...] = ()
-    B: tuple[Matrix, ...] = ()
+    monic: BlockTridiagonal
 
 
 def int_block(mat: Matrix, step: int = 1, offset: int = 0):
@@ -274,9 +263,7 @@ def recurrence_holds(cur, nxt, terms) -> bool:
     return True
 
 
-def matrix_ttrr(
-    R: MatrixPolySequence, rec: Optional[BandedRecurrence] = None
-) -> BlockTTRRCoeffs:
+def matrix_ttrr(R: MatrixPolySequence) -> BlockTTRRCoeffs:
     """Extract the block recurrence y P_n = P_{n+1} + D_n P_n + C_n P_{n-1}.
 
     Blocks multiply on the left. P_n is monic, so D_n and C_n are read
@@ -285,8 +272,6 @@ def matrix_ttrr(
     exact polynomial identity, checked over the integer coefficient rows
     of each block with one denominator per block (recurrence_holds);
     anything nonzero raises IdentityViolated. Needs at least two blocks.
-    When a scalar recurrence table is supplied the orthonormal blocks are
-    attached via orthonormal_blocks.
     """
     if not R.monic:
         raise IdentityViolated("block recurrence extraction expects monic blocks")
@@ -319,13 +304,9 @@ def matrix_ttrr(
         if not recurrence_holds(blocks[n], blocks[n + 1], terms):
             raise IdentityViolated(f"block recurrence residual nonzero at n={n}")
     ident = Matrix.identity(b)
-    block_j = BlockTridiagonal(
-        tuple(diag), tuple(sub), tuple(ident for _ in range(len(diag) - 1))
+    return BlockTTRRCoeffs(
+        BlockTridiagonal(tuple(diag), tuple(sub), tuple(ident for _ in range(len(diag) - 1)))
     )
-    if rec is None:
-        return BlockTTRRCoeffs(block_j)
-    A, B = orthonormal_blocks(rec, R.N)
-    return BlockTTRRCoeffs(block_j, A, B)
 
 
 def orthonormal_blocks(rec: BandedRecurrence, N: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
@@ -365,170 +346,4 @@ def leading_orthonormal_sq(scalars: MonicSequence, N: int, n: int) -> Matrix:
             scalars.poly(step * n + i).coeff(step * n + j),
             1 / scalars.norm_sq(step * n + i),
         ),
-    )
-
-
-def similarity_from_block(computed: Matrix, reference: Matrix) -> tuple[int, ...]:
-    """Diagonal +-1 similarity mapping computed signs onto reference signs.
-
-    Fixed from one block: the first diagonal entry is +1 and the rest are
-    propagated through the first row. Zero reference entries where the
-    computed entry is nonzero (or square mismatches) mean no similarity
-    exists and raise IdentityViolated.
-    """
-    size = computed.nrows
-    eps = [0] * size
-    eps[0] = 1
-    for j in range(1, size):
-        comp = computed[0, j]
-        ref = reference[0, j]
-        if comp.sq != ref.sq:
-            raise IdentityViolated(f"squared entry (0,{j}) differs; no sign similarity")
-        if comp.sign == 0 or ref.sign == 0:
-            raise IdentityViolated(f"entry (0,{j}) vanishes; similarity undetermined")
-        eps[j] = comp.sign * ref.sign
-    return tuple(eps)
-
-
-def apply_similarity(block: Matrix, eps: tuple[int, ...]) -> Matrix:
-    """Conjugate a SignedSquare matrix by diag(eps); squares are unchanged."""
-    return Matrix.from_fn(
-        block.nrows,
-        block.ncols,
-        lambda i, j: SignedSquare(block[i, j].sq, block[i, j].sign * eps[i] * eps[j]),
-    )
-
-
-def reference_block_ttrr(n: int) -> tuple[Matrix, Matrix]:
-    """Tabulated closed forms for the orthonormal blocks (A_n, B_n), N=1.
-
-    Entries carry the tabulated signs; comparisons go through the fixed
-    diagonal similarity of similarity_from_block.
-    """
-    F = Fraction
-    a00 = F(
-        4 * (8 * n**2 + 14 * n + 9) * (4 * n**2 - 5 * n + 3) * (2 * n + 1) ** 3 * (n + 2) * (n + 1),
-        (8 * n**2 - 2 * n + 3) * (4 * n**2 + 3 * n + 2) * (2 * n + 3),
-    )
-    p10 = (
-        256 * n**7
-        + 1408 * n**6
-        + 3088 * n**5
-        + 3640 * n**4
-        + 2692 * n**3
-        + 1414 * n**2
-        + 570 * n
-        + 135
-    )
-    a10 = F(
-        16 * p10**2 * (n + 1),
-        (8 * n**2 + 14 * n + 9)
-        * (8 * n**2 - 2 * n + 3)
-        * (4 * n**2 + 3 * n + 2) ** 2
-        * (2 * n + 3) ** 2
-        * (n + 2),
-    )
-    a11 = F(
-        4 * (8 * n**2 - 2 * n + 3) * (4 * n**2 + 11 * n + 9) * (2 * n + 5) * (2 * n + 3) * (n + 1) ** 3,
-        (8 * n**2 + 14 * n + 9) * (4 * n**2 + 3 * n + 2) * (n + 2),
-    )
-    A = Matrix(
-        [
-            [SignedSquare(a00, 1), SignedSquare(F(0), 0)],
-            [SignedSquare(a10, -1), SignedSquare(a11, 1)],
-        ]
-    )
-    b00 = F(
-        2
-        * (
-            768 * n**8
-            + 384 * n**7
-            - 368 * n**6
-            + 456 * n**5
-            + 328 * n**4
-            - 162 * n**3
-            + 37 * n**2
-            + 60 * n
-            + 9
-        ),
-        (8 * n**2 - 2 * n + 3) * (4 * n**2 - 5 * n + 3) * (2 * n + 1) * (n + 1),
-    )
-    p01 = (
-        128 * n**7
-        + 256 * n**6
-        + 104 * n**5
-        + 40 * n**4
-        + 86 * n**3
-        + 64 * n**2
-        + 42 * n
-        + 9
-    )
-    b01 = F(
-        16 * p01**2 * (2 * n + 1),
-        (8 * n**2 - 2 * n + 3) ** 2
-        * (4 * n**2 + 3 * n + 2)
-        * (4 * n**2 - 5 * n + 3)
-        * (2 * n + 3)
-        * (n + 1) ** 2,
-    )
-    b11 = F(
-        2
-        * (
-            768 * n**8
-            + 3456 * n**7
-            + 6352 * n**6
-            + 6744 * n**5
-            + 5128 * n**4
-            + 2898 * n**3
-            + 1099 * n**2
-            + 303 * n
-            + 63
-        ),
-        (8 * n**2 - 2 * n + 3) * (4 * n**2 + 3 * n + 2) * (2 * n + 3) * (n + 1),
-    )
-    B = Matrix(
-        [
-            [SignedSquare.of(b00, 1), SignedSquare(b01, -1)],
-            [SignedSquare(b01, -1), SignedSquare.of(b11, 1)],
-        ]
-    )
-    return A, B
-
-
-def reference_leading_sq(n: int) -> Matrix:
-    """Tabulated squared leading coefficient of the orthonormal block, N=1.
-
-    Valid for n >= 2 (factorials of 2n-3 and 2n-4 appear). The tabulated
-    sign pattern is [[+,0],[+,-]]; the positive-leading scalar convention
-    produces [[+,0],[-,+]], one fixed diagonal similarity apart.
-    """
-    if n < 2:
-        raise InsufficientSequence("closed form needs n >= 2")
-    F = Fraction
-    f3 = math.factorial(2 * n - 3)
-    f4 = math.factorial(2 * n - 4)
-    f0 = math.factorial(2 * n)
-    e00 = F(
-        (4 * n**2 - 5 * n + 3) * (2 * n + 1),
-        16 * (8 * n**2 - 2 * n + 3) * (2 * n - 1) ** 2 * (n + 1) * (n - 1) ** 2 * n**2 * f3**2,
-    )
-    e10 = F(
-        (8 * n**3 + 6 * n**2 - 5 * n + 3) ** 2 * (2 * n + 1) ** 2,
-        16
-        * (8 * n**2 - 2 * n + 3)
-        * (4 * n**2 + 3 * n + 2)
-        * (2 * n + 3)
-        * (2 * n - 1) ** 2
-        * (2 * n - 3) ** 2
-        * (n + 1)
-        * (n - 1) ** 2
-        * n**2
-        * f4**2,
-    )
-    e11 = F((8 * n**2 - 2 * n + 3) * (n + 1), (4 * n**2 + 3 * n + 2) * (2 * n + 3) * f0**2)
-    return Matrix(
-        [
-            [SignedSquare(e00, 1), SignedSquare(F(0), 0)],
-            [SignedSquare(e10, 1), SignedSquare(e11, -1)],
-        ]
     )

@@ -56,21 +56,6 @@ class MomentFunctional:
             raise InsufficientMoments(k, len(self.moments) - 1)
         return self.moments[k]
 
-    def hankel_positive_through(self, n: int) -> Optional[int]:
-        """First k <= n whose leading principal Hankel minor is not positive.
-
-        Returns None when all of them are positive (positive-definite
-        through degree n). The LDL^T pivots of the Hankel matrix are the
-        ratios of consecutive leading minors, so the first nonpositive
-        pivot marks the first nonpositive minor.
-        """
-        hankel = Matrix.from_fn(n + 1, n + 1, lambda i, j: self.moment(i + j))
-        try:
-            ldlt(hankel, pivots="positive")
-        except NotPositiveDefinite as exc:
-            return exc.degree
-        return None
-
 
 def laguerre_moments(alpha: int, count: int) -> MomentFunctional:
     """Moments of x^alpha e^{-x} on the half line: m_k = (k + alpha)!."""

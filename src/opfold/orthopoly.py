@@ -43,7 +43,6 @@ __all__ = [
     "jacobi_matrix",
     "BandedRecurrence",
     "banded_recurrence",
-    "reference_abc",
     "ConnectionMatrix",
     "connection_matrix",
 ]
@@ -159,24 +158,6 @@ class JacobiMatrix:
     @property
     def size(self) -> int:
         return len(self.b)
-
-    def monic_banded(self) -> BandedOperator:
-        n = self.size
-
-        def fn(i, j):
-            if j == i + 1:
-                return Fraction(1)
-            if j == i:
-                return self.b[i]
-            if j == i - 1:
-                return self.lam[i - 1]
-            return Fraction(0)
-
-        return BandedOperator.from_fn(n, 1, 1, fn)
-
-    def offdiag_sq(self, n: int) -> Fraction:
-        """Squared orthonormal offdiagonal entry: a_n^2 = lam_{n+1}."""
-        return self.lam[n]
 
 
 def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
@@ -297,34 +278,6 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
         if acc != shift * seq.poly(n):
             raise IdentityViolated(f"banded expansion failed at row {n}")
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
-
-
-def reference_abc(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed-form recurrence coefficients (a_n^2, b_n^2, c_n) for the
-    half-line weight e^{-x} with unit mass on f'(0)g'(0).
-
-    a_n and b_n are returned squared (their closed forms live under a
-    square root); c_n is rational outright.
-    """
-    a_sq = Fraction(
-        (2 * n**2 + 7 * n + 9) * (2 * n**2 - 5 * n + 6) * (n + 4) * (n + 2) * (n + 1) ** 3,
-        (2 * n**2 + 3 * n + 4) * (2 * n**2 - n + 3) * (n + 3),
-    )
-    b_sq = Fraction(
-        16
-        * (4 * n**7 + 16 * n**6 + 13 * n**5 + 10 * n**4 + 43 * n**3 + 64 * n**2 + 84 * n + 36) ** 2
-        * (n + 1),
-        (2 * n**2 + 3 * n + 4)
-        * (2 * n**2 - n + 3) ** 2
-        * (2 * n**2 - 5 * n + 6)
-        * (n + 3)
-        * (n + 2) ** 2,
-    )
-    c = Fraction(
-        2 * (12 * n**8 + 12 * n**7 - 23 * n**6 + 57 * n**5 + 82 * n**4 - 81 * n**3 + 37 * n**2 + 120 * n + 36),
-        (2 * n**2 - n + 3) * (2 * n**2 - 5 * n + 6) * (n + 2) * (n + 1),
-    )
-    return a_sq, b_sq, c
 
 
 @dataclass(frozen=True)

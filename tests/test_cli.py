@@ -15,8 +15,19 @@ from hypothesis import strategies as st
 import opfold as op
 import opfold.bispec
 import opfold.cli
-from opfold.cli import _VERIFY_PAPER_CONFIG as _BUILTIN_CONFIG
-from opfold.cli import ALPHA_LIMIT, N_MAX_LIMIT, SCALAR_COUNT_LIMIT, TASK_NAMES, RunConfig, main
+from opfold.cli import (
+    ALPHA_LIMIT,
+    N_LIMIT,
+    N_MAX_LIMIT,
+    SCALAR_COUNT_LIMIT,
+    TASK_NAMES,
+    RunConfig,
+    main,
+)
+from opfold.paper import CANONICAL_ONLY
+from opfold.paper import CONFIG as _BUILTIN_CONFIG
+
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "paper_report.json"
 
 
 def _write_config(path, **overrides):
@@ -94,6 +105,11 @@ def test_builtin_run_task_payloads(verify_paper):
     assert tasks["conjugation"]["worst_deviation_float"] < 1e-10
 
 
+def test_builtin_report_matches_the_benchmark_golden(verify_paper):
+    # the benchmark gates verify-paper on these bytes
+    assert (verify_paper["dir"] / "report.json").read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
 def test_builtin_run_is_deterministic(verify_paper, tmp_path):
     rc = main(["verify-paper", "--out", str(tmp_path)])
     assert rc == 0
@@ -168,6 +184,28 @@ def test_run_reports_are_byte_stable(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+_PAPER_ONLY_FIELDS = {
+    "reference_match",
+    "leading_display_match_excl_11",
+    "leading_display_note",
+    "zeta_match",
+    "zeta_printed_labels_match",
+    "sum_match",
+    "product_match",
+    "orthonormal_reference_match",
+    "similarity",
+    "expected",
+}
+
+
+def _keys(value) -> set:
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
 def test_noncanonical_run_reports_instead_of_failing(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -181,14 +219,33 @@ def test_noncanonical_run_reports_instead_of_failing(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["overall"] == "PASS"
     for name in ("bispec-verify", "bispec-discover", "conjugation"):
-        assert rep["tasks"][name]["status"] == "REPORT"
-        assert "note" in rep["tasks"][name]
+        assert rep["tasks"][name] == {"status": "REPORT", "note": CANONICAL_ONLY[name]}
+    assert set(rep["tasks"]) == set(TASK_NAMES)
+    assert not _keys(rep["tasks"]) & _PAPER_ONLY_FIELDS
+    # the same tasks on the worked case carry every one of those fields
+    canon = json.loads(GOLDEN_REPORT.read_text())
+    assert _keys(canon["tasks"]) >= _PAPER_ONLY_FIELDS and "notes" in canon
     mo = rep["tasks"]["min-order"]
     assert mo["status"] == "REPORT"
     # too few blocks to overdetermine the coefficient unknowns
     assert mo["rows"] < mo["unknowns"]
     assert rep["tasks"]["darboux"]["status"] == "PASS"
     assert "notes" not in rep
+
+
+def test_an_infeasible_min_order_off_the_worked_case_is_a_report(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "cfg.json", measure={"type": "laguerre", "alpha": 1}, n_max=12, tasks=["min-order"]
+    )
+    assert main(["run", "--config", cfg]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["overall"] == "PASS"
+    assert rep["tasks"]["min-order"] == {
+        "status": "REPORT",
+        "min_order": None,
+        "n_fit": 10,
+        "message": "no order up to 8 admits an n-dependent eigenvalue ladder",
+    }
 
 
 def test_shifted_point_inside_support_still_passes(tmp_path, capsys):
@@ -329,7 +386,7 @@ def test_from_dict_yields_a_valid_config_or_a_config_error(data):
     assert 2 <= cfg.n_max <= N_MAX_LIMIT
     assert cfg.scalar_count() <= SCALAR_COUNT_LIMIT
     assert 0 <= cfg.alpha <= ALPHA_LIMIT
-    assert isinstance(cfg.N, int) and cfg.N >= 0
+    assert isinstance(cfg.N, int) and 0 <= cfg.N <= N_LIMIT
     assert cfg.M.shape == (cfg.N + 1, cfg.N + 1)
     assert set(cfg.tasks) <= set(TASK_NAMES)
     assert 0 < cfg.float_tolerance < float("inf")
@@ -419,6 +476,8 @@ def test_float_cross_checks_hold_where_the_norms_overflow_a_float(tmp_path, caps
         {"N": 30, "M": [["0"] * 31] * 31, "n_max": 10, "tasks": ["all"]},
         {"float_tolerance": 10**400},
         {"output": ["out"]},
+        {"N": N_LIMIT + 1, "M": [["0"] * (N_LIMIT + 2)] * (N_LIMIT + 2), "tasks": ["moments"]},
+        {"N": 10**6},
     ],
 )
 def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
@@ -471,6 +530,18 @@ def test_config_resolves_task_dependencies():
         {"measure": {"type": "laguerre", "alpha": ALPHA_LIMIT}, "M": [["0", "0"], ["0", "1"]]}
     )
     assert hottest.alpha == ALPHA_LIMIT
+    # the largest N a folded task admits is accepted
+    widest_fold = RunConfig.from_dict(
+        {
+            "measure": {"type": "hermite"},
+            "N": N_LIMIT,
+            "M": [["0"] * (N_LIMIT + 1)] * (N_LIMIT + 1),
+            "n_max": 2,
+            "tasks": ["fold"],
+        }
+    )
+    assert widest_fold.N == N_LIMIT
+    assert widest_fold.scalar_count() <= SCALAR_COUNT_LIMIT
 
 
 def test_verify_paper_imports_no_numeric_stack(tmp_path):

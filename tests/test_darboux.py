@@ -61,8 +61,8 @@ def test_shift_power_identity_spot_values(canon):
     jac = op.jacobi_matrix(canon["shifted"])
     report = op.verify_ul_identity(jac, Fraction(0), 1, conn)
     assert report.exact_ok
-    square = jac.monic_banded().power(2)
-    assert square.entry(0, 0) == 12
+    square = oracles.shift_power(jac, 0, 2)
+    assert square[0][0] == 12
     assert jac.b[0] ** 2 + jac.lam[0] == 12
     assert sum(conn.orthonormal_sq(n, 0) for n in range(3)) == 2 + 4 + 6
 
@@ -78,15 +78,13 @@ def test_shift_power_identity_holds_for_plain_measure_route(canon):
 def test_block_lu_reassembles_the_block_jacobi(block_pipeline):
     lu = block_pipeline["lu"]
     blockJ = block_pipeline["blockJ"]
-    assert lu.zetas.zeta(0).is_zero
-    b, m = lu.block_size, lu.nblocks
-    eye = op.Matrix.identity(b)
-    for n in range(m):
-        want = blockJ.diag[n]
-        got = lu.U_diag(n) + (lu.L_sub(n - 1) if n > 0 else op.Matrix.zeros(b, b))
-        assert got == want
-    for n in range(m - 1):
-        assert lu.L_sub(n) @ lu.U_diag(n) == blockJ.sub[n]
+    z = lu.zetas.zeta
+    assert z(0).is_zero
+    # U has diagonal zeta_{2n+1}, L has subdiagonal zeta_{2n+2}
+    for n in range(lu.nblocks):
+        assert z(2 * n + 1) + z(2 * n) == blockJ.diag[n]
+    for n in range(lu.nblocks - 1):
+        assert z(2 * n + 2) @ z(2 * n + 1) == blockJ.sub[n]
 
 
 def test_darboux_swap_is_the_shifted_fold_recurrence(block_pipeline):

@@ -101,7 +101,7 @@ def test_constructors_and_shape():
     built = Matrix.from_fn(2, 2, lambda i, j: Fraction(i + 2 * j))
     assert built.rows == ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(3)))
     assert built.row(1) == (Fraction(1), Fraction(3))
-    assert built.col(1) == (Fraction(2), Fraction(3))
+    assert built.transpose().row(1) == (Fraction(2), Fraction(3))
     mapped = built.map(lambda v: 2 * v)
     assert mapped.rows[1][1] == 6
 

@@ -63,7 +63,7 @@ def test_shifted_three_term_spots(canon):
     jac = op.jacobi_matrix(canon["shifted"])
     assert jac.b[0] == 3
     assert jac.lam[0] == 3
-    assert jac.offdiag_sq(0) == 3
+    assert jac.lam[0] == canon["shifted"].norm_sq(1) / canon["shifted"].norm_sq(0)
 
 
 def test_three_term_needs_two_polynomials():
