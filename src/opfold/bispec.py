@@ -30,9 +30,9 @@ from .errors import (
     NumericalInstability,
     Underdetermined,
 )
-from .linalg import Matrix, _int_rows, exact_nullspace, nullspace
-from .matfold import MatrixPolySequence, fold_decompose, int_block
-from .orthopoly import MonicSequence
+from .linalg import Matrix, exact_nullspace, nullspace
+from .matfold import MatrixPolySequence, fold_decompose
+from .orthopoly import MonicSequence, int_block
 from .poly import Poly
 from .rationals import rat_str, as_fraction
 
@@ -45,6 +45,7 @@ __all__ = [
     "DiscoveryResult",
     "discover_operator",
     "MinOrderResult",
+    "min_order_size",
     "min_order_check",
     "ScalarOperator",
     "apply_scalar",
@@ -170,15 +171,11 @@ def verify_eigen(
 # -- discovery -----------------------------------------------------------
 
 
-def _entry_coeff(p: Poly, k: int) -> Fraction:
-    return p.coeff(k) if k >= 0 else Fraction(0)
-
-
-def _int_deriv_table(R: MatrixPolySequence, n: int, order: int):
+def _int_deriv_table(mat: Matrix, order: int):
     """(table, den): table[k][i][l] lists the coefficients of the k-th
-    y-derivative of entry (i, l) of block n, as integers over den, the
-    common denominator of the block. No list has trailing zeros."""
-    base, den = int_block(R.mat(n))
+    derivative of entry (i, l) of the Poly matrix mat, as integers over
+    den, the common denominator of the block. No list has trailing zeros."""
+    base, den = int_block(mat)
     table = [base]
     for k in range(1, order + 1):
         table.append(
@@ -243,7 +240,7 @@ def discover_operator(
     for j in range(size):
         rows = []
         for n in range(n_fit + 1):
-            derivs, _ = _int_deriv_table(R, n, order)
+            derivs, _ = _int_deriv_table(R.mat(n), order)
             lam = ladder(n)
             for i in range(size):
                 # the row times den * (denominator of lambda_{n,i}), in integers
@@ -284,6 +281,16 @@ def discover_operator(
 # -- minimal order -------------------------------------------------------
 
 
+def min_order_size(R: MatrixPolySequence, max_order: int, degree_bound: int, n_fit: int):
+    """(rows, unknowns) of min_order_check's system over blocks 0..n_fit,
+    zero rows included: row i of block n has degree n, so it gives
+    size * (n + degree_bound + 1) equations, one of which eliminates
+    lambda_{n,i}."""
+    size = R.block_size
+    rows = sum(size * (size * (n + degree_bound + 1) - 1) for n in range(n_fit + 1))
+    return rows, (max_order + 1) * size * size * (degree_bound + 1)
+
+
 @dataclass(frozen=True)
 class MinOrderResult:
     min_order: int
@@ -317,7 +324,7 @@ def min_order_check(
     feasible and the reconstruction of an enormous nullspace may fail.
     """
     size = R.block_size
-    nuk = (max_order + 1) * size * size * (degree_bound + 1)
+    _, nuk = min_order_size(R, max_order, degree_bound, n_fit)
 
     def uidx(k: int, l: int, j: int, d: int) -> int:
         return ((k * size + l) * size + j) * (degree_bound + 1) + d
@@ -329,7 +336,7 @@ def min_order_check(
     pivots: dict[tuple[int, int], list[tuple[int, int]]] = {}
     dens = []
     for n in range(n_fit + 1):
-        derivs, den = _int_deriv_table(R, n, max_order)
+        derivs, den = _int_deriv_table(R.mat(n), max_order)
         dens.append(den)
         for i in range(size):
             if _at(derivs[0][i][i], n) != den:
@@ -481,21 +488,21 @@ def discover_scalar(
     offsets = [k * (k + 1) // 2 for k in range(order + 1)]
     rows = []
     for m in range(n_fit + 1):
-        s = seq.poly(m)
+        derivs, _ = _int_deriv_table(Matrix([[seq.poly(m)]]), order)
         lam = as_fraction(ladder(m))
         for t in range(m + 1):
-            row = [Fraction(0)] * (nuk + 1)
+            # the row times den * (denominator of lambda_m), in integers
+            row = [0] * (nuk + 1)
             for k in range(order + 1):
-                dk = s.derivative(k)
                 for d in range(k + 1):
-                    c = _entry_coeff(dk, t - d)
+                    c = _at(derivs[k][0][0], t - d)
                     if c:
-                        row[offsets[k] + d] = c
-            row[nuk] = -lam * s.coeff(t)
+                        row[offsets[k] + d] = c * lam.denominator
+            row[nuk] = -lam.numerator * _at(derivs[0][0][0], t)
             if any(row):
                 rows.append(row)
     sol = _solution(
-        exact_nullspace(_int_rows(rows), nuk + 1), nuk, f"no scalar operator of order {order} fits"
+        exact_nullspace(rows, nuk + 1), nuk, f"no scalar operator of order {order} fits"
     )
     coeffs = tuple(
         Poly(sol[offsets[k] : offsets[k] + k + 1]) for k in range(order + 1)

@@ -26,6 +26,7 @@ from .bispec import (
     discover_operator,
     discover_scalar,
     min_order_check,
+    min_order_size,
     operator_to_json,
     verify_eigen,
 )
@@ -374,7 +375,7 @@ class _Context:
 
     def fold(self):
         cfg = self.cfg
-        return self.get("fold", lambda: build_matrix_sequence(self.seq(), cfg.N))
+        return self.get("fold", lambda: build_matrix_sequence(self.seq(), cfg.N, cfg.c))
 
     def monic_fold(self):
         """The monic fold of the sequence."""
@@ -389,7 +390,9 @@ class _Context:
         cfg = self.cfg
         return self.get(
             "Q",
-            lambda: monic_normalize(build_matrix_sequence(self.shifted_seq(), cfg.N)).sequence,
+            lambda: monic_normalize(
+                build_matrix_sequence(self.shifted_seq(), cfg.N, cfg.c)
+            ).sequence,
         )
 
     def shifted_block_jacobi(self):
@@ -561,12 +564,9 @@ def _task_bispec_discover(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_min_order(ctx: _Context) -> tuple[str, dict]:
-    cfg = ctx.cfg
     n_fit = min(len(ctx.fold()) - 1, 10)
     max_order, deg = 8, 6
-    step = cfg.N + 1
-    rows = sum(step * (step * (n + deg + 1) - 1) for n in range(n_fit + 1))
-    unknowns = (max_order + 1) * step * step * (deg + 1)
+    rows, unknowns = min_order_size(ctx.fold(), max_order, deg, n_fit)
     if rows < unknowns:
         return "REPORT", {
             "note": "fitted window is underdetermined at this n_max; a "

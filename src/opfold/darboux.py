@@ -19,8 +19,7 @@ from typing import Optional
 from .banded import BandedOperator, BlockTridiagonal
 from .errors import DimensionMismatch, IdentityViolated, SingularMatrix, SingularPivotBlock
 from .linalg import Matrix, ldlt, solve_linear
-from .matfold import int_block, recurrence_holds
-from .orthopoly import BandedRecurrence, ConnectionMatrix, JacobiMatrix
+from .orthopoly import BandedRecurrence, ConnectionMatrix, JacobiMatrix, int_block, recurrence_holds
 from .rationals import as_fraction, ldexp2, split_csqrt, split_float
 
 __all__ = [
@@ -80,6 +79,9 @@ class FactorizationReport:
     worst_entry: Optional[tuple[int, int]] = None
 
 
+FLOAT_TOL = 1e-12  # relative, on orthonormal entries near 1
+
+
 def _band(size: int, width: int, i: int) -> range:
     return range(max(0, i - width), min(size, i + width + 1))
 
@@ -92,9 +94,7 @@ def _orthonormal(value, left, right):
     return ldexp2(complex(f) * left[0] / right[0], e + left[1] - right[1])
 
 
-def verify_h_factorization(
-    rec: BandedRecurrence, fact: BandFactorization, float_tol: float = 1e-12
-) -> FactorizationReport:
+def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> FactorizationReport:
     """Check H = T T^* both ways, inside the band.
 
     Exact route: raw table equals T diag(pivots) T^t entrywise. Float
@@ -142,7 +142,7 @@ def verify_h_factorization(
             if d > err:
                 err, worst = d, (i, j)
     rel = err / scale
-    if rel > float_tol:
+    if rel > FLOAT_TOL:
         raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
     return FactorizationReport(True, n, rel, worst)
 
@@ -170,19 +170,13 @@ def _band_power(diag: list, upper: list, lower: list, k: int, one) -> list[dict]
     return rows
 
 
-def verify_ul_identity(
-    jac: JacobiMatrix,
-    c,
-    N: int,
-    conn: ConnectionMatrix,
-    float_tol: float = 1e-12,
-) -> FactorizationReport:
+def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> FactorizationReport:
     """Check (J - c)^{N+1} = T^* T on rows unaffected by truncation.
 
     Monic-conjugated exact form: (J_monic - c)^{N+1} = diag(d) K with
     K_{jk} = sum_n T_monic[n][j] T_monic[n][k] / nu_n. Orthonormal float
     form: the same identity with materialized square roots, transpose as
-    adjoint, checked to float_tol relative. Both sides vanish for
+    adjoint, checked to FLOAT_TOL relative. Both sides vanish for
     |j-k| > N+1, so both routes visit only the band, row by row; the float
     power is a banded product, and the roots are held as a float and a
     power of two as in verify_h_factorization, so the report is that of
@@ -239,7 +233,7 @@ def verify_ul_identity(
             if dd > err:
                 err, worst = dd, (j, k)
     rel = err / scale
-    if rel > float_tol:
+    if rel > FLOAT_TOL:
         raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
     return FactorizationReport(True, trusted, rel, worst)
 
@@ -340,7 +334,7 @@ def w_interlace_check(P_mats, Q_mats, zetas: ZetaSequence, count: int) -> list[i
     matrix polynomials in the folded variable. Each W_k is held as the
     stretched integer coefficient rows of its entries over one
     denominator, and the identity is checked as an exact polynomial
-    identity over integer rows (matfold.recurrence_holds). Returns the
+    identity over integer rows (orthopoly.recurrence_holds). Returns the
     list of checked indices; raises IdentityViolated(n) on the first
     nonzero residual.
     """
@@ -359,7 +353,7 @@ def w_interlace_check(P_mats, Q_mats, zetas: ZetaSequence, count: int) -> list[i
     checked = []
     for n in range(count):
         cur, nxt = w(n), w(n + 1)
-        if not recurrence_holds(cur, nxt, [(zetas.zeta(n), w(n - 1))]):
+        if not recurrence_holds(cur, nxt, [(zetas.zeta(n).rows, w(n - 1))]):
             raise IdentityViolated(f"interlaced recurrence failed at n={n}")
         checked.append(n)
     return checked

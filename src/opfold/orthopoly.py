@@ -9,11 +9,14 @@ checked in integers for all i < j. The recurrence and connection tables
 are integer matrix products: with S the denominator-cleared coefficient
 rows of a monic sequence and K the multiplication by (x-c)^{N+1}, the
 recurrence table is S (K G) S^T and the connection table is
-S_from G_to S_to^T diag(1/d). Each table is then checked a second way,
-polynomially, on the rows the truncation determines. Square roots never
-appear: orthonormal data is exposed as squared rationals plus signs, and
-every operator identity has a monic-conjugated form that stays in
-Fraction arithmetic.
+S_from G_to S_to^T diag(1/d). Each table is then checked a second way, as
+the polynomial expansion it claims, on the rows the truncation determines.
+Every polynomial identity is checked over integer coefficient rows
+(recurrence_holds); three_term_steps extracts monic three-term
+recurrences, scalar (jacobi_matrix) and block (matfold.matrix_ttrr).
+Square roots never appear: orthonormal data is exposed as squared
+rationals plus signs, and every operator identity has a monic-conjugated
+form that stays in Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .banded import BandedOperator
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     SingularMatrix,
     SymmetryViolated,
 )
-from .linalg import clear_denominators
+from .linalg import Matrix, clear_denominators
 from .measures import BilinearForm
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
@@ -148,6 +152,105 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     return MonicSequence(tuple(polys), tuple(norms), form)
 
 
+def int_block(mat: Matrix, step: int = 1, offset: int = 0):
+    """(rows, den): entry (i, j) of a Poly matrix as a list of integers over
+    one denominator den for the whole block, with the coefficient of z^t
+    placed at power step*t + offset (step 2 and offset 0 or 1 give the
+    rows of P(x^2) and x P(x^2)). A zero entry is the empty list."""
+    den = lcm(*(c.denominator for row in mat.rows for p in row for c in p.coeffs))
+    rows = []
+    for row in mat.rows:
+        out = []
+        for p in row:
+            cs = [0] * (step * len(p.coeffs) + offset - step + 1) if p.coeffs else []
+            for t, c in enumerate(p.coeffs):
+                cs[step * t + offset] = c.numerator * (den // c.denominator)
+            out.append(cs)
+        rows.append(out)
+    return rows, den
+
+
+def recurrence_holds(cur, nxt, terms, mult=(0, 1)) -> bool:
+    """Whether q cur = nxt + sum(coef @ blk for coef, blk in terms) holds
+    exactly, q the polynomial with integer coefficients mult (by default
+    the variable z).
+
+    cur, nxt and every blk are (rows, den) from int_block; every coef is a
+    square matrix of rationals, given by its rows, acting on the left. The
+    identity is multiplied through by one common denominator, so each side
+    is an integer combination of integer coefficient rows, and every
+    coefficient of the residual must vanish.
+    """
+    (cr, cden), (nr, nden) = cur, nxt
+    dens = [cden, nden]
+    for coef, (_, den) in terms:
+        dens.append(den * lcm(*(v.denominator for row in coef for v in row)))
+    K = lcm(*dens)
+    mults = [
+        ([[v.numerator * (K // (v.denominator * den)) for v in row] for row in coef], rows)
+        for coef, (rows, den) in terms
+    ]
+    ups = [(s, K // cden * q) for s, q in enumerate(mult) if q]
+    down = K // nden
+    size = len(cr)
+    for i in range(size):
+        for j in range(size):
+            res = [0] * max(
+                len(cr[i][j]) + len(mult) - 1,
+                len(nr[i][j]),
+                *(len(rows[l][j]) for _, rows in mults for l in range(size)),
+            )
+            for s, u in ups:
+                for t, a in enumerate(cr[i][j]):
+                    res[t + s] += u * a
+            for t, a in enumerate(nr[i][j]):
+                res[t] -= down * a
+            for coef, rows in mults:
+                for l, u in enumerate(coef[i]):
+                    if u:
+                        for t, a in enumerate(rows[l][j]):
+                            res[t] -= u * a
+            if any(res):
+                return False
+    return True
+
+
+def three_term_steps(mats: Sequence[Matrix], label: str):
+    """Yield (n, D_n, C_n) of z P_n = P_{n+1} + D_n P_n + C_n P_{n-1} for
+    n = 0 .. len(mats) - 2, with C_0 None.
+
+    mats are the square matrix polynomials P_n in z, monic of degree n; a
+    scalar sequence is the 1x1 case. Blocks multiply on the left. D_n and
+    C_n are read from the coefficients of z P_n - P_{n+1} at z^n and
+    z^{n-1} (the latter after removing D_n P_n). The residual must then
+    vanish as an exact polynomial identity over the integer coefficient
+    rows of each block, one denominator per block (recurrence_holds),
+    before step n is yielded; otherwise IdentityViolated names the label
+    and n.
+    """
+    blocks = [int_block(m) for m in mats]
+
+    def coeff(n: int, t: int) -> Matrix:
+        """The coefficient of z^t in P_n."""
+        rows, den = blocks[n]
+        return Matrix([[Fraction(e[t] if 0 <= t < len(e) else 0, den) for e in row] for row in rows])
+
+    for n in range(len(mats) - 1):
+        top = coeff(n, n - 1)
+        D = top - coeff(n + 1, n)
+        terms = [(D.rows, blocks[n])]
+        C = None
+        if n > 0:
+            C = coeff(n, n - 2) - coeff(n + 1, n - 1) - D @ top
+            terms.append((C.rows, blocks[n - 1]))
+        if not recurrence_holds(blocks[n], blocks[n + 1], terms):
+            raise IdentityViolated(f"{label} residual nonzero at n={n}")
+        yield n, D, C
+
+
+_ZERO_BLOCK = ([[[]]], 1)  # the 1x1 zero polynomial
+
+
 @dataclass(frozen=True)
 class JacobiMatrix:
     """Monic three-term recurrence data: x s_n = s_{n+1} + b_n s_n + lam_n s_{n-1}."""
@@ -163,31 +266,21 @@ class JacobiMatrix:
 def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
     """Extract the monic TTRR exactly, with two independent consistency checks.
 
-    The residual after matching coefficients must be the zero polynomial,
+    The sequence is its own 1x1 fold, so the extraction is three_term_steps
+    on 1x1 blocks: the residual must vanish over integer coefficient rows,
     and the product coefficient must equal the norm ratio
     lam_n = ||s_n||^2 / ||s_{n-1}||^2.
     """
-    m = len(seq) - 1
-    if m < 1:
+    if len(seq) < 2:
         raise ValueError("need at least two polynomials")
-    x = Poly.x()
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    for n in range(m):
-        t = x * seq.poly(n) - seq.poly(n + 1)
-        bn = t.coeff(n)
-        r = t - bn * seq.poly(n)
-        b.append(bn)
-        if n == 0:
-            if not r.is_zero:
-                raise IdentityViolated(f"three-term residual nonzero at n=0: {r!r}")
-            continue
-        ln = r.coeff(n - 1)
-        if not (r - ln * seq.poly(n - 1)).is_zero:
-            raise IdentityViolated(f"three-term residual nonzero at n={n}")
-        if ln != seq.norm_sq(n) / seq.norm_sq(n - 1):
-            raise IdentityViolated(f"product coefficient disagrees with norm ratio at n={n}")
-        lam.append(ln)
+    for n, D, C in three_term_steps([Matrix([[p]]) for p in seq.polys], "three-term"):
+        b.append(D[0, 0])
+        if C is not None:
+            if C[0, 0] != seq.norm_sq(n) / seq.norm_sq(n - 1):
+                raise IdentityViolated(f"product coefficient disagrees with norm ratio at n={n}")
+            lam.append(C[0, 0])
     return JacobiMatrix(tuple(b), tuple(lam))
 
 
@@ -227,15 +320,16 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     raw = S (K G) S^T over denominator-cleared integer rows, scanned row
     by row. Entries with |n-k| > N+1 are asserted to vanish (this is
     exactly the symmetry of the multiplication operator for the
-    generating form); the monic expansion is re-verified polynomially on
-    rows unaffected by truncation.
+    generating form); the monic expansion
+    (x-c)^{N+1} s_n = sum_k monic[n][k] s_k is re-verified over integer
+    coefficient rows (recurrence_holds) on rows unaffected by truncation.
     """
     c = as_fraction(c)
     size = len(seq)
     top = seq.form.max_degree
     shift = Poly((-c, Fraction(1))) ** (N + 1)
     kc, kden = clear_denominators(shift.coeffs)
-    S = [clear_denominators(p.coeffs) for p in seq.polys]
+    S = [int_block(Matrix([[p]])) for p in seq.polys]
     G, gden = seq.form.gram(min(size + N, top))
     cols = range(min(size, top + 1))
     # (K G)[i][j] = kden gden B((x-c)^{N+1} x^i, x^j), for rows whose
@@ -248,12 +342,12 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     for n in range(size):
         if n + N + 1 > top:
             raise InsufficientMoments(2 * (n + N + 1), 2 * top)
-        sn, dn = S[n]
+        [[sn]], dn = S[n]
         w = [sum(a * KG[i][j] for i, a in enumerate(sn) if a) for j in cols]
         for k in range(size):
             if k > top:
                 raise InsufficientMoments(2 * k, 2 * top)
-            sk, dk = S[k]
+            [[sk]], dk = S[k]
             h = sum(a * b for a, b in zip(w, sk))
             if abs(n - k) <= N + 1:
                 rows[n][k] = Fraction(h, dn * dk * kden * gden)
@@ -270,12 +364,11 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     monic = BandedOperator.from_fn(
         size, N + 1, N + 1, lambda n, k: raw.entry(n, k) / seq.norm_sq(k)
     )
-    # polynomial re-verification of the expansion on trusted rows
+    # the expansion (x-c)^{N+1} s_n = sum_k monic[n][k] s_k on trusted rows
     for n in range(size - (N + 1)):
-        acc = Poly()
-        for k in range(max(0, n - N - 1), min(size, n + N + 2)):
-            acc = acc + monic.entry(n, k) * seq.poly(k)
-        if acc != shift * seq.poly(n):
+        band = range(max(0, n - N - 1), min(size, n + N + 2))
+        terms = [([[monic.entry(n, k)]], S[k]) for k in band]
+        if not recurrence_holds((S[n][0], S[n][1] * kden), _ZERO_BLOCK, terms, kc):
             raise IdentityViolated(f"banded expansion failed at row {n}")
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
@@ -313,33 +406,33 @@ def connection_matrix(
     Entries are inner products under seq_to's own form (the one that
     makes it orthogonal), S_from G_to S_to^T diag(1/d) over
     denominator-cleared integer rows, and are then cross-validated by
-    reconstructing seq_from polynomially - two genuinely different routes
-    to the same numbers. Entries below the (N+1)-th subdiagonal must
+    checking s_n = sum_j T[n][j] p_j over integer coefficient rows
+    (recurrence_holds) - two genuinely different routes to the same
+    numbers. Entries below the (N+1)-th subdiagonal must
     vanish.
     """
     form_to = seq_to.form
     top = form_to.max_degree
     size = min(len(seq_from), len(seq_to))
     G, gden = form_to.gram(min(size - 1, top))
-    S_to = [clear_denominators(p.coeffs) for p in seq_to.polys[:size]]
+    S_to = [int_block(Matrix([[p]])) for p in seq_to.polys[:size]]
     rows = [[Fraction(0)] * size for _ in range(size)]
     for n in range(size):
         if n > top:
             raise InsufficientMoments(2 * n, 2 * top)
-        sn, dn = clear_denominators(seq_from.poly(n).coeffs)
+        s_n = int_block(Matrix([[seq_from.poly(n)]]))
+        [[sn]], dn = s_n
         w = [sum(a * G[i][j] for i, a in enumerate(sn) if a) for j in range(n + 1)]
         for j in range(n + 1):
-            sj, dj = S_to[j]
+            [[sj]], dj = S_to[j]
             h = sum(a * b for a, b in zip(w, sj))
             if j >= n - (N + 1):
                 rows[n][j] = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
             elif h:
                 v = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
                 raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
-        recon = Poly()
-        for j in range(max(0, n - N - 1), n + 1):
-            recon = recon + rows[n][j] * seq_to.poly(j)
-        if recon != seq_from.poly(n):
+        terms = [([[rows[n][j]]], S_to[j]) for j in range(max(0, n - N - 1), n + 1)]
+        if not recurrence_holds(s_n, _ZERO_BLOCK, terms, (1,)):
             raise IdentityViolated(f"basis expansion disagrees with inner products at row {n}")
     T = BandedOperator(size, N + 1, 0, rows)
     return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)

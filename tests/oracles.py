@@ -16,8 +16,9 @@ the Gram plus the inverse of its unit lower factor, which generated the
 monic sequence before the form's own banded recurrence did; and the
 dense_verify_* and poly_* routes of the Darboux and fold identities:
 H = T T* and (J-c)^(N+1) = T* T checked over every entry pair with
-dense float products, and the block recurrence and interlaced
-recurrence peeled and compared as Poly matrices, as the library did
+dense float products, and the three-term, block and interlaced
+recurrences, the banded expansion and the connection reconstruction
+peeled and compared as Poly sums and Poly matrices, as the library did
 before it checked them inside the band and over integer rows.
 """
 
@@ -30,7 +31,7 @@ from math import gcd
 
 import sympy as sp
 
-from opfold.banded import BlockTridiagonal
+from opfold.banded import BandedOperator, BlockTridiagonal
 from opfold.darboux import FactorizationReport
 from opfold.errors import (
     BandViolation,
@@ -42,7 +43,12 @@ from opfold.errors import (
 )
 from opfold.linalg import Matrix, _int_rows, ldlt
 from opfold.measures import gram_matrix
-from opfold.orthopoly import MonicSequence
+from opfold.orthopoly import (
+    BandedRecurrence,
+    ConnectionMatrix,
+    JacobiMatrix,
+    MonicSequence,
+)
 from opfold.poly import Poly
 from opfold.rationals import _csqrt, as_fraction
 
@@ -423,21 +429,74 @@ def pairwise_recurrence_raw(seq, c, N: int) -> list[list[Fraction]]:
     return rows
 
 
-def pairwise_connection(seq_from, seq_to, N: int) -> list[list[Fraction]]:
-    """T[n][j] = B_to(s_n, p_j) / B_to(p_j, p_j) for j <= n, one pairing per
-    entry; a nonzero entry below the band raises BandViolation."""
+def poly_banded_recurrence(seq, c, N: int):
+    """banded_recurrence from the pairwise table, with the expansion
+    (x-c)^{N+1} s_n = sum_k monic[n][k] s_k re-checked as a Poly sum on
+    the trusted rows."""
+    c = as_fraction(c)
+    size = len(seq)
+    raw = BandedOperator(size, N + 1, N + 1, pairwise_recurrence_raw(seq, c, N))
+    monic = BandedOperator.from_fn(
+        size, N + 1, N + 1, lambda n, k: raw.entry(n, k) / seq.norm_sq(k)
+    )
+    shift = Poly((-c, Fraction(1))) ** (N + 1)
+    for n in range(size - (N + 1)):
+        acc = Poly()
+        for k in range(max(0, n - N - 1), min(size, n + N + 2)):
+            acc = acc + monic.entry(n, k) * seq.poly(k)
+        if acc != shift * seq.poly(n):
+            raise IdentityViolated(f"banded expansion failed at row {n}")
+    return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
+
+
+def poly_connection_matrix(seq_from, seq_to, N: int):
+    """connection_matrix with one pairing per entry and each row rebuilt
+    as a Poly sum of the seq_to basis, row by row."""
     pair = pairwise_form(seq_to.form)
     size = min(len(seq_from), len(seq_to))
     rows = [[Fraction(0)] * size for _ in range(size)]
     for n in range(size):
         for j in range(n + 1):
             v = pair(seq_from.poly(n), seq_to.poly(j)) / seq_to.norm_sq(j)
-            if j < n - (N + 1):
-                if v != 0:
-                    raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
-                continue
-            rows[n][j] = v
-    return rows
+            if j >= n - (N + 1):
+                rows[n][j] = v
+            elif v:
+                raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
+        recon = Poly()
+        for j in range(max(0, n - N - 1), n + 1):
+            recon = recon + rows[n][j] * seq_to.poly(j)
+        if recon != seq_from.poly(n):
+            raise IdentityViolated(f"basis expansion disagrees with inner products at row {n}")
+    T = BandedOperator(size, N + 1, 0, rows)
+    return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)
+
+
+def poly_jacobi_matrix(seq):
+    """jacobi_matrix peeled in Poly arithmetic: b_n and lam_n are read off
+    x s_n - s_{n+1} and multiplied back, the remainder must be the zero
+    polynomial and lam_n the norm ratio."""
+    m = len(seq) - 1
+    if m < 1:
+        raise ValueError("need at least two polynomials")
+    x = Poly.x()
+    b = []
+    lam = []
+    for n in range(m):
+        t = x * seq.poly(n) - seq.poly(n + 1)
+        bn = t.coeff(n)
+        r = t - bn * seq.poly(n)
+        b.append(bn)
+        if n == 0:
+            if not r.is_zero:
+                raise IdentityViolated("three-term residual nonzero at n=0")
+            continue
+        ln = r.coeff(n - 1)
+        if not (r - ln * seq.poly(n - 1)).is_zero:
+            raise IdentityViolated(f"three-term residual nonzero at n={n}")
+        if ln != seq.norm_sq(n) / seq.norm_sq(n - 1):
+            raise IdentityViolated(f"product coefficient disagrees with norm ratio at n={n}")
+        lam.append(ln)
+    return JacobiMatrix(tuple(b), tuple(lam))
 
 
 def unit_lower_inverse(L) -> list[list[Fraction]]:
@@ -477,6 +536,29 @@ def _deriv_table(R, n: int, order: int):
 
 def _coeff(p, k: int) -> Fraction:
     return p.coeff(k) if k >= 0 else Fraction(0)
+
+
+def fraction_scalar_rows(seq, ladder, order: int, n_fit: int):
+    """The augmented system [A | -b] of discover_scalar, as dense Fraction
+    rows built from Poly derivatives."""
+    nuk = (order + 1) * (order + 2) // 2
+    offsets = [k * (k + 1) // 2 for k in range(order + 1)]
+    rows = []
+    for m in range(n_fit + 1):
+        s = seq.poly(m)
+        lam = as_fraction(ladder(m))
+        derivs = [s.derivative(k) for k in range(order + 1)]
+        for t in range(m + 1):
+            row = [Fraction(0)] * (nuk + 1)
+            for k in range(order + 1):
+                for d in range(k + 1):
+                    c = _coeff(derivs[k], t - d)
+                    if c:
+                        row[offsets[k] + d] = c
+            row[nuk] = -lam * s.coeff(t)
+            if any(row):
+                rows.append(row)
+    return rows
 
 
 def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int, j: int):

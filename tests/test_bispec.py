@@ -252,8 +252,9 @@ def _proportional(int_row, frac_row) -> bool:
 
 
 def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, monkeypatch):
-    # discovery (one system per column) and the min-order system of the
-    # verify-paper window, captured where they reach the nullspace kernel
+    # discovery (one system per column), the min-order system and the
+    # scalar discovery system of the verify-paper window, captured where
+    # they reach the nullspace kernel
     captured = []
 
     def capture(rows, ncols):
@@ -266,15 +267,31 @@ def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, mo
     _, ladder = op.reference_operator()
     op.discover_operator(fold, ladder, 8, 6, 12)
     op.min_order_check(fold, 8, 6, 10)
+    op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     monkeypatch.undo()
     expected = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j) for j in range(2)]
     expected.append(oracles.fraction_min_order_rows(fold, 8, 6, 10))
-    assert len(captured) == 3
+    expected.append(oracles.fraction_scalar_rows(canon["seq"], op.reference_scalar_ladder, 8, 16))
+    assert len(captured) == 4
     for (rows, ncols, basis), frac_rows in zip(captured, expected):
         assert all(type(v) is int for r in rows for v in r)
         assert len(rows) == len(frac_rows)
         assert all(_proportional(a, b) for a, b in zip(rows, frac_rows))
         assert basis == exact_nullspace(_int_rows(frac_rows), ncols)
+
+
+def test_min_order_size_counts_the_system_min_order_check_builds(canon, monkeypatch):
+    captured = []
+    monkeypatch.setattr(op.bispec, "exact_nullspace", lambda rows, ncols: captured.append((rows, ncols)) or [])
+    with pytest.raises(op.Infeasible):
+        op.min_order_check(canon["fold"], 8, 6, 10)
+    monkeypatch.undo()
+    rows, unknowns = op.bispec.min_order_size(canon["fold"], 8, 6, 10)
+    # every row of block n, row i, runs over 2 columns and n + 7 powers,
+    # less the one that eliminates lambda_{n,i}
+    assert (rows, unknowns) == (sum(2 * (2 * (n + 7) - 1) for n in range(11)), 9 * 2 * 2 * 7)
+    ((built, ncols),) = captured
+    assert ncols == unknowns and len(built) <= rows
 
 
 # -- scalar route ----------------------------------------------------------

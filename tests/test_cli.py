@@ -263,6 +263,30 @@ def test_shifted_point_inside_support_still_passes(tmp_path, capsys):
     assert rep["tasks"]["connection"]["h_exact"] is True
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"c": "1", "n_max": 6},
+        {
+            "measure": {"type": "hermite"},
+            "c": "-1/2",
+            "N": 2,
+            "M": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
+            "n_max": 8,
+        },
+    ],
+)
+def test_folded_tasks_pass_about_a_nonzero_centre(tmp_path, capsys, overrides):
+    # the fold splits powers of x - c, whose (N+1)-th power is the
+    # multiplication that is symmetric for the form
+    cfg = _write_config(tmp_path / "cfg.json", tasks=["darboux", "ttrr"], **overrides)
+    assert main(["run", "--config", cfg]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["overall"] == "PASS"
+    assert rep["tasks"]["darboux"]["status"] == rep["tasks"]["ttrr"]["status"] == "PASS"
+    assert all(r["lu_match"] and r["ul_match"] for r in rep["tasks"]["darboux"]["rows"])
+
+
 def test_explicit_moments_measure(tmp_path, capsys):
     fact, values = 1, []
     for k in range(24):

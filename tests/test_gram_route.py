@@ -101,7 +101,7 @@ def test_gram_route_matches_pairwise_route(cfg):
         return  # not quasi-definite: there is no shifted family to connect to
     for source in (seq, op.monic_sequence(op.measure_form(mu), deg)):
         assert _outcome(lambda: op.connection_matrix(source, shifted, N).T_monic.rows) == _outcome(
-            lambda: oracles.pairwise_connection(source, shifted, N)
+            lambda: oracles.poly_connection_matrix(source, shifted, N).T_monic.rows
         )
 
 
@@ -136,7 +136,7 @@ def test_one_moment_too_few_raises_the_pairwise_budget(N):
     short = op.measure_form(op.MomentFunctional(shifted_mu.moments[: 2 * deg]))
     short_seq = op.MonicSequence(shifted.polys, shifted.norms_sq, short)
     gram = _raised(lambda: op.connection_matrix(seq, short_seq, N))
-    pairwise = _raised(lambda: oracles.pairwise_connection(seq, short_seq, N))
+    pairwise = _raised(lambda: oracles.poly_connection_matrix(seq, short_seq, N))
     assert (gram.needed, gram.available) == (pairwise.needed, pairwise.available)
     assert (gram.needed, gram.available) == (2 * deg, 2 * deg - 2)
 

@@ -16,13 +16,19 @@ coeffs = st.lists(
 )
 
 
-@given(coeffs, st.integers(min_value=1, max_value=3))
-@settings(max_examples=40)
-def test_fold_round_trip(a, N):
+@given(
+    coeffs,
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+)
+@settings(max_examples=60)
+def test_fold_round_trip(a, N, c):
     p = op.Poly(a)
-    dec = op.fold_decompose(p, N)
+    dec = op.fold_decompose(p, N, c)
     assert dec.N == N
     assert dec.reassemble() == p
+    # p(x) = sum_k (x-c)^k q_k((x-c)^{N+1}), read at x = c + 2
+    assert p(c + 2) == sum(2**k * q(2 ** (N + 1)) for k, q in enumerate(dec.parts))
 
 
 def test_fold_blocks_carry_the_scalars(canon):
@@ -103,6 +109,26 @@ def test_block_gram_is_block_diagonal(canon):
                     for j in range(2):
                         want = seq.norm_sq(2 * n + i) if i == j else 0
                         assert g[i, j] == want
+
+
+def test_a_fold_about_c_carries_the_scalars_and_is_block_orthogonal():
+    # the Laguerre family with derivative mass at c = 1/2, folded about c:
+    # rows reassemble about the same c and the block Gram is block diagonal
+    c, deg = Fraction(1, 2), 9
+    mu = op.laguerre_moments(1, 2 * (deg + 3) + 2)
+    M = op.Matrix.rational([[0, 0], [0, 1]])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, 1, M)), deg)
+    fold = op.build_matrix_sequence(seq, 1, c)
+    P = op.monic_normalize(fold).sequence
+    assert fold.c == P.c == c
+    for n in range(len(fold)):
+        for i in range(2):
+            assert fold.row_scalar(n, i) == seq.poly(2 * n + i)
+        for m in range(len(fold)):
+            g = op.matrix_gram(fold, n, m)
+            want = [[seq.norm_sq(2 * n + i) if (i == j and n == m) else 0 for j in range(2)] for i in range(2)]
+            assert g == op.Matrix.rational(want)
+    op.matrix_ttrr(P)  # the block three-term recurrence holds in y = (x-c)^2
 
 
 def test_orthonormal_blocks_match_tabulated_forms(canon):
