@@ -43,39 +43,10 @@ class BandedOperator:
         ]
         return cls(size, lower, upper, rows)
 
-    @classmethod
-    def identity(cls, size: int) -> "BandedOperator":
-        return cls.from_fn(size, 0, 0, lambda i, j: Fraction(1))
-
     def entry(self, i: int, j: int) -> Fraction:
         if 0 <= i < self.size and 0 <= j < self.size:
             return self.rows[i][j]
         return Fraction(0)
-
-    def __matmul__(self, other: "BandedOperator"):
-        if not isinstance(other, BandedOperator):
-            return NotImplemented
-        if self.size != other.size:
-            raise DimensionMismatch("size mismatch")
-        n = self.size
-        lo = min(self.lower + other.lower, n - 1)
-        up = min(self.upper + other.upper, n - 1)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            kmin, kmax = max(0, i - self.lower), min(n - 1, i + self.upper)
-            for k in range(kmin, kmax + 1):
-                a = self.rows[i][k]
-                if a == 0:
-                    continue
-                jmin, jmax = max(0, k - other.lower), min(n - 1, k + other.upper)
-                orow = other.rows[k]
-                row = rows[i]
-                for j in range(jmin, jmax + 1):
-                    row[j] += a * orow[j]
-        return BandedOperator(n, lo, up, rows)
-
-    def transpose(self) -> "BandedOperator":
-        return BandedOperator(self.size, self.upper, self.lower, tuple(zip(*self.rows)))
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.rows)
@@ -122,20 +93,6 @@ class BlockTridiagonal:
     @property
     def block_size(self) -> int:
         return self.diag[0].nrows if self.diag else 0
-
-    def block(self, i: int, j: int) -> Matrix:
-        b = self.block_size
-        if i == j:
-            return self.diag[i]
-        if i == j + 1:
-            return self.sub[j]
-        if j == i + 1:
-            return self.sup[i]
-        return Matrix.zeros(b, b)
-
-    def to_matrix(self) -> Matrix:
-        b, n = self.block_size, self.nblocks
-        return Matrix.from_fn(n * b, n * b, lambda i, j: self.block(i // b, j // b)[i % b, j % b])
 
     def agree_through(self, other: "BlockTridiagonal", nblocks: int) -> bool:
         """Exact equality of the leading nblocks-sized triangles of both operators."""

@@ -1,11 +1,13 @@
 """Right-acting matrix differential operators on folded sequences.
 
-Eigen verification and operator discovery are exact: discovery assembles
-one integer linear system per unknown column and takes its nullspace
-with linalg.exact_nullspace, the package's certified modular kernel: a
-prime can only enlarge a nullspace, so the verified count equals the
-modular dimension bound and the result is a proven exact basis, not a
-heuristic.
+Every question asks about one linear map, R_n D - Lambda_n R_n on the
+folded blocks, whose integer equations one row builder reads off each
+block's derivative table. Discovery solves them per unknown column with
+linalg.exact_nullspace, the package's certified modular kernel: a prime
+can only enlarge a nullspace, so the verified count equals the modular
+dimension bound and the result is a proven exact basis, not a
+heuristic. Scalar discovery is the 1x1 case, and eigen verification
+evaluates the same equations at a given operator.
 
 Minimal-order certification frees the eigenvalues: each diagonal entry of
 Lambda_n joins the unknowns and is eliminated through the monic leading
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import perm
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +33,7 @@ from .errors import (
     NumericalInstability,
     Underdetermined,
 )
-from .linalg import Matrix, exact_nullspace, nullspace
+from .linalg import Matrix, exact_nullspace
 from .matfold import MatrixPolySequence, fold_decompose
 from .orthopoly import MonicSequence, int_block
 from .poly import Poly
@@ -39,7 +42,6 @@ from .rationals import rat_str, as_fraction
 __all__ = [
     "RightDifferentialOperator",
     "EigenvalueLadder",
-    "apply_right",
     "EigenReport",
     "verify_eigen",
     "DiscoveryResult",
@@ -114,16 +116,50 @@ class EigenvalueLadder:
         return m
 
 
-def apply_right(F: Matrix, op: RightDifferentialOperator) -> Matrix:
-    """Exact action sum_k (d^k F) @ D_k."""
-    if F.ncols != op.size:
-        raise DimensionMismatch(f"{F.shape} against operator size {op.size}")
-    out = None
-    for k in range(op.order + 1):
-        dk = F.map(lambda e: e.derivative(k)) if k else F
-        term = dk @ op.coeffs[k]
-        out = term if out is None else out + term
-    return out
+# -- the eigen equations -------------------------------------------------
+
+
+def _int_deriv_table(mat: Matrix, order: int):
+    """(table, den): table[k][i][l] lists the coefficients of the k-th
+    derivative of entry (i, l) of the Poly matrix mat, as integers over
+    den, the common denominator of the block. No list has trailing zeros."""
+    base, den = int_block(mat)
+    table = [base]
+    for k in range(1, order + 1):
+        table.append(
+            [[[perm(t + k, k) * a for t, a in enumerate(e[k:])] for e in row] for row in base]
+        )
+    return table, den
+
+
+def _at(coeffs: list[int], t: int) -> int:
+    return coeffs[t] if 0 <= t < len(coeffs) else 0
+
+
+def _eigen_rows(table, i: int, bounds: Sequence[int]):
+    """The equations of row i of R_n D - Lambda_n R_n, one per power of y.
+
+    table is the derivative table of block n over its denominator den,
+    and bounds[k] the degree bound of the entries of D_k (-1 when D_k is
+    zero). Entry t is (terms, rhs): den times the coefficient of y^t in
+    entry (i, j) of R_n D is the sum of c times the coefficient of y^d in
+    (D_k)_{lj} over the terms (k, l, d, c), alike for every column j, and
+    den times that of Lambda_n R_n is lambda_{n,i} rhs[j]. t runs over
+    every power that either side reaches.
+    """
+    row = table[0][i]
+    top = max(len(pol) + b for b, level in zip(bounds, table) for pol in level[i])
+    eqs = []
+    for t in range(max(top, *map(len, row))):
+        terms = [
+            (k, l, d, pol[t - d])
+            for k, b in enumerate(bounds)
+            for l, pol in enumerate(table[k][i])
+            for d in range(max(t - len(pol) + 1, 0), min(b, t) + 1)
+            if pol[t - d]
+        ]
+        eqs.append((terms, [_at(e, t) for e in row]))
+    return eqs
 
 
 # -- eigen verification --------------------------------------------------
@@ -149,43 +185,59 @@ def verify_eigen(
     per-row scaling that separates raw from orthonormal rows, but not with
     the row mixing of monic normalization, so raw rows are the honest
     place to verify.
+
+    Each block evaluates discovery's equations (_eigen_rows) at the
+    operator's coefficients over one common denominator, in integers;
+    the residual Poly matrix is built only for the first failing block.
     """
+    size = op.size
+    bounds = [max(p.degree for row in m.rows for p in row) for m in op.coeffs]
+    # coef[k * size + l][j]: the coefficients of (D_k)_{lj} over opden
+    coef, opden = int_block(Matrix([row for m in op.coeffs for row in m.rows]))
+
+    def action(terms, j: int) -> int:
+        """den * opden times the y^t coefficient of column j of R_n D, for
+        terms the equation of row i at that power."""
+        return sum(c * _at(coef[k * size + l][j], d) for k, l, d, c in terms)
+
     results = []
     first = None
     res_repr = None
     for n in n_range:
-        lam = ladder(n).map(lambda v: Poly.constant(v))
-        residual = apply_right(R.mat(n), op) - lam @ R.mat(n)
-        good = all(
-            residual[i, j].is_zero
-            for i in range(residual.nrows)
-            for j in range(residual.ncols)
-        )
+        lam = ladder(n)
+        F = R.mat(n)
+        if F.ncols != size:
+            raise DimensionMismatch(f"{F.shape} against operator size {size}")
+        if lam.shape != (F.nrows, F.nrows):
+            raise DimensionMismatch(f"{lam.shape} @ {F.shape}")
+        table, den = _int_deriv_table(F, op.order)
+        # resid[i][j][t]: the coefficient of y^t in entry (i, j) of the
+        # residual, times scale[i] = den * opden * (denominator of lambda_{n,i})
+        resid, scale = [], []
+        for i in range(F.nrows):
+            li = as_fraction(lam[i, i])
+            eqs = _eigen_rows(table, i, bounds)
+            resid.append(
+                [
+                    [
+                        li.denominator * action(terms, j) - li.numerator * opden * rhs[j]
+                        for terms, rhs in eqs
+                    ]
+                    for j in range(size)
+                ]
+            )
+            scale.append(den * opden * li.denominator)
+        good = not any(v for r in resid for e in r for v in e)
         results.append((n, good))
         if not good and first is None:
             first = n
-            res_repr = repr(residual)
+            res_repr = repr(
+                Matrix([[Poly(Fraction(v, s) for v in e) for e in r] for r, s in zip(resid, scale)])
+            )
     return EigenReport(first is None, tuple(results), first, res_repr)
 
 
 # -- discovery -----------------------------------------------------------
-
-
-def _int_deriv_table(mat: Matrix, order: int):
-    """(table, den): table[k][i][l] lists the coefficients of the k-th
-    derivative of entry (i, l) of the Poly matrix mat, as integers over
-    den, the common denominator of the block. No list has trailing zeros."""
-    base, den = int_block(mat)
-    table = [base]
-    for k in range(1, order + 1):
-        table.append(
-            [[[perm(t + k, k) * a for t, a in enumerate(e[k:])] for e in row] for row in base]
-        )
-    return table, den
-
-
-def _at(coeffs: list[int], t: int) -> int:
-    return coeffs[t] if 0 <= t < len(coeffs) else 0
 
 
 def _trimmed(mats: list[Matrix]) -> RightDifferentialOperator:
@@ -211,6 +263,52 @@ def _solution(basis: list[list[Fraction]], nuk: int, infeasible: str) -> list[Fr
     return [x / v[nuk] for x in v[:nuk]]
 
 
+def _discover(
+    R: MatrixPolySequence,
+    ladder: Callable[[int], Matrix],
+    bounds: Sequence[int],
+    n_fit: int,
+    infeasible: str,
+) -> list[list[list[Poly]]]:
+    """sol[j][k][l]: entry (l, j) of D_k, of degree at most bounds[k],
+    such that R_n D = ladder(n) R_n on blocks 0..n_fit.
+
+    The action couples only one column of every D_k at a time, so each
+    column j is one augmented system [A | -b] of the equations of
+    _eigen_rows; infeasible, formatted with j, is the message of its
+    Infeasible.
+    """
+    size = R.block_size
+    widths = [b + 1 for b in bounds]
+    offsets = list(accumulate((size * w for w in widths), initial=0))
+    nuk = offsets[-1]
+    eqs = []
+    for n in range(n_fit + 1):
+        table, _ = _int_deriv_table(R.mat(n), len(bounds) - 1)
+        lam = ladder(n)
+        eqs += [(as_fraction(lam[i, i]), _eigen_rows(table, i, bounds)) for i in range(size)]
+    sols = []
+    for j in range(size):
+        rows = []
+        for lam, row_eqs in eqs:
+            for terms, rhs in row_eqs:
+                # the equation times den * (denominator of lambda), in integers
+                row = [0] * (nuk + 1)
+                for k, l, d, c in terms:
+                    row[offsets[k] + l * widths[k] + d] = c * lam.denominator
+                row[nuk] = -lam.numerator * rhs[j]
+                if any(row):
+                    rows.append(row)
+        sol = _solution(exact_nullspace(rows, nuk + 1), nuk, infeasible.format(j=j))
+        sols.append(
+            [
+                [Poly(sol[o + l * w : o + (l + 1) * w]) for l in range(size)]
+                for o, w in zip(offsets, widths)
+            ]
+        )
+    return sols
+
+
 @dataclass(frozen=True)
 class DiscoveryResult:
     operator: RightDifferentialOperator
@@ -227,54 +325,19 @@ def discover_operator(
 ) -> DiscoveryResult:
     """Solve for the operator coefficients by exact linear algebra.
 
-    The action couples only one column of every D_k at a time, so each
-    column gives an independent augmented system [A | -b]; a nullspace
-    vector with nonzero last coordinate is a solution, and the vectors
-    with zero last coordinate are homogeneous solutions. Any of them
-    raises Underdetermined, so a returned operator is unique at this
+    Each column gives an independent augmented system [A | -b]; a
+    nullspace vector with nonzero last coordinate is a solution, and the
+    vectors with zero last coordinate are homogeneous solutions. Any of
+    them raises Underdetermined, so a returned operator is unique at this
     order and degree bound (hom_dim 0).
     """
     size = R.block_size
-    nuk = (order + 1) * size * (degree_bound + 1)
-    cols = []
-    for j in range(size):
-        rows = []
-        for n in range(n_fit + 1):
-            derivs, _ = _int_deriv_table(R.mat(n), order)
-            lam = ladder(n)
-            for i in range(size):
-                # the row times den * (denominator of lambda_{n,i}), in integers
-                lii = as_fraction(lam[i, i])
-                maxdeg = max((len(derivs[0][i][l]) - 1 for l in range(size)), default=0)
-                for t in range(maxdeg + degree_bound + 1):
-                    row = [0] * (nuk + 1)
-                    for k in range(order + 1):
-                        for l in range(size):
-                            pol = derivs[k][i][l]
-                            for d in range(degree_bound + 1):
-                                c = _at(pol, t - d)
-                                if c:
-                                    row[(k * size + l) * (degree_bound + 1) + d] = c * lii.denominator
-                    row[nuk] = -lii.numerator * _at(derivs[0][i][j], t)
-                    if any(row):
-                        rows.append(row)
-        cols.append(
-            _solution(
-                exact_nullspace(rows, nuk + 1),
-                nuk,
-                f"no operator of order {order}, degree {degree_bound} fits column {j}",
-            )
-        )
-    mats = []
-    for k in range(order + 1):
-        rows = []
-        for l in range(size):
-            row = []
-            for j in range(size):
-                base = (k * size + l) * (degree_bound + 1)
-                row.append(Poly(cols[j][base : base + degree_bound + 1]))
-            rows.append(row)
-        mats.append(Matrix(rows))
+    message = f"no operator of order {order}, degree {degree_bound} fits column {{j}}"
+    sols = _discover(R, ladder, [degree_bound] * (order + 1), n_fit, message)
+    mats = [
+        Matrix([[sols[j][k][l] for j in range(size)] for l in range(size)])
+        for k in range(order + 1)
+    ]
     return DiscoveryResult(_trimmed(mats), 0, (0,) * size)
 
 
@@ -318,6 +381,14 @@ def min_order_check(
     shifts; constant diagonal multipliers when the fold is diagonal) and
     do not witness bispectrality, so they are excluded.
 
+    The unknowns are ordered with the order k most significant, and the
+    canonical RREF basis of the system's nullspace gives every vector a
+    different highest nonzero unknown (its own free one). A solution
+    free of d^k, k > m, is therefore a combination of the basis vectors
+    whose highest unknown has order <= m: those span section m, and a
+    ladder in it varies with n only if one of theirs does. The witness is
+    the first basis vector of least order whose ladder varies.
+
     The verdict is a statement about blocks 0..n_fit. A meaningful
     infeasibility certificate needs the fitted window to overdetermine
     the coefficient unknowns; with too few blocks every order looks
@@ -325,6 +396,7 @@ def min_order_check(
     """
     size = R.block_size
     _, nuk = min_order_size(R, max_order, degree_bound, n_fit)
+    bounds = [degree_bound] * (max_order + 1)
 
     def uidx(k: int, l: int, j: int, d: int) -> int:
         return ((k * size + l) * size + j) * (degree_bound + 1) + d
@@ -336,44 +408,34 @@ def min_order_check(
     pivots: dict[tuple[int, int], list[tuple[int, int]]] = {}
     dens = []
     for n in range(n_fit + 1):
-        derivs, den = _int_deriv_table(R.mat(n), max_order)
+        table, den = _int_deriv_table(R.mat(n), max_order)
         dens.append(den)
         for i in range(size):
-            if _at(derivs[0][i][i], n) != den:
+            if _at(table[0][i][i], n) != den:
                 raise IdentityViolated(
                     f"block {n} row {i} is not monic in its own column"
                 )
-            pivot = []
-            for k in range(max_order + 1):
-                for l in range(size):
-                    pol = derivs[k][i][l]
-                    for d in range(degree_bound + 1):
-                        c = _at(pol, n - d)
-                        if c:
-                            pivot.append((uidx(k, l, i, d), c))
-            pivots[(n, i)] = pivot
-            maxdeg = max((len(derivs[0][i][l]) - 1 for l in range(size)), default=0)
+            eqs = _eigen_rows(table, i, bounds)
+            pivot = eqs[n][0]
+            pivots[(n, i)] = [(uidx(k, l, i, d), c) for k, l, d, c in pivot]
             for j in range(size):
-                for t in range(maxdeg + degree_bound + 1):
+                for t, (terms, rhs) in enumerate(eqs):
                     if j == i and t == n:
                         continue
                     # the row times den (den^2 when lambda is eliminated), in integers
-                    rj = _at(derivs[0][i][j], t)
+                    rj = rhs[j]
                     scale = den if rj else 1
                     row = [0] * nuk
-                    for k in range(max_order + 1):
-                        for l in range(size):
-                            pol = derivs[k][i][l]
-                            for d in range(degree_bound + 1):
-                                c = _at(pol, t - d)
-                                if c:
-                                    row[uidx(k, l, j, d)] = c * scale
+                    for k, l, d, c in terms:
+                        row[uidx(k, l, j, d)] = c * scale
                     if rj:
-                        for idx, c in pivot:
-                            row[idx] -= rj * c
+                        for k, l, d, c in pivot:
+                            row[uidx(k, l, i, d)] -= rj * c
                     if any(row):
                         rows.append(row)
     V = exact_nullspace(rows, nuk)
+    per_order = size * size * (degree_bound + 1)
+    orders = [max(c for c, x in enumerate(v) if x) // per_order for v in V]
 
     def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
         return [
@@ -381,71 +443,24 @@ def min_order_check(
             for n in range(n_fit + 1)
         ]
 
-    # a section vector is sum_s alpha_s V[s], so by linearity its ladder is
-    # the same combination of the ladders of the basis vectors
-    basis_ladders = [ladder_values(v) for v in V]
-
-    def section_ladder(alpha: Sequence[Fraction]) -> list[list[Fraction]]:
-        return [
-            [sum(a * lv[n][i] for a, lv in zip(alpha, basis_ladders)) for i in range(size)]
-            for n in range(n_fit + 1)
-        ]
-
-    feasible = []
-    dims = []
-    min_order = None
-    witness_alpha = witness_ladder = None
-    for m in range(max_order + 1):
-        banned = [
-            uidx(k, l, j, d)
-            for k in range(m + 1, max_order + 1)
-            for l in range(size)
-            for j in range(size)
-            for d in range(degree_bound + 1)
-        ]
-        if V:
-            constraint = Matrix.from_fn(
-                max(len(banned), 1),
-                len(V),
-                lambda r, s: V[s][banned[r]] if banned else Fraction(0),
-            )
-            alphas = nullspace(constraint)
-        else:
-            alphas = []
-        dims.append(len(alphas))
-        # the first section vector whose ladder varies with n witnesses m
-        hit = None
-        for alpha in alphas:
-            lv = section_ladder(alpha)
-            if any(row != lv[0] for row in lv[1:]):
-                hit = (alpha, lv)
-                break
-        feasible.append(hit is not None)
-        if hit is not None and min_order is None:
-            min_order = m
-            witness_alpha, witness_ladder = hit
-    if min_order is None:
+    ladders = [ladder_values(v) for v in V]
+    varying = [s for s, lv in enumerate(ladders) if any(row != lv[0] for row in lv[1:])]
+    if not varying:
         raise Infeasible(
             f"no order up to {max_order} admits an n-dependent eigenvalue ladder"
         )
-    witness_vec = [
-        sum(a * v[c] for a, v in zip(witness_alpha, V)) for c in range(nuk)
-    ]
-    mats = []
-    for k in range(min_order + 1):
-        mats.append(
-            Matrix.from_fn(
-                size,
-                size,
-                lambda l, j: Poly(
-                    witness_vec[
-                        uidx(k, l, j, 0) : uidx(k, l, j, 0) + degree_bound + 1
-                    ]
-                ),
-            )
+    w = min(varying, key=orders.__getitem__)
+    min_order = orders[w]
+    feasible = tuple(m >= min_order for m in range(max_order + 1))
+    dims = tuple(sum(o <= m for o in orders) for m in range(max_order + 1))
+    mats = [
+        Matrix.from_fn(
+            size, size, lambda l, j: Poly(V[w][uidx(k, l, j, 0) : uidx(k, l, j, degree_bound + 1)])
         )
-    wl = tuple(tuple(row) for row in witness_ladder)
-    return MinOrderResult(min_order, tuple(feasible), tuple(dims), _trimmed(mats), wl)
+        for k in range(min_order + 1)
+    ]
+    wl = tuple(tuple(row) for row in ladders[w])
+    return MinOrderResult(min_order, feasible, dims, _trimmed(mats), wl)
 
 
 # -- scalar operators ----------------------------------------------------
@@ -480,34 +495,14 @@ def discover_scalar(
 ) -> ScalarOperator:
     """Exact scalar operator discovery with triangular degree profile.
 
-    deg c_k <= k keeps the operator degree-preserving; unknowns are the
-    coefficient triangles, equations match D s_m = lambda_m s_m
-    coefficientwise for m <= n_fit.
+    Discovery on the sequence's own 1x1 fold, members 0..n_fit, with
+    deg c_k <= k, which keeps the operator degree-preserving.
     """
-    nuk = (order + 1) * (order + 2) // 2
-    offsets = [k * (k + 1) // 2 for k in range(order + 1)]
-    rows = []
-    for m in range(n_fit + 1):
-        derivs, _ = _int_deriv_table(Matrix([[seq.poly(m)]]), order)
-        lam = as_fraction(ladder(m))
-        for t in range(m + 1):
-            # the row times den * (denominator of lambda_m), in integers
-            row = [0] * (nuk + 1)
-            for k in range(order + 1):
-                for d in range(k + 1):
-                    c = _at(derivs[k][0][0], t - d)
-                    if c:
-                        row[offsets[k] + d] = c * lam.denominator
-            row[nuk] = -lam.numerator * _at(derivs[0][0][0], t)
-            if any(row):
-                rows.append(row)
-    sol = _solution(
-        exact_nullspace(rows, nuk + 1), nuk, f"no scalar operator of order {order} fits"
-    )
-    coeffs = tuple(
-        Poly(sol[offsets[k] : offsets[k] + k + 1]) for k in range(order + 1)
-    )
-    return ScalarOperator(order, coeffs)
+    blocks = tuple(Matrix([[seq.poly(m)]]) for m in range(n_fit + 1))
+    fold = MatrixPolySequence(blocks, 0, monic=True, scalars=seq)
+    message = f"no scalar operator of order {order} fits"
+    (sol,) = _discover(fold, lambda m: Matrix([[ladder(m)]]), range(order + 1), n_fit, message)
+    return ScalarOperator(order, tuple(c for (c,) in sol))
 
 
 # -- fold conjugation ----------------------------------------------------

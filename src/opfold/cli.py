@@ -626,7 +626,7 @@ _TASK_FNS = {
 # fields to the payload and says whether the tabulated values hold.
 _PAPER_CHECKS = {
     "recurrence": lambda ctx, payload: paper.check_recurrence(payload, ctx.rec()),
-    "fold": lambda ctx, payload: paper.check_fold(payload, ctx.seq()),
+    "fold": lambda ctx, payload: paper.check_fold(payload, ctx.fold()),
     "darboux": lambda ctx, payload: paper.check_darboux(payload, ctx.block_lu().zetas),
     "ttrr": lambda ctx, payload: paper.check_ttrr(payload, ctx.rec()),
     "min-order": lambda ctx, payload: paper.check_min_order(payload),

@@ -362,12 +362,6 @@ def _mod_nullspace(int_rows, ncols: int, p: int):
     return tuple(sorted(tails)), free, basis
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    inv = pow(m1 % m2, m2 - 2, m2)
-    t = (r2 - r1) % m2 * inv % m2
-    return r1 + m1 * t
-
-
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     """Wang reconstruction: p/q = a mod m with |p|, q <= sqrt(m/2)."""
     a %= m
@@ -435,9 +429,11 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
         if key is None or structure < key:
             key, residues, modulus = structure, basis, p
         elif structure == key:
+            # CRT: one inverse of the old modulus per prime serves every entry
+            inv = pow(modulus % p, p - 2, p)
             for v, w in zip(residues, basis):
                 for c in range(ncols):
-                    v[c] = _crt_pair(v[c], modulus, w[c], p)
+                    v[c] += modulus * ((w[c] - v[c]) * inv % p)
             modulus *= p
         else:
             continue

@@ -230,19 +230,20 @@ def orthonormal_blocks(rec: BandedRecurrence, N: int) -> tuple[tuple[Matrix, ...
     )
 
 
-def leading_orthonormal_sq(scalars: MonicSequence, N: int, n: int) -> Matrix:
+def leading_orthonormal_sq(R: MatrixPolySequence, n: int) -> Matrix:
     """Squared leading coefficient of the orthonormal block, with signs.
 
-    Entry (i,j) of the block-n leading coefficient is the x^{(N+1)n+j}
-    coefficient of scalar (N+1)n+i divided by its norm, so the square and
-    the sign are rational data.
+    Entry (i,j) is entry (i,j) of the leading coefficient of block n of
+    the raw fold R, the (x-c)^{(N+1)n+j} Taylor coefficient of scalar
+    (N+1)n+i, divided by that scalar's norm, so the square and the sign
+    are rational data.
     """
-    step = N + 1
+    if R.monic or R.scalars is None:
+        raise DimensionMismatch("leading orthonormal blocks need a raw fold with its scalars")
+    step = R.block_size
+    lead = R.leading_coefficient(n)
     return Matrix.from_fn(
         step,
         step,
-        lambda i, j: SignedSquare.of(
-            scalars.poly(step * n + i).coeff(step * n + j),
-            1 / scalars.norm_sq(step * n + i),
-        ),
+        lambda i, j: SignedSquare.of(lead[i, j], 1 / R.scalars.norm_sq(step * n + i)),
     )

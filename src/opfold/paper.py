@@ -432,12 +432,12 @@ def check_recurrence(payload: dict, rec) -> bool:
     return ok
 
 
-def check_fold(payload: dict, seq) -> bool:
+def check_fold(payload: dict, fold) -> bool:
     """Leading display of blocks 2..10 against reference_leading_sq, all
     entries but the (1,1) one that the table has wrong."""
     ok = True
     for n in range(2, min(payload["blocks"], 11)):
-        comp = leading_orthonormal_sq(seq, 1, n)
+        comp = leading_orthonormal_sq(fold, n)
         ref = reference_leading_sq(n)
         for i in range(2):
             for j in range(2):

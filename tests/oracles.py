@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Five exceptions keep a replaced library route as the second,
+carrier. Seven exceptions keep a replaced library route as the second,
 independent one: IntEchelon, an incremental integer row echelon that used
 to be the library's nullspace engine; dense_mod_nullspace, the dense GF(p)
 elimination the modular kernel used before it went sparse; the
@@ -13,13 +13,18 @@ polynomials at a time (a full polynomial product against the moments plus
 derivative values at the point), as the library did before it held each
 form as its monomial Gram; ldlt_monic_sequence, the Fraction LDL^T of
 the Gram plus the inverse of its unit lower factor, which generated the
-monic sequence before the form's own banded recurrence did; and the
+monic sequence before the form's own banded recurrence did; the
 dense_verify_* and poly_* routes of the Darboux and fold identities:
 H = T T* and (J-c)^(N+1) = T* T checked over every entry pair with
 dense float products, and the three-term, block and interlaced
 recurrences, the banded expansion and the connection reconstruction
 peeled and compared as Poly sums and Poly matrices, as the library did
-before it checked them inside the band and over integer rows.
+before it checked them inside the band and over integer rows;
+poly_verify_eigen, the residual R_n D - Lambda_n R_n formed in Poly
+matrix arithmetic through apply_right, as verify_eigen did before it
+evaluated discovery's integer equations; and section_min_order, which
+takes one nullspace per order for the sections of min_order_check, as
+the library did before it read them off one RREF basis.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import sympy as sp
 
@@ -41,7 +47,8 @@ from opfold.errors import (
     InsufficientSequence,
     SymmetryViolated,
 )
-from opfold.linalg import Matrix, _int_rows, ldlt
+from opfold.bispec import EigenReport
+from opfold.linalg import Matrix, _int_rows, exact_nullspace, ldlt, nullspace
 from opfold.measures import gram_matrix
 from opfold.orthopoly import (
     BandedRecurrence,
@@ -624,6 +631,94 @@ def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
                     if any(row):
                         rows.append(row)
     return rows
+
+
+def apply_right(F, op) -> Matrix:
+    """Exact action sum_k (d^k F) @ D_k, as Poly matrix products."""
+    if F.ncols != op.size:
+        raise DimensionMismatch(f"{F.shape} against operator size {op.size}")
+    out = None
+    for k in range(op.order + 1):
+        dk = F.map(lambda e: e.derivative(k)) if k else F
+        term = dk @ op.coeffs[k]
+        out = term if out is None else out + term
+    return out
+
+
+def poly_verify_eigen(R, op, ladder, n_range) -> EigenReport:
+    """verify_eigen with the residual R_n . op - Lambda_n R_n formed in
+    Poly matrix arithmetic."""
+    results = []
+    first = None
+    res_repr = None
+    for n in n_range:
+        lam = ladder(n).map(lambda v: Poly.constant(v))
+        residual = apply_right(R.mat(n), op) - lam @ R.mat(n)
+        good = all(
+            residual[i, j].is_zero
+            for i in range(residual.nrows)
+            for j in range(residual.ncols)
+        )
+        results.append((n, good))
+        if not good and first is None:
+            first = n
+            res_repr = repr(residual)
+    return EigenReport(first is None, tuple(results), first, res_repr)
+
+
+def section_min_order(R, max_order: int, degree_bound: int, n_fit: int):
+    """(min_order, feasible, section_dims) of min_order_check, by a
+    nullspace per order: section m is the nullspace, over the basis of
+    the fraction rows' nullspace, of every d^k coordinate with k > m; it
+    is feasible when one of its vectors has a ladder that varies with n,
+    each ladder read as the y^n coefficients of the diagonal of R_n D
+    through apply_right."""
+    size = R.block_size
+    per_order = size * size * (degree_bound + 1)
+    nuk = (max_order + 1) * per_order
+
+    def uidx(k, l, j, d):
+        return ((k * size + l) * size + j) * (degree_bound + 1) + d
+
+    V = exact_nullspace(_int_rows(fraction_min_order_rows(R, max_order, degree_bound, n_fit)), nuk)
+
+    def ladder(vec):
+        # apply_right reads only order, size and coeffs, and a section
+        # vector may leave the top coefficients zero
+        op = SimpleNamespace(
+            order=max_order,
+            size=size,
+            coeffs=[
+                Matrix.from_fn(
+                    size,
+                    size,
+                    lambda l, j: Poly(vec[uidx(k, l, j, 0) : uidx(k, l, j, 0) + degree_bound + 1]),
+                )
+                for k in range(max_order + 1)
+            ],
+        )
+        return [
+            tuple(apply_right(R.mat(n), op)[i, i].coeff(n) for i in range(size))
+            for n in range(n_fit + 1)
+        ]
+
+    basis_ladders = [ladder(v) for v in V]
+    feasible, dims = [], []
+    for m in range(max_order + 1):
+        banned = range((m + 1) * per_order, nuk)
+        constraint = lambda r, s: V[s][banned[r]] if banned else Fraction(0)
+        alphas = nullspace(Matrix.from_fn(max(len(banned), 1), len(V), constraint)) if V else []
+        dims.append(len(alphas))
+        combined = (
+            [
+                [sum(a * lv[n][i] for a, lv in zip(alpha, basis_ladders)) for i in range(size)]
+                for n in range(n_fit + 1)
+            ]
+            for alpha in alphas
+        )
+        feasible.append(any(any(row != lv[0] for row in lv) for lv in combined))
+    min_order = next((m for m, f in enumerate(feasible) if f), None)
+    return min_order, tuple(feasible), tuple(dims)
 
 
 def dense_verify_h(rec, fact, float_tol: float = 1e-12):

@@ -57,8 +57,8 @@ def test_eigen_identity_spot_rows(canon):
     m0, m1 = fold.mat(0), fold.mat(1)
     assert [m0[1, 0], m0[1, 1]] == [op.Poly((-1,)), op.Poly((1,))]
     assert [m1[0, 0], m1[0, 1]] == [op.Poly((0, 1)), op.Poly((-2,))]
-    img0 = op.apply_right(m0, ref)
-    img1 = op.apply_right(m1, ref)
+    img0 = oracles.apply_right(m0, ref)
+    img1 = oracles.apply_right(m1, ref)
     three = op.Poly.constant(Fraction(3))
     nine = op.Poly.constant(Fraction(9))
     assert [img0[1, 0], img0[1, 1]] == [three * m0[1, 0], three * m0[1, 1]]
@@ -118,7 +118,117 @@ def test_operator_and_ladder_guards():
     with pytest.raises(op.IdentityViolated):
         skew(0)
     with pytest.raises(op.DimensionMismatch):
-        op.apply_right(op.Matrix([[op.Poly((1,))]]), op.reference_operator()[0])
+        oracles.apply_right(op.Matrix([[op.Poly((1,))]]), op.reference_operator()[0])
+
+
+def test_zero_operator_fails_the_worked_ladder_at_block_zero(canon):
+    # block 0 row 1 is (-1, 1) with eigenvalue 3, which the zero operator
+    # cannot match, although every one of its degree bounds is -1
+    zero = op.Matrix([[op.Poly(()), op.Poly(())], [op.Poly(()), op.Poly(())]])
+    zop = op.RightDifferentialOperator(0, (zero,))
+    _, lad = op.reference_operator()
+    rep = op.verify_eigen(canon["fold"], zop, lad, range(3))
+    assert rep.first_failure == 0 and not rep.results[0][1]
+    assert rep == oracles.poly_verify_eigen(canon["fold"], zop, lad, range(3))
+
+
+def test_eigen_check_with_fractional_eigenvalues(canon):
+    # a third of the operator has a third of the ladder, so eigenvalues
+    # with denominators verify; moving one by 1/2 leaves the residual
+    # -1/2 times that row of the block
+    ref, lad = op.reference_operator()
+    third = op.RightDifferentialOperator(8, tuple(m * Fraction(1, 3) for m in ref.coeffs))
+    lad3 = op.EigenvalueLadder(lambda n: lad(n) * Fraction(1, 3), 2)
+    assert op.verify_eigen(canon["fold"], third, lad3, range(6)).ok
+
+    def skewed(n):
+        m = lad3(n)
+        return op.Matrix([[m[0, 0] + Fraction(1, 2) * (n == 2), 0], [0, m[1, 1]]])
+
+    rep = op.verify_eigen(canon["fold"], third, op.EigenvalueLadder(skewed, 2), range(6))
+    assert rep.first_failure == 2
+    m2 = canon["fold"].mat(2)
+    half = op.Poly.constant(Fraction(-1, 2))
+    want = op.Matrix([[half * m2[0, 0], half * m2[0, 1]], [op.Poly(()), op.Poly(())]])
+    assert rep.residual == repr(want)
+
+
+def _operator(mats) -> op.RightDifferentialOperator:
+    mats = list(mats)
+    while len(mats) > 1 and all(p.is_zero for row in mats[-1].rows for p in row):
+        mats.pop()
+    return op.RightDifferentialOperator(len(mats) - 1, tuple(mats))
+
+
+def _outcome(verify, *args):
+    try:
+        return verify(*args)
+    except Exception as exc:  # the two routes must raise alike
+        return type(exc), str(exc)
+
+
+_HERMITE_LADDER = op.EigenvalueLadder(
+    lambda n: op.Matrix.rational([[-4 * n, 0], [0, -2 * (2 * n + 1)]]), 2
+)
+nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@pytest.fixture(scope="module")
+def eigen_cases(canon, hermite):
+    ref, lad = op.reference_operator()
+    found = op.discover_operator(hermite["fold"], _HERMITE_LADDER, 2, 1, 6).operator
+    return {
+        "worked": (canon["fold"], ref, lad),
+        "hermite": (hermite["fold"], found, _HERMITE_LADDER),
+    }
+
+
+def _changed_pair(D, lad, data):
+    """D and lad with at most one change each, drawn from data."""
+    size = D.size
+    mats = [[[m[i, j] for j in range(size)] for i in range(size)] for m in D.coeffs]
+    zeros = [[op.Poly(())] * size for _ in range(size)]
+    change = data.draw(st.sampled_from(["none", "bump", "zero matrix", "zero", "scale", "size"]))
+    if change == "bump":
+        k, i, j = (data.draw(st.integers(0, top)) for top in (D.order, size - 1, size - 1))
+        mats[k][i][j] += op.Poly.monomial(data.draw(st.integers(0, 3)), data.draw(nonzero))
+    elif change == "zero matrix":
+        mats[data.draw(st.integers(0, D.order))] = zeros
+    elif change == "zero":
+        mats = [zeros]
+    elif change == "scale":
+        # a rational multiple of a true pair is true
+        s = data.draw(nonzero)
+        mats = [[[p * s for p in row] for row in m] for m in mats]
+        lad = op.EigenvalueLadder(lambda n, base=lad: base(n) * s, size)
+    elif change == "size":
+        mats = [[[op.Poly((1,))] * (size + 1) for _ in range(size + 1)]]
+    D = _operator(op.Matrix(m) for m in mats)
+    change = data.draw(st.sampled_from(["none", "bump", "zero", "size"]))
+    if change == "bump":
+        n0, i0 = data.draw(st.integers(0, 7)), data.draw(st.integers(0, size - 1))
+        delta = data.draw(nonzero)
+
+        def bumped(n, base=lad):
+            step = lambda i, j: delta if (n, i, j) == (n0, i0, i0) else 0
+            return base(n) + op.Matrix.from_fn(size, size, step)
+
+        lad = op.EigenvalueLadder(bumped, size)
+    elif change == "zero":
+        lad = op.EigenvalueLadder(lambda n: op.Matrix.zeros(size, size), size)
+    elif change == "size":
+        lad = op.EigenvalueLadder(lambda n: op.Matrix.zeros(size + 1, size + 1), size + 1)
+    return D, lad
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_eigen_matches_the_poly_route(eigen_cases, data):
+    fold, D, lad = eigen_cases[data.draw(st.sampled_from(["worked", "hermite"]))]
+    D, lad = _changed_pair(D, lad, data)
+    n_range = range(data.draw(st.integers(0, 7)))
+    got = _outcome(op.verify_eigen, fold, D, lad, n_range)
+    assert got == _outcome(oracles.poly_verify_eigen, fold, D, lad, n_range)
 
 
 # -- exact nullspace -------------------------------------------------------
@@ -137,6 +247,10 @@ def test_nullspace_matches_sympy(nr, nc, data):
     basis = exact_nullspace(rows, nc)
     smat = sp.Matrix(rows)
     assert len(basis) == nc - smat.rank()
+    # canonical RREF: every vector's highest nonzero unknown is its own,
+    # which min_order_check reads its sections from
+    tops = [max(c for c, x in enumerate(v) if x) for v in basis]
+    assert tops == sorted(set(tops))
     for vec in basis:
         assert all(
             sum(Fraction(rows[i][j]) * vec[j] for j in range(nc)) == 0
@@ -243,6 +357,50 @@ def test_min_order_certificate_for_the_canonical_fold(canon):
         lambda n: op.Matrix.rational([[wl[n][0], 0], [0, wl[n][1]]]), 2
     )
     assert op.verify_eigen(canon["fold"], res.witness, wrapped, range(11)).ok
+
+
+@pytest.fixture(scope="module")
+def laguerre_c1():
+    """Laguerre alpha 0 with derivative mass at c = 1, folded about c: the
+    seven blocks of a run at n_max 6."""
+    deg = 13
+    mu = op.laguerre_moments(0, 2 * (deg + 3) + 2)
+    M = op.Matrix.rational([[0, 0], [0, 1]])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, Fraction(1), 1, M)), deg)
+    return op.build_matrix_sequence(seq, 1, 1)
+
+
+def _assert_witness(fold, res, n_fit):
+    assert res.witness.order == res.min_order
+    wl = res.witness_ladder
+    assert len(wl) == n_fit + 1 and len(set(wl)) > 1
+    wrapped = op.EigenvalueLadder(
+        lambda n: op.Matrix.rational([[wl[n][0], 0], [0, wl[n][1]]]), 2
+    )
+    assert op.verify_eigen(fold, res.witness, wrapped, range(n_fit + 1)).ok
+
+
+def test_min_order_off_the_worked_case(laguerre_c1):
+    # tens of basis vectors from a nullspace that takes several primes
+    assert len(laguerre_c1) == 7
+    res = op.min_order_check(laguerre_c1, 8, 6, 6)
+    assert res.min_order == 6
+    assert res.feasible == (False,) * 6 + (True,) * 3
+    assert res.section_dims == (1, 1, 1, 1, 1, 1, 14, 42, 70)
+    _assert_witness(laguerre_c1, res, 6)
+
+
+@pytest.mark.parametrize(
+    "case, window",
+    [("canon", (8, 6, 10)), ("hermite", (4, 2, 6)), ("laguerre_c1", (8, 6, 6))],
+)
+def test_min_order_sections_match_the_per_order_route(request, case, window):
+    fixture = request.getfixturevalue(case)
+    fold = fixture if case == "laguerre_c1" else fixture["fold"]
+    res = op.min_order_check(fold, *window)
+    got = (res.min_order, res.feasible, res.section_dims)
+    assert got == oracles.section_min_order(fold, *window)
+    _assert_witness(fold, res, window[2])
 
 
 def _proportional(int_row, frac_row) -> bool:

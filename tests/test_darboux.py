@@ -28,7 +28,7 @@ def test_band_factor_matches_connection_coefficients(canon):
 
 
 def test_band_factor_of_identity_is_identity():
-    eye = op.BandedOperator.identity(5)
+    eye = op.BandedOperator.from_fn(5, 0, 0, lambda i, j: 1)
     fact = op.band_symmetric_factorize(eye, 1)
     assert fact.T_monic == eye
     assert all(p == 1 for p in fact.pivots)

@@ -2,6 +2,7 @@
 tabulated orthonormal-block comparisons."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -146,10 +147,9 @@ def test_orthonormal_blocks_match_tabulated_forms(canon):
 
 
 def test_orthonormal_leading_rows_match_tabulated_forms(canon):
-    seq = canon["seq"]
     eps = (1, -1)
     for n in range(2, 11):
-        comp = op.leading_orthonormal_sq(seq, 1, n)
+        comp = op.leading_orthonormal_sq(canon["fold"], n)
         ref = op.reference_leading_sq(n)
         for (i, j) in ((0, 0), (1, 0), (0, 1)):
             assert comp[i, j].sq == ref[i, j].sq
@@ -163,15 +163,14 @@ def test_orthonormal_leading_rows_match_tabulated_forms(canon):
     "(2n+1)^2 for every n, while the other entries match exactly",
 )
 def test_leading_entry_one_one_matches_as_tabulated(canon):
-    comp = op.leading_orthonormal_sq(canon["seq"], 1, 2)
+    comp = op.leading_orthonormal_sq(canon["fold"], 2)
     ref = op.reference_leading_sq(2)
     assert comp[1, 1].sq == ref[1, 1].sq
 
 
 def test_leading_entry_one_one_matches_with_corrected_factorial(canon):
-    seq = canon["seq"]
     for n in range(2, 11):
-        comp = op.leading_orthonormal_sq(seq, 1, n)
+        comp = op.leading_orthonormal_sq(canon["fold"], n)
         ref = op.reference_leading_sq(n)
         assert ref[1, 1].sq == comp[1, 1].sq * (2 * n + 1) ** 2
 
@@ -179,5 +178,26 @@ def test_leading_entry_one_one_matches_with_corrected_factorial(canon):
 def test_leading_entry_is_inverse_norm(canon):
     seq = canon["seq"]
     for n in range(2, 8):
-        comp = op.leading_orthonormal_sq(seq, 1, n)
+        comp = op.leading_orthonormal_sq(canon["fold"], n)
         assert comp[1, 1].sq == 1 / seq.norm_sq(2 * n + 1)
+
+
+def test_leading_entries_are_taylor_coefficients_at_the_fold_centre():
+    # the Laguerre family with derivative mass at c = 1, folded about c:
+    # entry (i, j) of block n is the (x-c)^(2n+j) Taylor coefficient
+    # s^(k)(c)/k! of scalar s = s_(2n+i), squared over its norm, with its sign
+    c, deg = Fraction(1), 9
+    mu = op.laguerre_moments(0, 2 * (deg + 3) + 2)
+    M = op.Matrix.rational([[0, 0], [0, 1]])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, 1, M)), deg)
+    fold = op.build_matrix_sequence(seq, 1, c)
+    for n in range(len(fold)):
+        comp = op.leading_orthonormal_sq(fold, n)
+        for i in range(2):
+            for j in range(2):
+                k = 2 * n + j
+                taylor = seq.poly(2 * n + i).derivative(k)(c) / factorial(k)
+                assert comp[i, j] == op.SignedSquare.of(taylor, 1 / seq.norm_sq(2 * n + i)), (n, i, j)
+    assert op.leading_orthonormal_sq(fold, 2)[1, 0].sq == Fraction(388129, 16984448)
+    with pytest.raises(op.DimensionMismatch):
+        op.leading_orthonormal_sq(op.monic_normalize(fold).sequence, 2)
