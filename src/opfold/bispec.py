@@ -34,7 +34,7 @@ from .errors import (
     Underdetermined,
 )
 from .linalg import Matrix, exact_nullspace
-from .matfold import MatrixPolySequence, fold_decompose
+from .matfold import MatrixPolySequence, build_matrix_sequence
 from .orthopoly import MonicSequence, int_block
 from .poly import Poly
 from .rationals import rat_str, as_fraction
@@ -498,8 +498,7 @@ def discover_scalar(
     Discovery on the sequence's own 1x1 fold, members 0..n_fit, with
     deg c_k <= k, which keeps the operator degree-preserving.
     """
-    blocks = tuple(Matrix([[seq.poly(m)]]) for m in range(n_fit + 1))
-    fold = MatrixPolySequence(blocks, 0, monic=True, scalars=seq)
+    fold = build_matrix_sequence(seq, 0)
     message = f"no scalar operator of order {order} fits"
     (sol,) = _discover(fold, lambda m: Matrix([[ladder(m)]]), range(order + 1), n_fit, message)
     return ScalarOperator(order, tuple(c for (c,) in sol))
@@ -601,20 +600,20 @@ def scalar_eigenvalues(
 
 def conjugation_eval(
     D: ScalarOperator,
-    N: int,
-    scalar_seq: MonicSequence,
+    R: MatrixPolySequence,
     n: int,
     y0,
     precision: str = "double",
 ) -> ConjugationResult | tuple[ConjugationResult, ...]:
     """Numerically realize the conjugated operator at one point or several.
 
-    Row j of block n times the fold-conjugated scalar operator evaluates,
-    via the root-of-unity chain, to (D s_{(N+1)n+j}) at the rotated points
-    w^k y0^{1/(N+1)}, pushed back through B^{-1} and the fractional-power
-    diagonal. The result is compared against Lambda_n times the folded
-    block at y0, with Lambda the exact scalar eigenvalues. Only y0 > 0 is
-    meaningful on this support.
+    R is a raw fold about its centre c, with its scalars. Row j of block
+    n times the fold-conjugated scalar operator evaluates, via the
+    root-of-unity chain, to (D s_{(N+1)n+j}) at the rotated points
+    c + w^k y0^{1/(N+1)}, pushed back through B^{-1} and the
+    fractional-power diagonal. The result is compared against Lambda_n
+    times R.mat(n) at y0, with Lambda the exact scalar eigenvalues. Only
+    y0 > 0 is meaningful on this support.
 
     D is applied once to each member of block n, degrees (N+1)n through
     (N+1)n+N, and only those members are checked exactly to be
@@ -627,19 +626,22 @@ def conjugation_eval(
     points, giving a tuple of results in the same order; the images and
     their exact check are then shared by all the points.
     """
+    if R.monic or R.scalars is None:
+        raise DimensionMismatch("conjugation needs a raw fold with its scalars")
     several = isinstance(y0, (list, tuple))
     points = tuple(as_fraction(y) for y in (y0 if several else (y0,)))
     if any(y <= 0 for y in points):
         raise NumericalInstability("evaluation point must be strictly positive")
-    step = N + 1
-    members = [scalar_seq.poly(step * n + j) for j in range(step)]
+    step = R.block_size
+    # first, so that a block past the fold raises InsufficientSequence
+    block = R.mat(n).rows
     lams, images = [], []
-    for j, s in enumerate(members):
-        lam, ds = _eigen_image(D, s, step * n + j)
+    for j in range(step):
+        m = step * n + j
+        lam, ds = _eigen_image(D, R.scalars.poly(m), m)
         lams.append(lam)
-        images.append(ds)
-    # row j of block n is the fold of member j
-    block = [fold_decompose(s, N).parts for s in members]
+        # the image about the fold centre, evaluated at w^k y0^{1/(N+1)}
+        images.append(ds.shift(R.c))
     if precision == "double":
         scope = contextlib.nullcontext()
     else:
@@ -648,7 +650,7 @@ def conjugation_eval(
         # mp precision is process-global; hold 50 digits only for this call
         scope = mp.workdps(50)
     with scope:
-        w = FoldConjugationData(N).w_float(precision)
+        w = FoldConjugationData(R.N).w_float(precision)
         results = tuple(
             _conjugate_at(images, lams, block, step, w, y, precision) for y in points
         )

@@ -470,11 +470,7 @@ def _task_connection(ctx: _Context) -> tuple[str, dict]:
     ulrep = verify_ul_identity(jac, cfg.c, cfg.N, conn)
     conn0 = connection_matrix(ctx.base_seq(), shifted, cfg.N)
     ulrep0 = verify_ul_identity(jac, cfg.c, cfg.N, conn0)
-    same_t = all(
-        fact.T_monic.entry(i, j) == conn.T_monic.entry(i, j)
-        for i in range(conn.size)
-        for j in range(conn.size)
-    )
+    same_t = fact.T_monic == conn.T_monic
     ok = hrep.exact_ok and same_t
     return ("PASS" if ok else "FAIL"), {
         "h_exact": hrep.exact_ok,
@@ -592,10 +588,11 @@ def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
     n_fit = min(len(seq) - 1, 16)
     D = discover_scalar(seq, paper.reference_scalar_ladder, 8, n_fit)
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)]
-    n_limit = min(len(seq) // (cfg.N + 1) - 1, 6)
+    R = ctx.fold()
+    n_limit = min(len(R) - 1, 6)
     worst = 0.0
     for n in range(n_limit + 1):
-        for r in conjugation_eval(D, cfg.N, seq, n, grid):
+        for r in conjugation_eval(D, R, n, grid):
             worst = max(worst, r.max_deviation)
     ok = worst < cfg.float_tolerance
     return ("PASS" if ok else "FAIL"), {
@@ -684,47 +681,42 @@ def _fmt_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]))
+    return path
+
+
 def emit_tables(report: dict, out_dir: Path) -> list[Path]:
     """Write CSV side tables for whichever tasks ran."""
     written = []
     tasks = report.get("tasks", {})
-    if "moments" in tasks and "values" in tasks["moments"]:
-        p = out_dir / "moments.csv"
-        lines = ["k,value"]
-        lines += [f"{k},{v}" for k, v in enumerate(tasks["moments"]["values"])]
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    if "recurrence" in tasks and "rows" in tasks["recurrence"]:
-        p = out_dir / "recurrence.csv"
+    if "values" in tasks.get("moments", {}):
+        values = tasks["moments"]["values"]
+        written.append(_write_csv(out_dir / "moments.csv", ["k", "value"], enumerate(values)))
+    if "rows" in tasks.get("recurrence", {}):
         rows = tasks["recurrence"]["rows"]
         keys = sorted({k for r in rows for k in r})
-        lines = [",".join(keys)]
-        for r in rows:
-            lines.append(",".join(str(r.get(k, "")) for k in keys))
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    if "darboux" in tasks and "zetas" in tasks["darboux"]:
-        p = out_dir / "zeta.csv"
-        lines = ["k,i,j,value"]
+        table = ([r.get(k, "") for k in keys] for r in rows)
+        written.append(_write_csv(out_dir / "recurrence.csv", keys, table))
+    if "zetas" in tasks.get("darboux", {}):
         zet = tasks["darboux"]["zetas"]
-        for k in sorted(zet, key=int):
-            mat = zet[k]
-            for i, row in enumerate(mat):
-                for j, v in enumerate(row):
-                    lines.append(f"{k},{i},{j},{v}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
-    if "bispec-discover" in tasks and "operator" in tasks["bispec-discover"]:
-        p = out_dir / "operator.csv"
-        lines = ["k,i,j,t,value"]
-        op = tasks["bispec-discover"]["operator"]
-        for k, mat in enumerate(op["coeffs"]):
-            for i, row in enumerate(mat):
-                for j, entry in enumerate(row):
-                    for t, v in enumerate(entry):
-                        lines.append(f"{k},{i},{j},{t},{v}")
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+        table = (
+            (k, i, j, v)
+            for k in sorted(zet, key=int)
+            for i, row in enumerate(zet[k])
+            for j, v in enumerate(row)
+        )
+        written.append(_write_csv(out_dir / "zeta.csv", ["k", "i", "j", "value"], table))
+    if "operator" in tasks.get("bispec-discover", {}):
+        coeffs = tasks["bispec-discover"]["operator"]["coeffs"]
+        table = (
+            (k, i, j, t, v)
+            for k, mat in enumerate(coeffs)
+            for i, row in enumerate(mat)
+            for j, entry in enumerate(row)
+            for t, v in enumerate(entry)
+        )
+        written.append(_write_csv(out_dir / "operator.csv", ["k", "i", "j", "t", "value"], table))
     return written
 
 
@@ -756,22 +748,32 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = RunConfig.from_dict(raw)
         else:
             cfg = RunConfig.from_dict(paper.CONFIG)
+        out_dir = args.out or cfg.output
+        if args.format == "csv" and not out_dir:
+            raise ConfigError("--format csv writes tables: give --out or the config's output")
+        out_path = Path(out_dir) if out_dir else None
+        if out_path is not None:
+            try:
+                out_path.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create the output directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     report = run(cfg)
     text = _fmt_json(report)
-    out_dir = args.out or cfg.output
-    if out_dir:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "report.json").write_text(text)
-        if args.format == "csv":
-            emit_tables(report, out_path)
-        print(f"report written to {out_path / 'report.json'}", file=sys.stderr)
-    else:
+    if out_path is None:
         sys.stdout.write(text)
+    else:
+        try:
+            (out_path / "report.json").write_text(text)
+            if args.format == "csv":
+                emit_tables(report, out_path)
+        except OSError as exc:
+            print(f"config error: cannot write into the output directory: {exc}", file=sys.stderr)
+            return 2
+        print(f"report written to {out_path / 'report.json'}", file=sys.stderr)
     return 1 if report["overall"] == "FAIL" else 0
 
 

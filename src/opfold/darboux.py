@@ -7,8 +7,9 @@ with transpose as the adjoint. H = T T* and (J-c)^{N+1} = T* T are
 identities between banded operators, so both routes visit only the band,
 and each square root is held as a float and a power of two that is
 applied only to orthonormal entries, which stay near 1 where the norms
-overflow a float. The interlaced recurrence is checked as an exact
-polynomial identity over integer coefficient rows.
+overflow a float. The interlaced recurrence is checked in the folded
+variable y = x^2, as exact polynomial identities over integer
+coefficient rows.
 """
 from __future__ import annotations
 
@@ -328,32 +329,29 @@ def darboux_swap(lu: BlockLU) -> BlockTridiagonal:
 
 
 def w_interlace_check(P_mats, Q_mats, zetas: ZetaSequence, count: int) -> list[int]:
-    """Verify x W_n = W_{n+1} + zeta_n W_{n-1} exactly in the variable x.
+    """Verify x W_n = W_{n+1} + zeta_n W_{n-1} exactly, in y = x^2.
 
     W_{2n} = P_n(x^2) and W_{2n+1} = x Q_n(x^2); inputs are the monic
-    matrix polynomials in the folded variable. Each W_k is held as the
-    stretched integer coefficient rows of its entries over one
-    denominator, and the identity is checked as an exact polynomial
-    identity over integer rows (orthopoly.recurrence_holds). Returns the
-    list of checked indices; raises IdentityViolated(n) on the first
-    nonzero residual.
+    matrix polynomials in the folded variable y. Step 2k of the
+    recurrence is x times P_k = Q_k + zeta_{2k} Q_{k-1}, and step 2k+1 is
+    y Q_k = P_{k+1} + zeta_{2k+1} P_k with y = x^2, so each step is one
+    exact polynomial identity in y over the integer coefficient rows of
+    the blocks, one denominator per block (orthopoly.recurrence_holds).
+    Returns the list of checked indices; raises IdentityViolated(n) on
+    the first nonzero residual.
     """
-    rows: dict[int, tuple] = {}
-
-    def w(k: int):
-        if k not in rows:
-            if k < 0:
-                b = P_mats[0].nrows
-                rows[k] = ([[[] for _ in range(b)] for _ in range(b)], 1)
-            else:
-                half, odd = divmod(k, 2)
-                rows[k] = int_block((Q_mats if odd else P_mats)[half], 2, odd)
-        return rows[k]
-
+    P = [int_block(m) for m in P_mats[: count // 2 + 1]]
+    Q = [int_block(m) for m in Q_mats[: (count + 1) // 2]]
     checked = []
     for n in range(count):
-        cur, nxt = w(n), w(n + 1)
-        if not recurrence_holds(cur, nxt, [(zetas.zeta(n).rows, w(n - 1))]):
+        k, odd = divmod(n, 2)
+        zeta = zetas.zeta(n).rows
+        if odd:
+            holds = recurrence_holds(Q[k], P[k + 1], [(zeta, P[k])])
+        else:
+            # zeta_0 multiplies W_{-1} = 0
+            holds = recurrence_holds(P[k], Q[k], [(zeta, Q[k - 1])] if k else [], (1,))
+        if not holds:
             raise IdentityViolated(f"interlaced recurrence failed at n={n}")
         checked.append(n)
     return checked

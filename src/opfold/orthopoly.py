@@ -152,21 +152,12 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     return MonicSequence(tuple(polys), tuple(norms), form)
 
 
-def int_block(mat: Matrix, step: int = 1, offset: int = 0):
-    """(rows, den): entry (i, j) of a Poly matrix as a list of integers over
-    one denominator den for the whole block, with the coefficient of z^t
-    placed at power step*t + offset (step 2 and offset 0 or 1 give the
-    rows of P(x^2) and x P(x^2)). A zero entry is the empty list."""
+def int_block(mat: Matrix):
+    """(rows, den): entry (i, j) of a Poly matrix as the list of its
+    coefficients, integers over one denominator den for the whole block.
+    A zero entry is the empty list."""
     den = lcm(*(c.denominator for row in mat.rows for p in row for c in p.coeffs))
-    rows = []
-    for row in mat.rows:
-        out = []
-        for p in row:
-            cs = [0] * (step * len(p.coeffs) + offset - step + 1) if p.coeffs else []
-            for t, c in enumerate(p.coeffs):
-                cs[step * t + offset] = c.numerator * (den // c.denominator)
-            out.append(cs)
-        rows.append(out)
+    rows = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row] for row in mat.rows]
     return rows, den
 
 

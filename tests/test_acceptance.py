@@ -168,12 +168,12 @@ def test_criterion_09_conjugation_matches_ladder_numerically(hermite, canon):
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)]
     for y0 in grid:
         for n in range(7):
-            r = op.conjugation_eval(D, 1, hermite["seq"], n, y0)
+            r = op.conjugation_eval(D, hermite["fold"], n, y0)
             assert r.max_deviation < 1e-10, (y0, n)
     D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     for y0 in grid:
         for n in range(7):
-            r = op.conjugation_eval(D8, 1, canon["seq"], n, y0)
+            r = op.conjugation_eval(D8, canon["fold"], n, y0)
             assert r.max_deviation < 1e-8, (y0, n)
 
 

@@ -5,8 +5,8 @@ hold every square root as a float and a power of two; matrix_ttrr and
 w_interlace_check compare integer coefficient rows over one denominator
 per block. tests/oracles.py keeps the dense and Poly routes they
 replaced. On Laguerre-Sobolev families, their Christoffel shifts (which
-are quasi-definite at c = 1 for an odd shift power) and perturbed
-copies of each input, the two routes must give equal reports (floats
+are quasi-definite at c = 1 for an odd shift power), their folds about
+0 and about their own c, and perturbed copies of each input, the two routes must give equal reports (floats
 compared bit for bit), equal block Jacobis and checked lists, or the
 same exception with the same message.
 """
@@ -43,8 +43,14 @@ def _family(alpha: int, c: int, N: int, deg: int) -> dict:
         "jac": op.jacobi_matrix(shifted),
         "conn": op.connection_matrix(seq, shifted, N),
         "conn0": op.connection_matrix(op.monic_sequence(op.measure_form(mu), deg), shifted, N),
-        "P": op.monic_normalize(op.build_matrix_sequence(seq, N)).sequence,
-        "Q": op.monic_normalize(op.build_matrix_sequence(shifted, N)).sequence,
+        # the monic folds (P, Q) about 0 and about the family's own c
+        "folds": {
+            centre: tuple(
+                op.monic_normalize(op.build_matrix_sequence(s, N, centre)).sequence
+                for s in (seq, shifted)
+            )
+            for centre in {0, c}
+        },
     }
 
 
@@ -158,32 +164,37 @@ def test_banded_ul_identity_matches_the_dense_route(fam, kind, seed, factor, del
 
 @given(
     families,
+    st.booleans(),
     st.sampled_from(["none", "zeta", "block"]),
     st.integers(0, 10**6),
     st.sampled_from(DELTAS),
 )
-@example(((0, 0, 1), 10), "none", 0, DELTAS[0])
-@example(((0, 0, 1), 10), "zeta", 7, DELTAS[1])
-@example(((1, 0, 2), 9), "block", 11, DELTAS[1])
+@example(((0, 0, 1), 10), False, "none", 0, DELTAS[0])
+@example(((0, 0, 1), 10), False, "zeta", 7, DELTAS[1])
+@example(((1, 0, 2), 9), False, "block", 11, DELTAS[1])
+@example(((2, 1, 1), 10), True, "none", 0, DELTAS[0])
+@example(((1, 1, 2), 9), True, "zeta", 5, DELTAS[1])
 @settings(max_examples=120, deadline=None)
-def test_integer_fold_checks_match_the_poly_route(fam, kind, seed, delta):
+def test_integer_fold_checks_match_the_poly_route(fam, about_c, kind, seed, delta):
     (alpha, c, N), deg = fam
-    f = _family(alpha, c, N, deg)
-    P, Q = f["P"], f["Q"]
+    centre = c if about_c else 0
+    P, Q = _family(alpha, c, N, deg)["folds"][centre]
     b = N + 1
     if kind == "block":
         n = seed % len(P)
         P = _perturbed_block(P, n, seed // 7 % b, seed // 11 % b, seed // 13 % (n + 1), delta)
     new = _outcome(lambda: op.matrix_ttrr(P).monic)
     assert new == _outcome(lambda: oracles.poly_matrix_ttrr(P))
-    if kind == "none" and c == 0:
+    # folded about its own centre, every family is a Darboux pair
+    if kind == "none" and centre == c:
         assert new[0] == "ok"
     if new[0] != "ok":
         return
-    # the interlaced recurrence needs the LU zetas; at c = 1 the block
-    # Jacobi may have no LU split, and then there is nothing to check
+    # the interlaced recurrence needs the LU zetas; folded about 0 at c = 1
+    # the block Jacobi may have no LU split, and then there is nothing to check
     lu = _outcome(lambda: op.block_lu(new[1]))
     if lu[0] != "ok":
+        assert kind != "none" or centre != c, lu
         return
     zetas = lu[1].zetas
     if kind == "zeta":
@@ -198,7 +209,7 @@ def test_integer_fold_checks_match_the_poly_route(fam, kind, seed, delta):
     count = 2 * len(P) - 2
     got = _outcome(lambda: op.w_interlace_check(P_mats, Q_mats, zetas, count))
     assert got == _outcome(lambda: oracles.poly_w_interlace_check(P_mats, Q_mats, zetas, count))
-    if kind == "none" and c == 0:
+    if kind == "none" and centre == c:
         assert got == ("ok", list(range(count)))
 
 

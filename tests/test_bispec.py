@@ -519,18 +519,18 @@ def test_float_roots_agree_between_precisions():
 
 def test_conjugated_operator_matches_the_block_action(canon, hermite):
     D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
-    r = op.conjugation_eval(D8, 1, canon["seq"], 1, Fraction(1, 2))
+    r = op.conjugation_eval(D8, canon["fold"], 1, Fraction(1, 2))
     assert r.max_deviation < 1e-12
     for y0 in (Fraction(1, 2), Fraction(3)):
         for n in range(4):
-            rh = op.conjugation_eval(hermite["D"], 1, hermite["seq"], n, y0)
+            rh = op.conjugation_eval(hermite["D"], hermite["fold"], n, y0)
             assert rh.max_deviation < 1e-12, (y0, n)
 
 
 def test_conjugation_extended_precision_tightens_the_residual(canon):
     D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     r = op.conjugation_eval(
-        D8, 1, canon["seq"], 1, Fraction(1, 2), precision="extended"
+        D8, canon["fold"], 1, Fraction(1, 2), precision="extended"
     )
     assert float(r.max_deviation) < 1e-40
 
@@ -541,10 +541,36 @@ def test_extended_conjugation_leaves_the_global_precision_alone(hermite):
     with mp.workdps(15):
         # a leak would show here as mp.dps == 50
         r = op.conjugation_eval(
-            hermite["D"], 1, hermite["seq"], 2, Fraction(1, 2), precision="extended"
+            hermite["D"], hermite["fold"], 2, Fraction(1, 2), precision="extended"
         )
         assert mp.dps == 15
     assert float(r.max_deviation) < 1e-40
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(-3, 2)])
+@pytest.mark.parametrize("N", [1, 2])
+def test_conjugation_about_a_nonzero_centre(hermite, c, N):
+    # the images are evaluated at c + w^k y0^(1/(N+1)) and compared with
+    # the fold about c, so the deviation stays at rounding level
+    D, seq = hermite["D"], hermite["seq"]
+    R = op.build_matrix_sequence(seq, N, c)
+    lams = op.scalar_eigenvalues(D, seq, len(R) * (N + 1))
+    for n in range(len(R)):
+        for y0 in (Fraction(1, 2), Fraction(3)):
+            r = op.conjugation_eval(D, R, n, y0)
+            assert r.max_deviation < 1e-12, (n, y0)
+            block = R.mat(n)
+            want = [
+                complex(lams[(N + 1) * n + j]) * block[j, k](float(y0))
+                for j in range(N + 1)
+                for k in range(N + 1)
+            ]
+            assert [v for row in r.rhs for v in row] == pytest.approx(want, rel=1e-15)
+    with pytest.raises(op.DimensionMismatch):
+        op.conjugation_eval(D, op.monic_normalize(R).sequence, 0, Fraction(1, 2))
+    # past the last block (at N = 2 two members of the next one exist)
+    with pytest.raises(op.InsufficientSequence):
+        op.conjugation_eval(D, R, len(R), Fraction(1, 2))
 
 
 def test_conjugation_checks_the_eigen_identity_on_block_n(hermite):
@@ -552,9 +578,9 @@ def test_conjugation_checks_the_eigen_identity_on_block_n(hermite):
     # the second member of block 1 at N=1
     c0, c1, c2 = hermite["D"].coeffs
     D = op.ScalarOperator(3, (c0, c1, c2, op.Poly((1,))))
-    assert op.conjugation_eval(D, 1, hermite["seq"], 0, Fraction(1, 2)).max_deviation < 1e-12
+    assert op.conjugation_eval(D, hermite["fold"], 0, Fraction(1, 2)).max_deviation < 1e-12
     with pytest.raises(op.IdentityViolated, match="degree-3 member"):
-        op.conjugation_eval(D, 1, hermite["seq"], 1, Fraction(1, 2))
+        op.conjugation_eval(D, hermite["fold"], 1, Fraction(1, 2))
     with pytest.raises(op.IdentityViolated, match="degree-3 member"):
         op.scalar_eigenvalues(D, hermite["seq"], 6)
 
@@ -562,9 +588,9 @@ def test_conjugation_checks_the_eigen_identity_on_block_n(hermite):
 def test_conjugation_requires_a_positive_point(canon):
     D8 = op.ScalarOperator(1, (op.Poly(()), op.Poly((0, 1))))
     with pytest.raises(op.NumericalInstability):
-        op.conjugation_eval(D8, 1, canon["seq"], 1, Fraction(-1))
+        op.conjugation_eval(D8, canon["fold"], 1, Fraction(-1))
     with pytest.raises(op.NumericalInstability):
-        op.conjugation_eval(D8, 1, canon["seq"], 1, Fraction(0))
+        op.conjugation_eval(D8, canon["fold"], 1, Fraction(0))
 
 
 # -- serialization ---------------------------------------------------------

@@ -523,6 +523,32 @@ def test_unreadable_and_malformed_configs_exit_with_usage_error(tmp_path, capsys
     assert capsys.readouterr().err.count("config error") == 2
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_unusable_output_directory_is_a_usage_error(tmp_path, capsys, sub):
+    # a file where the directory should be, or above it: no task runs
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["verify-paper", "--out", str(blocker / sub)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("config error") == 1 and "Traceback" not in captured.err
+    assert "task " not in captured.err and captured.out == ""
+
+
+def test_an_unwritable_report_is_a_usage_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1 and "Traceback" not in err
+
+
+def test_csv_without_an_output_directory_is_a_usage_error(capsys):
+    assert main(["verify-paper", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "task " not in captured.err
+    assert captured.out == ""
+
+
 def test_config_resolves_task_dependencies():
     cfg = RunConfig.from_dict(
         {
