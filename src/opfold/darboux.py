@@ -4,8 +4,9 @@ power identity, and block LU/UL Darboux swaps with zeta extraction.
 Exact assertions all live in the monic-conjugated picture; the orthonormal
 statements (which involve square roots) are re-checked in floating point
 with transpose as the adjoint. H = T T* and (J-c)^{N+1} = T* T are
-identities between banded operators, so both routes visit only the band,
-and each square root is held as a float and a power of two that is
+identities between banded operators, so both routes visit only the band.
+The exact sides are integer dot products over one denominator per row or
+column. Each square root is held as a float and a power of two that is
 applied only to orthonormal entries, which stay near 1 where the norms
 overflow a float. The interlaced recurrence is checked in the folded
 variable y = x^2, as exact polynomial identities over integer
@@ -15,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .banded import BandedOperator, BlockTridiagonal
 from .errors import DimensionMismatch, IdentityViolated, SingularMatrix, SingularPivotBlock
-from .linalg import Matrix, ldlt, solve_linear
+from .linalg import Matrix, clear_denominators, ldlt, solve_linear
 from .orthopoly import BandedRecurrence, ConnectionMatrix, JacobiMatrix, int_block, recurrence_holds
 from .rationals import as_fraction, ldexp2, split_csqrt, split_float
 
@@ -98,7 +101,10 @@ def _orthonormal(value, left, right):
 def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> FactorizationReport:
     """Check H = T T^* both ways, inside the band.
 
-    Exact route: raw table equals T diag(pivots) T^t entrywise. Float
+    Exact route: raw table equals T diag(pivots) T^t entrywise. Each row
+    of T and of T diag(pivots) is cleared of denominators once, so an
+    entry is one integer dot product, compared with the raw entry by
+    cross-multiplication; a Fraction is built only for the message. Float
     route: the orthonormal factor T_monic[n][j] sqrt(p_j) / sqrt(nu_n),
     with actual square roots (complex when quasi-definite), against the
     orthonormal recurrence entries raw / sqrt(nu_i nu_j), transpose as
@@ -113,14 +119,23 @@ def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> Fa
     n = rec.size
     L, D = fact.T_monic, fact.pivots
     width = max(fact.bandwidth, L.lower, rec.raw.lower, rec.raw.upper)
+    # row i of L and of L diag(D) over its columns lo..i, each as integers
+    # over one denominator; entry (i, j) is then one integer dot product
+    rows = []
     for i in range(n):
+        lo = max(0, i - fact.bandwidth)
+        Li = [L.entry(i, k) for k in range(lo, i + 1)]
+        LDi = [v * D[k] for k, v in enumerate(Li, lo)]
+        rows.append((lo, clear_denominators(Li), clear_denominators(LDi)))
+    for i in range(n):
+        lo, (a, aden), _ = rows[i]
         for j in _band(n, width, i):
-            acc = Fraction(0)
-            for k in range(max(0, max(i, j) - fact.bandwidth), min(i, j) + 1):
-                acc += L.entry(i, k) * L.entry(j, k) * D[k]
-            if acc != rec.raw.entry(i, j):
+            lo_j, _, (b, bden) = rows[j]
+            acc = _dot(lo, a, lo_j, b, min(i, j) + 1)
+            h = rec.raw.entry(i, j)
+            if acc * h.denominator != h.numerator * aden * bden:
                 raise IdentityViolated(
-                    f"H != T diag T^t at entry ({i},{j}): {acc} vs {rec.raw.entry(i, j)}"
+                    f"H != T diag T^t at entry ({i},{j}): {Fraction(acc, aden * bden)} vs {h}"
                 )
     sp = [split_csqrt(p) for p in D]
     sn = [split_csqrt(v) for v in rec.norms_sq]
@@ -148,18 +163,27 @@ def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> Fa
     return FactorizationReport(True, n, rel, worst)
 
 
-def _band_power(diag: list, upper: list, lower: list, k: int, one) -> list[dict]:
-    """Rows {column: value} of the k-th power of the tridiagonal matrix
-    with diagonal diag, superdiagonal upper and subdiagonal lower (entry
-    (l, l+1) is upper[l], entry (l+1, l) is lower[l]); one is the unit of
-    the entries' ring. Every entry adds the products of the dense product
-    that can be nonzero, in the dense order."""
+def _dot(lo_a: int, a: list[int], lo_b: int, b: list[int], stop: int) -> int:
+    """Sum of a_k b_k over max(lo_a, lo_b) <= k < stop, where a_k is
+    a[k - lo_a] and b_k is b[k - lo_b]."""
+    first = max(lo_a, lo_b)
+    if first >= stop:
+        return 0
+    return sum(map(mul, a[first - lo_a : stop - lo_a], b[first - lo_b : stop - lo_b]))
+
+
+def _band_power(diag: list, upper: list, lower: list, k: int) -> list[dict]:
+    """Rows {column: value} of the k-th power of the complex tridiagonal
+    matrix with diagonal diag, superdiagonal upper and subdiagonal lower
+    (entry (l, l+1) is upper[l], entry (l+1, l) is lower[l]). Every entry
+    adds the products of the dense product that can be nonzero, in the
+    dense order."""
     n = len(diag)
 
     def entry(l: int, j: int):
         return diag[j] if l == j else upper[l] if j > l else lower[j]
 
-    rows = [{i: one} for i in range(n)]
+    rows = [{i: 1.0 + 0j} for i in range(n)]
     for _ in range(k):
         rows = [
             {
@@ -171,13 +195,52 @@ def _band_power(diag: list, upper: list, lower: list, k: int, one) -> list[dict]
     return rows
 
 
+def _int_shift_power(diag: list, lam, k: int, nrows: int) -> list[tuple[int, list[int], int]]:
+    """Rows 0..nrows-1 of the k-th power of the tridiagonal matrix with
+    rational diagonal diag, ones above it and lam below it (entry
+    (l+1, l) is lam[l]), each as (lo, ints, den): entry (i, lo + t) is
+    ints[t] / den. Row i of a power is a walk of its own, e_i^t times the
+    matrix k times; each step puts the row over one new denominator, the
+    lcm of those of the entries it reads."""
+    n = len(diag)
+    d = [(v.numerator, v.denominator) for v in diag]
+    low = [(v.numerator, v.denominator) for v in lam]
+    rows = []
+    for i in range(nrows):
+        lo, row, den = i, [1], 1
+        for _ in range(k):
+            size = len(row)
+            first = max(0, lo - 1)
+            # the step reads diag over the row's columns, lam left of them
+            scale = lcm(
+                *(d[j][1] for j in range(lo, lo + size)),
+                *(low[j][1] for j in range(first, lo + size - 1)),
+            )
+            new = []
+            for j in range(first, min(n, lo + size + 1)):
+                t = j - lo  # row[t - 1], row[t], row[t + 1] meet columns j-1, j, j+1
+                v = row[t - 1] * scale if t >= 1 else 0
+                if 0 <= t < size:
+                    v += row[t] * d[j][0] * (scale // d[j][1])
+                if t < size - 1:
+                    v += row[t + 1] * low[j][0] * (scale // low[j][1])
+                new.append(v)
+            lo, row, den = first, new, den * scale
+        rows.append((lo, row, den))
+    return rows
+
+
 def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> FactorizationReport:
     """Check (J - c)^{N+1} = T^* T on rows unaffected by truncation.
 
     Monic-conjugated exact form: (J_monic - c)^{N+1} = diag(d) K with
-    K_{jk} = sum_n T_monic[n][j] T_monic[n][k] / nu_n. Orthonormal float
-    form: the same identity with materialized square roots, transpose as
-    adjoint, checked to FLOAT_TOL relative. Both sides vanish for
+    K_{jk} = sum_n T_monic[n][j] T_monic[n][k] / nu_n, checked over
+    integers: each trusted row of the power has one denominator
+    (_int_shift_power), each band column of T and of diag(1/nu) T is
+    cleared once, and K_{jk} is one integer dot product, compared by
+    cross-multiplication. Orthonormal float form: the same identity with
+    materialized square roots, transpose as adjoint, checked to FLOAT_TOL
+    relative. Both sides vanish for
     |j-k| > N+1, so both routes visit only the band, row by row; the float
     power is a banded product, and the roots are held as a float and a
     power of two as in verify_h_factorization, so the report is that of
@@ -189,22 +252,33 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
     d = conn.to_norms_sq
     T = conn.T_monic
     jsize = jac.size
-    # (J_monic - c)^{N+1}: unit superdiagonal, lam below
     shifted = [b - c for b in jac.b]
-    power = _band_power(shifted, [Fraction(1)] * (jsize - 1), jac.lam, N + 1, Fraction(1))
     trusted = min(m - (N + 1), jsize - (N + 1))
     if trusted <= 0:
         raise IdentityViolated("truncation too small to trust any row")
+    # column j of T and of diag(1/nu) T over its rows j..j+N+1 (cut at the
+    # truncation), each as integers over one denominator, and the trusted
+    # rows of (J_monic - c)^{N+1}: unit superdiagonal, lam below
+    stop = [min(m, j + N + 2) for j in range(trusted)]
+    cols, scaled = [], []
+    for j in range(trusted):
+        Tj = [T.entry(n, j) for n in range(j, stop[j])]
+        cols.append(clear_denominators(Tj))
+        scaled.append(clear_denominators([v / nu[n] for n, v in enumerate(Tj, j)]))
+    power = _int_shift_power(shifted, jac.lam, N + 1, trusted)
     worst = None
     for j in range(trusted):
+        lo, row, pden = power[j]
+        a, aden = cols[j]
+        # power[j][k] = d_j K_jk, multiplied through by every denominator
+        left, right = d[j].denominator * aden, d[j].numerator * pden
         for k in _band(trusted, N + 1, j):
-            acc = Fraction(0)
-            for n in range(max(j, k), min(m - 1, min(j, k) + N + 1) + 1):
-                acc += T.entry(n, j) * T.entry(n, k) / nu[n]
-            lhs = power[j][k]
-            if lhs != d[j] * acc:
+            b, bden = scaled[k]
+            acc = _dot(j, a, k, b, min(stop[j], stop[k]))
+            if row[k - lo] * left * bden != right * acc:
+                lhs, K = Fraction(row[k - lo], pden), Fraction(acc, aden * bden)
                 raise IdentityViolated(
-                    f"(J-c)^{N + 1} != T^*T at entry ({j},{k}): {lhs} vs {d[j] * acc}"
+                    f"(J-c)^{N + 1} != T^*T at entry ({j},{k}): {lhs} vs {d[j] * K}"
                 )
     # orthonormal float route; off-diagonals materialize as the ratio of
     # successive norm roots so the branch stays consistent when norms are
@@ -216,7 +290,7 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
             f"norm list covers {len(sd)} rows, Jacobi truncation has {jsize}"
         )
     off = [_orthonormal(1, sd[i + 1], sd[i]) for i in range(jsize - 1)]
-    powf = _band_power([complex(v) for v in shifted], off, off, N + 1, 1.0 + 0j)
+    powf = _band_power([complex(v) for v in shifted], off, off, N + 1)
     # the orthonormal connection entries the trusted window reads
     tf = [
         {j: _orthonormal(T.entry(n, j), sd[j], snu[n]) for j in _band(trusted, N + 1, n) if j <= n}

@@ -24,7 +24,7 @@ whole verify-paper setup takes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -419,10 +419,7 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
             [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
             for f in range(ncols)
         ]
-    limit = 2
-    for r in rows:
-        limit *= sum(v * v for v in r)
-    key = residues = modulus = None
+    key = residues = modulus = limit = None
     for p in _primes():
         piv, free, basis = _mod_nullspace(rows, ncols, p)
         structure = (len(free), piv)
@@ -440,6 +437,10 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
         candidate = _reconstruct_basis(residues, modulus, rows)
         if candidate is not None:
             return candidate
+        if limit is None:
+            # 2 H^2, only once a reconstruction has failed: most systems
+            # verify at their first prime and never need it
+            limit = 2 * prod(sum(v * v for v in r) for r in rows)
         if modulus > limit:
             raise NumericalInstability(
                 "rational reconstruction failed past the Hadamard bound"

@@ -91,7 +91,7 @@ class MatrixPolySequence:
         return self.N + 1
 
     def mat(self, n: int) -> Matrix:
-        if n >= len(self.mats):
+        if not 0 <= n < len(self.mats):
             raise InsufficientSequence(
                 f"block {n} requested, only {len(self.mats)} built"
             )

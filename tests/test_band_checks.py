@@ -1,14 +1,17 @@
 """The banded and integer-row Darboux and fold checks against the old routes.
 
-verify_h_factorization and verify_ul_identity visit only the band and
-hold every square root as a float and a power of two; matrix_ttrr and
-w_interlace_check compare integer coefficient rows over one denominator
-per block. tests/oracles.py keeps the dense and Poly routes they
-replaced. On Laguerre-Sobolev families, their Christoffel shifts (which
-are quasi-definite at c = 1 for an odd shift power), their folds about
-0 and about their own c, and perturbed copies of each input, the two routes must give equal reports (floats
-compared bit for bit), equal block Jacobis and checked lists, or the
-same exception with the same message.
+verify_h_factorization and verify_ul_identity visit only the band, sum
+their exact sides as integer dot products over one denominator per row
+or column and hold every square root as a float and a power of two;
+matrix_ttrr and w_interlace_check compare integer coefficient rows over
+one denominator per block. tests/oracles.py keeps the dense Fraction and
+Poly routes they replaced. On Laguerre-Sobolev families, their
+Christoffel shifts (which are quasi-definite at c = 1 for an odd shift
+power), their folds about 0 and about their own c, and perturbed copies
+of each input, the two routes must give equal reports (floats compared
+bit for bit), equal block Jacobis and checked lists, or the same
+exception with the same message. The integer rows of (J - c)^(N+1) must
+equal the dense Fraction power on random Jacobi data of either sign.
 """
 
 from fractions import Fraction
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opfold as op
+from opfold import darboux
 import oracles
 
 
@@ -107,6 +111,7 @@ DELTAS = [Fraction(1), Fraction(-1, 7), Fraction(1, 10**15)]
 @example(((0, 0, 1), 10), "none", 0, FACTORS[0], DELTAS[0])
 @example(((1, 1, 0), 8), "norm", 5, FACTORS[0], DELTAS[0])
 @example(((2, 1, 2), 9), "pivot", 3, FACTORS[2], DELTAS[0])
+@example(((1, 1, 2), 16), "none", 0, FACTORS[0], DELTAS[0])  # quasi-definite grid case
 @settings(max_examples=120, deadline=None)
 def test_banded_h_factorization_matches_the_dense_route(fam, kind, seed, factor, delta):
     (alpha, c, N), deg = fam
@@ -137,6 +142,8 @@ def test_banded_h_factorization_matches_the_dense_route(fam, kind, seed, factor,
 @example(((0, 0, 1), 10), "none", 0, FACTORS[0], DELTAS[0])
 @example(((1, 1, 2), 10), "to_norm", 4, FACTORS[0], DELTAS[0])
 @example(((2, 1, 0), 7), "base", 0, FACTORS[0], DELTAS[0])
+@example(((1, 1, 2), 16), "none", 0, FACTORS[0], DELTAS[0])  # quasi-definite grid case
+@example(((1, 1, 2), 16), "base", 0, FACTORS[0], DELTAS[0])
 @settings(max_examples=120, deadline=None)
 def test_banded_ul_identity_matches_the_dense_route(fam, kind, seed, factor, delta):
     (alpha, c, N), deg = fam
@@ -160,6 +167,34 @@ def test_banded_ul_identity_matches_the_dense_route(fam, kind, seed, factor, del
     assert new == _outcome(lambda: oracles.dense_verify_ul(jac, c, N, conn))
     if kind in ("none", "base"):
         assert new[0] == "ok"
+
+
+small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(small, min_size=n, max_size=n),
+            st.lists(small.filter(bool), min_size=n - 1, max_size=n - 1),
+        )
+    ),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)]),
+    st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_shift_power_matches_the_dense_power(data, c, N):
+    # Jacobi data of either sign (lam < 0 is quasi-definite); every row of
+    # the integer power, read over its denominator, is the dense row
+    b, lam = data
+    jac = op.JacobiMatrix(tuple(b), tuple(lam))
+    dense = oracles.shift_power(jac, c, N + 1)
+    rows = darboux._int_shift_power([v - c for v in b], lam, N + 1, len(b))
+    assert len(rows) == len(dense)
+    for (lo, ints, den), want in zip(rows, dense):
+        got = [Fraction(0)] * len(want)
+        got[lo : lo + len(ints)] = [Fraction(v, den) for v in ints]
+        assert got == want
 
 
 @given(

@@ -2,6 +2,7 @@
 eigen verification, nullspace-based discovery, minimal-order certificates,
 the scalar route, and the root-of-unity conjugation check."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,31 @@ def test_exact_nullspace_survives_an_unlucky_first_prime():
 def test_exact_nullspace_takes_as_many_primes_as_the_entries_need():
     a, b = 3**189 + 2, -(5**129) - 4  # about 300 bits each
     assert exact_nullspace([[a, b]], 2) == [[Fraction(-b, a), Fraction(1)]]
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, primes",
+    [
+        ([[3**189 + 2, -(5**129) - 4]], 2, 10),  # 2 H^2 has 601 bits
+        ([[1, 2, 3], [4, 5, 6]], 3, 1),
+        ([[2**200 + 1, 3, 0], [0, 7**90, 5]], 3, 15),
+    ],
+)
+def test_exact_nullspace_gives_up_once_past_the_hadamard_bound(monkeypatch, rows, ncols, primes):
+    # with every reconstruction failing, the primes run until their product
+    # passes 2 H^2, H the Hadamard bound of the rows; the bound is worked
+    # out only after the first failure, and the count must not move
+    seen = []
+    mod_nullspace = op.linalg._mod_nullspace
+    monkeypatch.setattr(op.linalg, "_reconstruct_basis", lambda *args: None)
+    monkeypatch.setattr(
+        op.linalg, "_mod_nullspace", lambda r, n, p: seen.append(p) or mod_nullspace(r, n, p)
+    )
+    with pytest.raises(op.NumericalInstability, match="past the Hadamard bound"):
+        exact_nullspace(rows, ncols)
+    assert len(seen) == primes
+    bound = 2 * math.prod(sum(v * v for v in r) for r in rows)
+    assert math.prod(seen) > bound >= math.prod(seen[:-1])
 
 
 # -- discovery -------------------------------------------------------------
@@ -571,6 +597,19 @@ def test_conjugation_about_a_nonzero_centre(hermite, c, N):
     # past the last block (at N = 2 two members of the next one exist)
     with pytest.raises(op.InsufficientSequence):
         op.conjugation_eval(D, R, len(R), Fraction(1, 2))
+
+
+def test_a_negative_block_index_is_refused(hermite):
+    # block -1 must not wrap to the last block of the fold
+    R, D = hermite["fold"], hermite["D"]
+    found = op.discover_operator(R, _HERMITE_LADDER, 2, 1, 6).operator
+    assert op.verify_eigen(R, found, _HERMITE_LADDER, [len(R) - 1]).ok
+    with pytest.raises(op.InsufficientSequence, match="block -1 requested"):
+        R.mat(-1)
+    with pytest.raises(op.InsufficientSequence, match="block -1 requested"):
+        op.verify_eigen(R, found, _HERMITE_LADDER, [-1])
+    with pytest.raises(op.InsufficientSequence, match="block -1 requested"):
+        op.conjugation_eval(D, R, -1, Fraction(1, 2))
 
 
 def test_conjugation_checks_the_eigen_identity_on_block_n(hermite):
