@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import paper
 from .bispec import (
@@ -45,6 +45,7 @@ from .measures import (
     MomentFunctional,
     SobolevSpec,
     christoffel_shift,
+    gram_matrix,
     hermite_moments,
     laguerre_moments,
     mass_matrix,
@@ -85,42 +86,6 @@ N_LIMIT = SCALAR_COUNT_LIMIT // 3 - 1
 # Largest accepted Laguerre alpha. The moments are (k+alpha)!, so alpha
 # adds to the bit length of every exact number the run computes.
 ALPHA_LIMIT = 100
-
-TASK_NAMES = (
-    "moments",
-    "gram",
-    "orthopoly",
-    "recurrence",
-    "connection",
-    "darboux",
-    "fold",
-    "ttrr",
-    "bispec-verify",
-    "bispec-discover",
-    "min-order",
-    "conjugation",
-)
-
-_DEPS = {
-    "moments": (),
-    "gram": ("moments",),
-    "orthopoly": ("gram",),
-    "recurrence": ("orthopoly",),
-    "connection": ("orthopoly",),
-    "darboux": ("recurrence", "fold"),
-    "fold": ("orthopoly",),
-    "ttrr": ("fold", "recurrence"),
-    "bispec-verify": ("fold",),
-    "bispec-discover": ("fold",),
-    "min-order": ("fold",),
-    "conjugation": ("orthopoly",),
-}
-
-
-# tasks that read (N+1)(n_max+1) scalar members: n_max+1 folded blocks
-_MATRIX_TASKS = frozenset(
-    ("darboux", "fold", "ttrr", "bispec-verify", "bispec-discover", "min-order", "conjugation")
-)
 
 
 def _is_int(value) -> bool:
@@ -197,6 +162,8 @@ class RunConfig:
             else:
                 raise ConfigError(f"unknown task {t!r}")
         tol_str = data.get("float_tolerance", "1e-10")
+        if isinstance(tol_str, bool):
+            raise ConfigError("float_tolerance must be a number or a string")
         try:
             tol = float(tol_str)
         except (ValueError, TypeError, OverflowError) as exc:
@@ -232,22 +199,24 @@ class RunConfig:
         return cfg
 
     def resolved_tasks(self) -> tuple[str, ...]:
+        """The named tasks and every task they need, in TASK_NAMES order."""
         wanted: set[str] = set()
 
         def pull(t: str):
             if t in wanted:
                 return
             wanted.add(t)
-            for d in _DEPS[t]:
+            for d in _TASKS[t].needs:
                 pull(d)
 
         for t in self.tasks:
             pull(t)
-        return tuple(t for t in TASK_NAMES if t in wanted)
+        return tuple(t for t in _TASKS if t in wanted)
 
     def scalar_count(self) -> int:
-        """Members of the scalar sequence the resolved tasks build."""
-        if _MATRIX_TASKS.intersection(self.resolved_tasks()):
+        """Members of the scalar sequence the resolved tasks build: a task
+        that reads the fold needs n_max+1 blocks of N+1 members."""
+        if any(_TASKS[t].folded for t in self.resolved_tasks()):
             return (self.N + 1) * (self.n_max + 1)
         return self.n_max + 1
 
@@ -417,8 +386,6 @@ def _task_moments(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_gram(ctx: _Context) -> tuple[str, dict]:
-    from .measures import gram_matrix
-
     degree = min(ctx.cfg.n_max, 12)
     g = gram_matrix(ctx.form(), degree)
     sym = g == g.transpose()
@@ -510,13 +477,7 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
         rows.append({"n": n, "lu_match": lu_match, "ul_match": ul_match})
     ok = all(r["lu_match"] and r["ul_match"] for r in rows)
     # interlaced recurrence in the unfolded variable
-    count = 2 * len(P) - 2
-    checked = w_interlace_check(
-        [P.mat(n) for n in range(len(P))],
-        [Q.mat(n) for n in range(len(Q))],
-        lu.zetas,
-        count,
-    )
+    checked = w_interlace_check(P.mats, Q.mats, lu.zetas, 2 * len(P) - 2)
     return ("PASS" if ok else "FAIL"), {
         "blocks": m,
         "rows": rows,
@@ -604,38 +565,41 @@ def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
     }
 
 
-_TASK_FNS = {
-    "moments": _task_moments,
-    "gram": _task_gram,
-    "orthopoly": _task_orthopoly,
-    "recurrence": _task_recurrence,
-    "connection": _task_connection,
-    "darboux": _task_darboux,
-    "fold": _task_fold,
-    "ttrr": _task_ttrr,
-    "bispec-verify": _task_bispec_verify,
-    "bispec-discover": _task_bispec_discover,
-    "min-order": _task_min_order,
-    "conjugation": _task_conjugation,
+class _Task(NamedTuple):
+    run: Callable[[_Context], tuple[str, dict]]
+    needs: tuple[str, ...]
+    folded: bool  # reads the fold: (N+1)(n_max+1) scalar members
+    # the paper's verdict on the worked case: it adds the paper-only fields
+    # to the payload and says whether the tabulated values hold, or None
+    verdict: Optional[Callable[[_Context, dict], Optional[bool]]] = None
+
+
+# Every task in report order: its runner, the tasks it needs, whether it
+# reads the fold, and its paper verdict.
+_TASKS = {
+    "moments": _Task(_task_moments, (), False),
+    "gram": _Task(_task_gram, ("moments",), False),
+    "orthopoly": _Task(_task_orthopoly, ("gram",), False),
+    "recurrence": _Task(
+        _task_recurrence, ("orthopoly",), False, lambda ctx, p: paper.check_recurrence(p, ctx.rec())
+    ),
+    "connection": _Task(_task_connection, ("orthopoly",), False),
+    "darboux": _Task(
+        _task_darboux,
+        ("recurrence", "fold"),
+        True,
+        lambda ctx, p: paper.check_darboux(p, ctx.block_lu().zetas),
+    ),
+    "fold": _Task(_task_fold, ("orthopoly",), True, lambda ctx, p: paper.check_fold(p, ctx.fold())),
+    "ttrr": _Task(
+        _task_ttrr, ("fold", "recurrence"), True, lambda ctx, p: paper.check_ttrr(p, ctx.rec())
+    ),
+    "bispec-verify": _Task(_task_bispec_verify, ("fold",), True),
+    "bispec-discover": _Task(_task_bispec_discover, ("fold",), True),
+    "min-order": _Task(_task_min_order, ("fold",), True, lambda ctx, p: paper.check_min_order(p)),
+    "conjugation": _Task(_task_conjugation, ("orthopoly",), True),
 }
-
-# The paper's verdict per task on the worked case: it adds the paper-only
-# fields to the payload and says whether the tabulated values hold.
-_PAPER_CHECKS = {
-    "recurrence": lambda ctx, payload: paper.check_recurrence(payload, ctx.rec()),
-    "fold": lambda ctx, payload: paper.check_fold(payload, ctx.fold()),
-    "darboux": lambda ctx, payload: paper.check_darboux(payload, ctx.block_lu().zetas),
-    "ttrr": lambda ctx, payload: paper.check_ttrr(payload, ctx.rec()),
-    "min-order": lambda ctx, payload: paper.check_min_order(payload),
-}
-
-
-def _judged(status: str, holds: Optional[bool]) -> str:
-    """A task's status after its paper check: a FAIL stays a FAIL, None
-    (nothing to compare) leaves the status, else the tables decide."""
-    if status == "FAIL" or holds is None:
-        return status
-    return "PASS" if holds else "FAIL"
+TASK_NAMES = tuple(_TASKS)
 
 
 def run(cfg: RunConfig) -> dict:
@@ -655,9 +619,12 @@ def run(cfg: RunConfig) -> dict:
             if not canonical and name in paper.CANONICAL_ONLY:
                 status, payload = "REPORT", {"note": paper.CANONICAL_ONLY[name]}
             else:
-                status, payload = _TASK_FNS[name](ctx)
-                if canonical and name in _PAPER_CHECKS:
-                    status = _judged(status, _PAPER_CHECKS[name](ctx, payload))
+                task = _TASKS[name]
+                status, payload = task.run(ctx)
+                # the tables judge a task unless it failed or has nothing to compare
+                holds = task.verdict(ctx, payload) if canonical and task.verdict else None
+                if status != "FAIL" and holds is not None:
+                    status = "PASS" if holds else "FAIL"
         except _DependencyFailed as exc:
             status = "SKIPPED"
             payload = {"failed_dependency": exc.builder}

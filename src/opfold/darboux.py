@@ -3,14 +3,14 @@ power identity, and block LU/UL Darboux swaps with zeta extraction.
 
 Exact assertions all live in the monic-conjugated picture; the orthonormal
 statements (which involve square roots) are re-checked in floating point
-with transpose as the adjoint. H = T T* and (J-c)^{N+1} = T* T are
-identities between banded operators, so both routes visit only the band.
-The exact sides are integer dot products over one denominator per row or
-column. Each square root is held as a float and a power of two that is
-applied only to orthonormal entries, which stay near 1 where the norms
-overflow a float. The interlaced recurrence is checked in the folded
-variable y = x^2, as exact polynomial identities over integer
-coefficient rows.
+with transpose as the adjoint. H = T T* and (J-c)^{N+1} = T* T are Gram
+products of the rows and of the columns of a banded T, and one kernel
+checks both inside the band, as integer dot products over one
+denominator per row or column. Each square root is held as a float and
+a power of two that is applied only to orthonormal entries, which stay
+near 1 where the norms overflow a float. The interlaced recurrence is
+checked in the folded variable y = x^2, as exact polynomial identities
+over integer coefficient rows.
 """
 from __future__ import annotations
 
@@ -98,78 +98,97 @@ def _orthonormal(value, left, right):
     return ldexp2(complex(f) * left[0] / right[0], e + left[1] - right[1])
 
 
-def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> FactorizationReport:
-    """Check H = T T^* both ways, inside the band.
+def _dot(lo_a: int, a: list, lo_b: int, b: list):
+    """Sum of a_k b_k over the indices k both lines cover, in increasing
+    order from 0, where a_k is a[k - lo_a] and b_k is b[k - lo_b]."""
+    first = max(lo_a, lo_b)
+    stop = min(lo_a + len(a), lo_b + len(b))
+    if first >= stop:
+        return 0
+    return sum(map(mul, a[first - lo_a : stop - lo_a], b[first - lo_b : stop - lo_b]))
 
-    Exact route: raw table equals T diag(pivots) T^t entrywise. Each row
-    of T and of T diag(pivots) is cleared of denominators once, so an
-    entry is one integer dot product, compared with the raw entry by
-    cross-multiplication; a Fraction is built only for the message. Float
-    route: the orthonormal factor T_monic[n][j] sqrt(p_j) / sqrt(nu_n),
-    with actual square roots (complex when quasi-definite), against the
-    orthonormal recurrence entries raw / sqrt(nu_i nu_j), transpose as
-    adjoint. Both routes visit only the pairs |i-j| <= bandwidth, row by
-    row: outside the band the raw table is zero by construction and the
-    factor sums are empty. Each root is held as a float and a power of
-    two, and the power is applied only to the orthonormal entry, so no
-    float ever holds a norm; the float sums add the same nonzero terms in
-    the same order as the dense product, so the report is that of the
-    dense check bit for bit.
+
+def _band_gram(width: int, a: list, b: list, target: list, message: str, floats):
+    """Check target = A B^t on the pairs |i - j| <= width, row by row,
+    exactly and then in floats; the report has a row per target line.
+
+    Line i of A, of B and of the target is (lo, ints, den): row i from
+    column lo on, as integers over one denominator. Entry (i, j) of A B^t
+    is one integer dot product, compared with the target by
+    cross-multiplication; only the first mismatch builds the Fractions
+    that message formats with i and j. floats() then gives the float lines
+    (lo, values) of one matrix F and the float target rows {j: value},
+    checked against F F^t to FLOAT_TOL relative to the largest target
+    entry (or 1). Each float sum adds the same nonzero terms in the same
+    order as the dense product, so the report is that of the dense check
+    bit for bit.
     """
-    n = rec.size
-    L, D = fact.T_monic, fact.pivots
-    width = max(fact.bandwidth, L.lower, rec.raw.lower, rec.raw.upper)
-    # row i of L and of L diag(D) over its columns lo..i, each as integers
-    # over one denominator; entry (i, j) is then one integer dot product
-    rows = []
-    for i in range(n):
-        lo = max(0, i - fact.bandwidth)
-        Li = [L.entry(i, k) for k in range(lo, i + 1)]
-        LDi = [v * D[k] for k, v in enumerate(Li, lo)]
-        rows.append((lo, clear_denominators(Li), clear_denominators(LDi)))
-    for i in range(n):
-        lo, (a, aden), _ = rows[i]
-        for j in _band(n, width, i):
-            lo_j, _, (b, bden) = rows[j]
-            acc = _dot(lo, a, lo_j, b, min(i, j) + 1)
-            h = rec.raw.entry(i, j)
-            if acc * h.denominator != h.numerator * aden * bden:
-                raise IdentityViolated(
-                    f"H != T diag T^t at entry ({i},{j}): {Fraction(acc, aden * bden)} vs {h}"
-                )
-    sp = [split_csqrt(p) for p in D]
-    sn = [split_csqrt(v) for v in rec.norms_sq]
-    one = (1.0, 0)
-    Tf = [
-        {k: _orthonormal(L.entry(i, k), sp[k], sn[i]) for k in _band(i + 1, L.lower, i)}
-        for i in range(n)
-    ]
-    worst = None
-    err = 0.0
-    scale = 1.0
-    for i in range(n):
-        for j in _band(n, width, i):
-            ks = range(max(0, max(i, j) - L.lower), min(i, j) + 1)
-            lhs = sum(Tf[i][k] * Tf[j][k] for k in ks)
-            sij = (sn[i][0] * sn[j][0], sn[i][1] + sn[j][1])
-            rhs = _orthonormal(rec.raw.entry(i, j), one, sij)
-            scale = max(scale, abs(rhs))
-            d = abs(lhs - rhs)
+    size = len(target)
+    for i, (lo, t, tden) in enumerate(target):
+        lo_a, x, aden = a[i]
+        for j in _band(size, width, i):
+            lo_b, y, bden = b[j]
+            acc = _dot(lo_a, x, lo_b, y)
+            if t[j - lo] * aden * bden != tden * acc:
+                product, want = Fraction(acc, aden * bden), Fraction(t[j - lo], tden)
+                raise IdentityViolated(message.format(i=i, j=j, product=product, target=want))
+    lines, ftarget = floats()
+    err, scale, worst = 0.0, 1.0, None
+    for i in range(size):
+        for j in _band(size, width, i):
+            t = ftarget[i][j]
+            scale = max(scale, abs(t))
+            d = abs(t - _dot(*lines[i], *lines[j]))
             if d > err:
                 err, worst = d, (i, j)
     rel = err / scale
     if rel > FLOAT_TOL:
         raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
-    return FactorizationReport(True, n, rel, worst)
+    return FactorizationReport(True, size, rel, worst)
 
 
-def _dot(lo_a: int, a: list[int], lo_b: int, b: list[int], stop: int) -> int:
-    """Sum of a_k b_k over max(lo_a, lo_b) <= k < stop, where a_k is
-    a[k - lo_a] and b_k is b[k - lo_b]."""
-    first = max(lo_a, lo_b)
-    if first >= stop:
-        return 0
-    return sum(map(mul, a[first - lo_a : stop - lo_a], b[first - lo_b : stop - lo_b]))
+def verify_h_factorization(rec: BandedRecurrence, fact: BandFactorization) -> FactorizationReport:
+    """Check H = T T^* both ways, inside the band (_band_gram).
+
+    Exact route: the raw table is the product of the rows of T and of
+    T diag(pivots). Float route: the orthonormal factor T_monic[n][j]
+    sqrt(p_j) / sqrt(nu_n), with actual square roots (complex when
+    quasi-definite), against the orthonormal recurrence entries
+    raw / sqrt(nu_i nu_j). Outside the band the raw table is zero by
+    construction and the factor sums are empty. Each root is held as a
+    float and a power of two, applied only to the orthonormal entry, so
+    no float ever holds a norm.
+    """
+    n = rec.size
+    L, D = fact.T_monic, fact.pivots
+    width = max(fact.bandwidth, L.lower, rec.raw.lower, rec.raw.upper)
+    # row i of L and of L diag(D) over its columns lo..i, of raw over the band
+    rows, scaled, raw = [], [], []
+    for i in range(n):
+        lo = max(0, i - fact.bandwidth)
+        Li = [L.entry(i, k) for k in range(lo, i + 1)]
+        rows.append((lo, *clear_denominators(Li)))
+        scaled.append((lo, *clear_denominators([v * D[k] for k, v in enumerate(Li, lo)])))
+        hi = [rec.raw.entry(i, j) for j in _band(n, width, i)]
+        raw.append((max(0, i - width), *clear_denominators(hi)))
+
+    def floats():
+        sp = [split_csqrt(p) for p in D]
+        sn = [split_csqrt(v) for v in rec.norms_sq]
+        one = (1.0, 0)
+        lines, targets = [], []
+        for i in range(n):
+            ks = _band(i + 1, L.lower, i)
+            lines.append((ks.start, [_orthonormal(L.entry(i, k), sp[k], sn[i]) for k in ks]))
+            row = {}
+            for j in _band(n, width, i):
+                sij = (sn[i][0] * sn[j][0], sn[i][1] + sn[j][1])
+                row[j] = _orthonormal(rec.raw.entry(i, j), one, sij)
+            targets.append(row)
+        return lines, targets
+
+    message = "H != T diag T^t at entry ({i},{j}): {product} vs {target}"
+    return _band_gram(width, rows, scaled, raw, message, floats)
 
 
 def _band_power(diag: list, upper: list, lower: list, k: int) -> list[dict]:
@@ -231,20 +250,15 @@ def _int_shift_power(diag: list, lam, k: int, nrows: int) -> list[tuple[int, lis
 
 
 def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> FactorizationReport:
-    """Check (J - c)^{N+1} = T^* T on rows unaffected by truncation.
+    """Check (J - c)^{N+1} = T^* T on rows unaffected by truncation,
+    inside the band |j-k| <= N+1 outside which both sides vanish.
 
-    Monic-conjugated exact form: (J_monic - c)^{N+1} = diag(d) K with
-    K_{jk} = sum_n T_monic[n][j] T_monic[n][k] / nu_n, checked over
-    integers: each trusted row of the power has one denominator
-    (_int_shift_power), each band column of T and of diag(1/nu) T is
-    cleared once, and K_{jk} is one integer dot product, compared by
-    cross-multiplication. Orthonormal float form: the same identity with
-    materialized square roots, transpose as adjoint, checked to FLOAT_TOL
-    relative. Both sides vanish for
-    |j-k| > N+1, so both routes visit only the band, row by row; the float
-    power is a banded product, and the roots are held as a float and a
-    power of two as in verify_h_factorization, so the report is that of
-    the dense check bit for bit.
+    Monic-conjugated exact form: (J_monic - c)^{N+1} is the product of
+    the columns of T diag(d) and of diag(1/nu) T (_band_gram), each
+    trusted row of the power over one denominator (_int_shift_power).
+    Orthonormal float form: the same identity with materialized square
+    roots, a banded float power, and the roots held as in
+    verify_h_factorization.
     """
     c = as_fraction(c)
     m = conn.size
@@ -256,61 +270,35 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
     trusted = min(m - (N + 1), jsize - (N + 1))
     if trusted <= 0:
         raise IdentityViolated("truncation too small to trust any row")
-    # column j of T and of diag(1/nu) T over its rows j..j+N+1 (cut at the
-    # truncation), each as integers over one denominator, and the trusted
-    # rows of (J_monic - c)^{N+1}: unit superdiagonal, lam below
-    stop = [min(m, j + N + 2) for j in range(trusted)]
-    cols, scaled = [], []
-    for j in range(trusted):
-        Tj = [T.entry(n, j) for n in range(j, stop[j])]
-        cols.append(clear_denominators(Tj))
-        scaled.append(clear_denominators([v / nu[n] for n, v in enumerate(Tj, j)]))
+    # column j of T diag(d) and of diag(1/nu) T over its rows j..j+N+1
+    # (cut at the truncation)
+    cols = [[T.entry(n, j) for n in range(j, min(m, j + N + 2))] for j in range(trusted)]
+    a, b = [], []
+    for j, Tj in enumerate(cols):
+        a.append((j, *clear_denominators([d[j] * v for v in Tj])))
+        b.append((j, *clear_denominators([v / nu[n] for n, v in enumerate(Tj, j)])))
     power = _int_shift_power(shifted, jac.lam, N + 1, trusted)
-    worst = None
-    for j in range(trusted):
-        lo, row, pden = power[j]
-        a, aden = cols[j]
-        # power[j][k] = d_j K_jk, multiplied through by every denominator
-        left, right = d[j].denominator * aden, d[j].numerator * pden
-        for k in _band(trusted, N + 1, j):
-            b, bden = scaled[k]
-            acc = _dot(j, a, k, b, min(stop[j], stop[k]))
-            if row[k - lo] * left * bden != right * acc:
-                lhs, K = Fraction(row[k - lo], pden), Fraction(acc, aden * bden)
-                raise IdentityViolated(
-                    f"(J-c)^{N + 1} != T^*T at entry ({j},{k}): {lhs} vs {d[j] * K}"
-                )
+
     # orthonormal float route; off-diagonals materialize as the ratio of
     # successive norm roots so the branch stays consistent when norms are
     # negative (sqrt(d_{i+1})/sqrt(d_i) can differ from sqrt(lam) by sign)
-    sd = [split_csqrt(v) for v in d]
-    snu = [split_csqrt(v) for v in nu]
-    if len(sd) < jsize:
-        raise DimensionMismatch(
-            f"norm list covers {len(sd)} rows, Jacobi truncation has {jsize}"
-        )
-    off = [_orthonormal(1, sd[i + 1], sd[i]) for i in range(jsize - 1)]
-    powf = _band_power([complex(v) for v in shifted], off, off, N + 1)
-    # the orthonormal connection entries the trusted window reads
-    tf = [
-        {j: _orthonormal(T.entry(n, j), sd[j], snu[n]) for j in _band(trusted, N + 1, n) if j <= n}
-        for n in range(m)
-    ]
-    err, scale = 0.0, 1.0
-    for j in range(trusted):
-        for k in _band(trusted, N + 1, j):
-            rhs = 0j
-            for n in range(max(j, k), min(m - 1, min(j, k) + N + 1) + 1):
-                rhs += tf[n][j] * tf[n][k]
-            lhs = powf[j][k]
-            scale = max(scale, abs(lhs))
-            dd = abs(lhs - rhs)
-            if dd > err:
-                err, worst = dd, (j, k)
-    rel = err / scale
-    if rel > FLOAT_TOL:
-        raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
-    return FactorizationReport(True, trusted, rel, worst)
+    def floats():
+        sd = [split_csqrt(v) for v in d]
+        snu = [split_csqrt(v) for v in nu]
+        if len(sd) < jsize:
+            raise DimensionMismatch(
+                f"norm list covers {len(sd)} rows, Jacobi truncation has {jsize}"
+            )
+        off = [_orthonormal(1, sd[i + 1], sd[i]) for i in range(jsize - 1)]
+        powf = _band_power([complex(v) for v in shifted], off, off, N + 1)
+        lines = [
+            (j, [_orthonormal(v, sd[j], snu[n]) for n, v in enumerate(Tj, j)])
+            for j, Tj in enumerate(cols)
+        ]
+        return lines, powf
+
+    message = f"(J-c)^{N + 1} != T^*T at entry ({{i}},{{j}}): {{target}} vs {{product}}"
+    return _band_gram(N + 1, a, b, power, message, floats)
 
 
 # -- block Darboux ------------------------------------------------------

@@ -172,7 +172,7 @@ def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
             linv = inverse(lead)
         except SingularMatrix as exc:
             raise SingularLeading(f"leading coefficient of block {n} is singular") from exc
-        scaled = linv.map(lambda v: Poly.constant(v)) @ R.mat(n)
+        scaled = linv @ R.mat(n)
         if scaled.map(lambda e: e.coeff(n)) != ident:
             raise IdentityViolated(f"block {n} failed to become monic")
         mats.append(scaled)

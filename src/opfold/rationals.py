@@ -18,11 +18,12 @@ def as_fraction(value) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to Fraction.
 
     Strings must be integer or integer/integer; no decimals, so config files
-    cannot smuggle rounded values into the exact pipeline.
+    cannot smuggle rounded values into the exact pipeline. A bool is an int
+    subclass, but a JSON true is not a number.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()

@@ -167,6 +167,18 @@ def test_alpha_two_moments_table(tmp_path):
 # -- config-driven runs ----------------------------------------------------
 
 
+def test_the_worked_case_certifies_from_n_max_8(tmp_path, capsys):
+    # the smallest window where every task passes: below it bispec-discover
+    # (and at 2-3 conjugation) has too few rows to fit, and at 6-7
+    # min-order finds a spurious lower order
+    cfg = _write_config(tmp_path / "cfg.json", n_max=8, tasks=["all"])
+    assert main(["run", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {name: t["status"] for name, t in report["tasks"].items()} == dict.fromkeys(
+        TASK_NAMES, "PASS"
+    )
+
+
 def test_run_report_goes_to_stdout(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["run", "--config", cfg]) == 0
@@ -502,6 +514,11 @@ def test_float_cross_checks_hold_where_the_norms_overflow_a_float(tmp_path, caps
         {"output": ["out"]},
         {"N": N_LIMIT + 1, "M": [["0"] * (N_LIMIT + 2)] * (N_LIMIT + 2), "tasks": ["moments"]},
         {"N": 10**6},
+        # a JSON true is not the number 1
+        {"c": True},
+        {"M": [[True, False], [False, True]]},
+        {"measure": {"type": "moments", "moments": [True] * 64}},
+        {"float_tolerance": True},
     ],
 )
 def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
@@ -513,6 +530,7 @@ def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert err.count("config error") == 1
 
 
 def test_unreadable_and_malformed_configs_exit_with_usage_error(tmp_path, capsys):
@@ -592,6 +610,31 @@ def test_config_resolves_task_dependencies():
     )
     assert widest_fold.N == N_LIMIT
     assert widest_fold.scalar_count() <= SCALAR_COUNT_LIMIT
+
+
+# resolved_tasks() and scalar_count() of the worked case with one task:
+# every task's needs, and whether it reads the fold, in one place
+_TASK_GRAPH = {
+    "moments": (("moments",), 13),
+    "gram": (("moments", "gram"), 13),
+    "orthopoly": (("moments", "gram", "orthopoly"), 13),
+    "recurrence": (("moments", "gram", "orthopoly", "recurrence"), 13),
+    "connection": (("moments", "gram", "orthopoly", "connection"), 13),
+    "darboux": (("moments", "gram", "orthopoly", "recurrence", "darboux", "fold"), 26),
+    "fold": (("moments", "gram", "orthopoly", "fold"), 26),
+    "ttrr": (("moments", "gram", "orthopoly", "recurrence", "fold", "ttrr"), 26),
+    "bispec-verify": (("moments", "gram", "orthopoly", "fold", "bispec-verify"), 26),
+    "bispec-discover": (("moments", "gram", "orthopoly", "fold", "bispec-discover"), 26),
+    "min-order": (("moments", "gram", "orthopoly", "fold", "min-order"), 26),
+    "conjugation": (("moments", "gram", "orthopoly", "conjugation"), 26),
+}
+
+
+def test_the_task_graph_is_pinned():
+    assert TASK_NAMES == tuple(_TASK_GRAPH)
+    for name, expected in _TASK_GRAPH.items():
+        cfg = RunConfig.from_dict({**_BUILTIN_CONFIG, "tasks": [name]})
+        assert (cfg.resolved_tasks(), cfg.scalar_count()) == expected, name
 
 
 def test_verify_paper_imports_no_numeric_stack(tmp_path):

@@ -148,3 +148,53 @@ def test_interlaced_recurrence_and_corruption_detection(block_pipeline, canon):
     )
     with pytest.raises(op.IdentityViolated):
         op.w_interlace_check(P_mats, Q_mats, corrupted, 21)
+
+
+# float_max_rel (as float.hex) and worst_entry of verify_h_factorization and
+# of verify_ul_identity on the Sobolev and on the base connection, on three
+# grid configurations and the deep one: the float sums add the products of
+# the dense route in its order, so any reordering shows in these bits.
+_FLOAT_PINS = {
+    (0, 0, 1, 15): [
+        ("0x1.6d1b9530830c5p-53", (13, 13)),
+        ("0x1.e01e01e01e01ep-53", (9, 9)),
+        ("0x1.e01e01e01e01ep-53", (10, 10)),
+    ],
+    (1, 1, 2, 16): [
+        ("0x1.68ed4fae5d5bcp-53", (15, 15)),
+        ("0x1.5fd8a6c0ff4abp-53", (5, 4)),
+        ("0x1.197a1f00cc3bcp-53", (5, 4)),
+    ],
+    (2, 1, 1, 15): [
+        ("0x1.4f3fba81000dep-53", (14, 14)),
+        ("0x1.b197c73e8326fp-53", (9, 10)),
+        ("0x1.b197c73e8326fp-52", (11, 11)),
+    ],
+    (0, 0, 1, 40): [
+        ("0x1.aa6c7f2b50826p-52", (37, 37)),
+        ("0x1.d7b1b1001d7b2p-53", (30, 30)),
+        ("0x1.d7b1b1001d7b2p-53", (34, 34)),
+    ],
+}
+
+
+@pytest.mark.parametrize("alpha, cnum, N, deg", sorted(_FLOAT_PINS))
+def test_float_cross_checks_keep_their_bits(alpha, cnum, N, deg):
+    mu = op.laguerre_moments(alpha, 2 * (deg + N + 2) + 2)
+    mass = op.Matrix.rational([[int(i == j == N) for j in range(N + 1)] for i in range(N + 1)])
+    c = Fraction(cnum)
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, N, mass)), deg)
+    rec = op.banded_recurrence(seq, c, N)
+    fact = op.band_symmetric_factorize(rec.raw, N + 1, require_positive=False)
+    shifted = op.monic_sequence(
+        op.measure_form(op.christoffel_shift(mu, c, N + 1)), deg, require_positive=False
+    )
+    jac = op.jacobi_matrix(shifted)
+    base = op.monic_sequence(op.measure_form(mu), deg)
+    reports = [
+        op.verify_h_factorization(rec, fact),
+        op.verify_ul_identity(jac, c, N, op.connection_matrix(seq, shifted, N)),
+        op.verify_ul_identity(jac, c, N, op.connection_matrix(base, shifted, N)),
+    ]
+    got = [(r.float_max_rel, r.worst_entry) for r in reports]
+    assert got == [(float.fromhex(h), w) for h, w in _FLOAT_PINS[alpha, cnum, N, deg]]

@@ -57,6 +57,13 @@ def test_parse_rejects_floats_and_decimals():
         as_fraction("0.5")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rejects_booleans(value):
+    # bool is an int subclass, but a JSON true is not the number 1
+    with pytest.raises(TypeError):
+        as_fraction(value)
+
+
 @given(rationals, st.sampled_from([-1, 1]))
 def test_signed_square_realization(q, sign):
     sq = q * q
