@@ -191,6 +191,11 @@ class RunConfig:
                 f"the tasks need {cfg.scalar_count()} scalar polynomials "
                 f"((N+1)(n_max+1) for folded tasks); at most {SCALAR_COUNT_LIMIT}"
             )
+        low = [t for t in cfg.resolved_tasks() if n_max < paper.MIN_N_MAX.get(t, 0)]
+        if low and cfg.is_canonical():
+            raise ConfigError(
+                f"on the worked case {low[0]} needs n_max >= {paper.MIN_N_MAX[low[0]]}"
+            )
         if raw_moments is not None and len(raw_moments) < cfg.moment_count():
             raise ConfigError(
                 f"explicit moments: need at least {cfg.moment_count()}, "

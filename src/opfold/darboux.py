@@ -71,7 +71,7 @@ def band_symmetric_factorize(
     L, D = ldlt(
         H_raw.to_matrix(), bandwidth, "positive" if require_positive else "nonzero"
     )
-    T = BandedOperator(H_raw.size, bandwidth, 0, L)
+    T = BandedOperator.from_fn(H_raw.size, bandwidth, 0, lambda i, j: L[i][j])
     return BandFactorization(T, tuple(D), bandwidth)
 
 

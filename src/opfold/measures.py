@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
+from operator import mul
 from typing import Optional
 
 from .errors import ConfigError, InsufficientMoments, NotPositiveDefinite
@@ -85,18 +86,23 @@ def hermite_moments(count: int) -> MomentFunctional:
 
 
 def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
-    """Moments of (x - c)^power dmu via exact binomial expansion."""
+    """Moments of (x - c)^power dmu via exact binomial expansion: with
+    c = p/q, an integer dot product of q^power times the binomial weights
+    with the moments over one denominator."""
     if power < 1:
         raise ValueError("power must be >= 1")
     c = as_fraction(c)
     if mu.count <= power:
         raise InsufficientMoments(power, mu.count - 1)
-    new_count = mu.count - power
-    weights = [comb(power, i) * (-c) ** (power - i) for i in range(power + 1)]
-    vals = []
-    for k in range(new_count):
-        vals.append(sum((w * mu.moments[k + i] for i, w in enumerate(weights)), Fraction(0)))
-    return MomentFunctional(tuple(vals), label=f"({mu.label})*(x-{c})^{power}")
+    p, q = c.numerator, c.denominator
+    weights = [comb(power, i) * (-p) ** (power - i) * q**i for i in range(power + 1)]
+    ints, den = clear_denominators(mu.moments)
+    den *= q**power
+    vals = tuple(
+        Fraction(sum(map(mul, weights, ints[k : k + power + 1])), den)
+        for k in range(mu.count - power)
+    )
+    return MomentFunctional(vals, label=f"({mu.label})*(x-{c})^{power}")
 
 
 def mass_matrix(rows, N: int) -> Matrix:

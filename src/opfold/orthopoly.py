@@ -4,13 +4,13 @@ Everything is generated from a BilinearForm's monomial Gram G. The monic
 sequence comes from the form's own short recurrence: multiplication by
 (x-c)^r, r the size of the point-mass matrix, is symmetric for the form,
 so s_k is (x-c)^r s_{k-r} minus its components along the 2r members
-before it, each an integer dot product against G; s_i^T G s_j = 0 is then
-checked in integers for all i < j. The recurrence and connection tables
-are integer matrix products: with S the denominator-cleared coefficient
-rows of a monic sequence and K the multiplication by (x-c)^{N+1}, the
-recurrence table is S (K G) S^T and the connection table is
-S_from G_to S_to^T diag(1/d). Each table is then checked a second way, as
-the polynomial expansion it claims, on the rows the truncation determines.
+before it, each an integer dot product against G; G s_k is then checked
+to vanish in integers on every row below k. The recurrence and connection
+tables are computed in their bands only, each entry an integer dot
+product of a shifted coefficient row with a few rows of G s_k, and then
+checked a second way, as the polynomial expansion they claim, on the
+rows the truncation determines; with the sequence orthogonal, that
+expansion is what makes the entries off the band vanish.
 Every polynomial identity is checked over integer coefficient rows
 (recurrence_holds); three_term_steps extracts monic three-term
 recurrences, scalar (jacobi_matrix) and block (matfold.matrix_ttrr).
@@ -20,11 +20,11 @@ form that stays in Fraction arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .banded import BandedOperator
 from .errors import (
@@ -57,12 +57,17 @@ class MonicSequence:
     """Monic polynomials s_0..s_n orthogonal under a bilinear form.
 
     norms_sq[k] = B(s_k, s_k); entries may be negative in quasi-definite
-    mode, never zero.
+    mode, never zero. int_rows[k] is the primitive integer row of s_k
+    (s_k = int_rows[k] / int_rows[k][k]) when monic_sequence built and
+    certified the sequence, and None on one built by hand.
     """
 
     polys: tuple[Poly, ...]
     norms_sq: tuple[Fraction, ...]
     form: BilinearForm
+    int_rows: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -93,8 +98,9 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     with its Gram image G s_j (G the form's cached integer Gram), so every
     inner product and pivot is an integer dot product and only the
     combination of the window is rational. The result is certified a
-    second way: s_i^T G s_j must vanish in integers for all i < j, else
-    IdentityViolated.
+    second way: G s_k must vanish in integers on every row i < k, that is
+    s_k is orthogonal to every monomial of lower degree, else
+    IdentityViolated names the first such i.
 
     The d_k are the LDL^T pivots of the Gram, which are unique, so the
     pivot policy is that of ldlt: with require_positive the first
@@ -136,7 +142,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         s = [a // g for a in w]
         gs = [sum(map(mul, G[i], s)) for i in range(min(n_max, k + 2 * r) + 1)]
         for i in range(k):
-            if sum(map(mul, S[i], gs)):
+            if gs[i]:
                 raise IdentityViolated(f"monic sequence not orthogonal: s_{i}, s_{k}")
         p = sum(map(mul, s, gs))
         d = Fraction(p, gden * s[k] * s[k])
@@ -149,7 +155,9 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         P.append(p)
         polys.append(Poly(Fraction(a, s[k]) for a in s))
         norms.append(d)
-    return MonicSequence(tuple(polys), tuple(norms), form)
+    seq = MonicSequence(tuple(polys), tuple(norms), form)
+    object.__setattr__(seq, "int_rows", tuple(map(tuple, S)))
+    return seq
 
 
 def int_block(mat: Matrix):
@@ -305,62 +313,86 @@ class BandedRecurrence:
         return self.orthonormal_entry(n, k).sign
 
 
+def _blocks(seq: MonicSequence, size: int) -> list:
+    """The first size members as 1x1 int_blocks, read off the certified
+    rows when the sequence has them."""
+    if seq.int_rows is None:
+        return [int_block(Matrix([[p]])) for p in seq.polys[:size]]
+    return [([[r]], r[-1]) for r in seq.int_rows[:size]]
+
+
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     """Build the recurrence table for multiplication by (x-c)^{N+1}.
 
-    raw = S (K G) S^T over denominator-cleared integer rows, scanned row
-    by row. Entries with |n-k| > N+1 are asserted to vanish (this is
-    exactly the symmetry of the multiplication operator for the
-    generating form); the monic expansion
-    (x-c)^{N+1} s_n = sum_k monic[n][k] s_k is re-verified over integer
-    coefficient rows (recurrence_holds) on rows unaffected by truncation.
+    raw[n][k] = (K s_n)^T G s_k in integers, K the multiplication by
+    (x-c)^{N+1}, for |n-k| <= N+1 only: G s_k vanishes above row k
+    (monic_sequence certified it). On rows unaffected by truncation the
+    expansion (x-c)^{N+1} s_n = sum_k monic[n][k] s_k, verified over integer
+    rows (recurrence_holds), makes the entries off the band vanish; on the
+    last N+1 rows (K s_n)^T G must vanish below the band. A sequence built
+    by hand, or one that fails a check, is scanned whole on every row
+    before any expansion is checked: the first nonzero entry off the band
+    raises SymmetryViolated.
     """
     c = as_fraction(c)
-    size = len(seq)
+    size, w = len(seq), N + 1
     top = seq.form.max_degree
-    shift = Poly((-c, Fraction(1))) ** (N + 1)
-    kc, kden = clear_denominators(shift.coeffs)
-    S = [int_block(Matrix([[p]])) for p in seq.polys]
+    kc, kden = clear_denominators((Poly((-c, Fraction(1))) ** w).coeffs)
+    S = _blocks(seq, size)
     G, gden = seq.form.gram(min(size + N, top))
-    cols = range(min(size, top + 1))
-    # (K G)[i][j] = kden gden B((x-c)^{N+1} x^i, x^j), for rows whose
-    # shifted monomial fits the degree budget
-    KG = [
-        [sum(k * G[i + t][j] for t, k in enumerate(kc)) for j in cols]
-        for i in range(min(size, top - N))
-    ]
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    cols = list(zip(*G))  # cols[j][i] = G[i][j]
+    banded = seq.int_rows is not None and size + N <= top
+    if banded:
+        sig = [
+            [sum(map(mul, G[i], r)) for i in range(k, min(size + N, k + 2 * w) + 1)]
+            for k, r in enumerate(seq.int_rows)
+        ]
+
+    def band(n: int) -> range:
+        return range(max(0, n - w), min(size, n + w + 1))
+
+    def scan(n: int, ks: list) -> list:
+        """The integer entries of row n in the band, after every entry off
+        it is found to vanish: above the band by plain orthogonality, below
+        it only when multiplication by the shift is symmetric for the form."""
+        v = [sum(map(mul, ks, cols[j])) for j in range(min(size, top + 1))]
+        hs = [sum(map(mul, v, S[k][0][0][0])) if k <= top else None for k in range(size)]
+        k = next((k for k, h in enumerate(hs) if h is None or h and k not in band(n)), None)
+        if k is None:
+            return hs[band(n).start : band(n).stop]
+        if hs[k] is None:
+            raise InsufficientMoments(2 * k, 2 * top)
+        raise SymmetryViolated(
+            f"entry ({n},{k}) = {Fraction(hs[k], S[n][1] * S[k][1] * kden * gden)} outside band "
+            f"{w}; multiplication by the shift is not symmetric for this form"
+        )
+
+    shifted, rows = [], []
     for n in range(size):
-        if n + N + 1 > top:
-            raise InsufficientMoments(2 * (n + N + 1), 2 * top)
+        if n + w > top:
+            raise InsufficientMoments(2 * (n + w), 2 * top)
         [[sn]], dn = S[n]
-        w = [sum(a * KG[i][j] for i, a in enumerate(sn) if a) for j in cols]
-        for k in range(size):
-            if k > top:
-                raise InsufficientMoments(2 * k, 2 * top)
-            [[sk]], dk = S[k]
-            h = sum(a * b for a, b in zip(w, sk))
-            if abs(n - k) <= N + 1:
-                rows[n][k] = Fraction(h, dn * dk * kden * gden)
-            elif h:
-                # above the band this vanishes by plain orthogonality; below
-                # it vanishes only when multiplication by the shift is
-                # symmetric for the form, so this is the real test
-                v = Fraction(h, dn * dk * kden * gden)
-                raise SymmetryViolated(
-                    f"entry ({n},{k}) = {v} outside band {N + 1}; "
-                    "multiplication by the shift is not symmetric for this form"
-                )
-    raw = BandedOperator(size, N + 1, N + 1, rows)
-    monic = BandedOperator.from_fn(
-        size, N + 1, N + 1, lambda n, k: raw.entry(n, k) / seq.norm_sq(k)
-    )
-    # the expansion (x-c)^{N+1} s_n = sum_k monic[n][k] s_k on trusted rows
-    for n in range(size - (N + 1)):
-        band = range(max(0, n - N - 1), min(size, n + N + 2))
-        terms = [([[monic.entry(n, k)]], S[k]) for k in band]
+        ks = [0] * (n + w + 1)  # kden dn (x-c)^{N+1} s_n
+        for i, a in enumerate(sn):
+            for t, b in enumerate(kc):
+                ks[i + t] += a * b
+        shifted.append(ks)
+        hs = [sum(map(mul, ks[k:], sig[k])) for k in band(n)] if banded else scan(n, ks)
+        rows.append([Fraction(h, dn * S[k][1] * kden * gden) for h, k in zip(hs, band(n))])
+    raw = BandedOperator.from_fn(size, w, w, lambda n, k: rows[n][k - max(0, n - w)])
+    monic = BandedOperator.from_fn(size, w, w, lambda n, k: raw.entry(n, k) / seq.norm_sq(k))
+    for n in range(size - w):
+        terms = [([[monic.entry(n, k)]], S[k]) for k in band(n)]
         if not recurrence_holds((S[n][0], S[n][1] * kden), _ZERO_BLOCK, terms, kc):
+            if banded:
+                return banded_recurrence(MonicSequence(seq.polys, seq.norms_sq, seq.form), c, N)
             raise IdentityViolated(f"banded expansion failed at row {n}")
+    # every earlier row holds, so a failure here is the dense scan's first;
+    # (K s_n)^T G s_k = 0 for all k < n-w if and only if (K s_n)^T G x^j = 0
+    # for all j < n-w, the s_k being triangular
+    for n in range(max(0, size - w), size) if banded else ():
+        if any(sum(map(mul, shifted[n], cols[j])) for j in range(n - w)):
+            scan(n, shifted[n])
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
 
@@ -395,35 +427,49 @@ def connection_matrix(
     """Connection coefficients of seq_from in the seq_to basis.
 
     Entries are inner products under seq_to's own form (the one that
-    makes it orthogonal), S_from G_to S_to^T diag(1/d) over
-    denominator-cleared integer rows, and are then cross-validated by
-    checking s_n = sum_j T[n][j] p_j over integer coefficient rows
-    (recurrence_holds) - two genuinely different routes to the same
-    numbers. Entries below the (N+1)-th subdiagonal must
-    vanish.
+    makes it orthogonal), s_n^T G_to p_j / d_j in integers, for
+    n-(N+1) <= j <= n only: G_to p_j vanishes above row j (monic_sequence
+    certified it). Each row is cross-validated by checking
+    s_n = sum_j T[n][j] p_j over integer rows (recurrence_holds), which
+    makes the entries below the band vanish. A seq_to built by hand, or a
+    row that fails its check, is scanned whole on every row: the first
+    nonzero entry below the band raises BandViolation.
     """
     form_to = seq_to.form
     top = form_to.max_degree
-    size = min(len(seq_from), len(seq_to))
+    size, w = min(len(seq_from), len(seq_to)), N + 1
     G, gden = form_to.gram(min(size - 1, top))
-    S_to = [int_block(Matrix([[p]])) for p in seq_to.polys[:size]]
-    rows = [[Fraction(0)] * size for _ in range(size)]
+    S_from, S_to = _blocks(seq_from, size), _blocks(seq_to, size)
+    banded = seq_to.int_rows is not None
+    if banded:
+        tau = [
+            [sum(map(mul, G[i], r)) for i in range(j, min(size, j + w + 1))]
+            for j, r in enumerate(seq_to.int_rows[:size])
+        ]
+    rows = []
     for n in range(size):
         if n > top:
             raise InsufficientMoments(2 * n, 2 * top)
-        s_n = int_block(Matrix([[seq_from.poly(n)]]))
-        [[sn]], dn = s_n
-        w = [sum(a * G[i][j] for i, a in enumerate(sn) if a) for j in range(n + 1)]
-        for j in range(n + 1):
-            [[sj]], dj = S_to[j]
-            h = sum(a * b for a, b in zip(w, sj))
-            if j >= n - (N + 1):
-                rows[n][j] = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
-            elif h:
-                v = Fraction(h, dn * dj * gden) / seq_to.norm_sq(j)
-                raise BandViolation(f"connection entry ({n},{j}) = {v} below band {N + 1}")
-        terms = [([[rows[n][j]]], S_to[j]) for j in range(max(0, n - N - 1), n + 1)]
-        if not recurrence_holds(s_n, _ZERO_BLOCK, terms, (1,)):
+        [[sn]], dn = S_from[n]
+        band = range(max(0, n - w), n + 1)
+        if banded:
+            hs = [sum(map(mul, sn[j:], tau[j])) for j in band]
+        else:
+            v = [sum(a * G[i][j] for i, a in enumerate(sn) if a) for j in range(n + 1)]
+            hs = [sum(map(mul, v, S_to[j][0][0][0])) for j in range(n + 1)]
+            j = next((j for j in range(band.start) if hs[j]), None)
+            if j is not None:
+                v = Fraction(hs[j], dn * S_to[j][1] * gden) / seq_to.norm_sq(j)
+                raise BandViolation(f"connection entry ({n},{j}) = {v} below band {w}")
+            hs = hs[band.start :]
+        row = [Fraction(h, dn * S_to[j][1] * gden) / seq_to.norm_sq(j) for h, j in zip(hs, band)]
+        terms = [([[e]], S_to[j]) for e, j in zip(row, band)]
+        if not recurrence_holds(S_from[n], _ZERO_BLOCK, terms, (1,)):
+            if banded:
+                return connection_matrix(
+                    seq_from, MonicSequence(seq_to.polys, seq_to.norms_sq, form_to), N
+                )
             raise IdentityViolated(f"basis expansion disagrees with inner products at row {n}")
-    T = BandedOperator(size, N + 1, 0, rows)
+        rows.append(row)
+    T = BandedOperator.from_fn(size, w, 0, lambda n, j: rows[n][j - max(0, n - w)])
     return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)

@@ -22,6 +22,7 @@ from .rationals import SignedSquare
 __all__ = [
     "CONFIG",
     "CANONICAL_ONLY",
+    "MIN_N_MAX",
     "NOTES",
     "reference_abc",
     "reference_zeta",
@@ -59,6 +60,11 @@ CANONICAL_ONLY = {
     "conjugation": "scalar ladder for conjugation is tabulated only for the "
     "canonical configuration",
 }
+
+# The least n_max at which a task certifies on the worked case. Below it
+# the fitting windows are too short: discovery and conjugation are
+# underdetermined, and min-order finds a spurious lower order.
+MIN_N_MAX = {"bispec-discover": 8, "min-order": 8, "conjugation": 4}
 
 # Report notes of a worked-case run that includes the darboux task.
 NOTES = {

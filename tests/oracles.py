@@ -4,8 +4,10 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Seven exceptions keep a replaced library route as the second,
-independent one: IntEchelon, an incremental integer row echelon that used
+carrier. Eight exceptions keep a replaced library route as the second,
+independent one: fraction_christoffel_shift, the Fraction sum of weighted
+moments that christoffel_shift was before it worked over integers;
+IntEchelon, an incremental integer row echelon that used
 to be the library's nullspace engine; dense_mod_nullspace, the dense GF(p)
 elimination the modular kernel used before it went sparse; the
 pairwise_* functions, which evaluate a bilinear form one pair of
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
 
 import sympy as sp
@@ -114,6 +116,18 @@ def shifted_moment(moment_fn, c, power: int, k: int) -> Fraction:
         m = moment_fn(j)
         total += coeff * sp.Rational(m.numerator, m.denominator)
     return to_frac(total)
+
+
+def fraction_christoffel_shift(mu, c, power: int) -> tuple[Fraction, ...]:
+    """Moments of (x-c)^power d mu as a Fraction sum of binomial weights
+    times moments, as christoffel_shift computed them before it cleared
+    denominators."""
+    c = as_fraction(c)
+    weights = [comb(power, i) * (-c) ** (power - i) for i in range(power + 1)]
+    return tuple(
+        sum((w * mu.moments[k + i] for i, w in enumerate(weights)), Fraction(0))
+        for k in range(mu.count - power)
+    )
 
 
 def bilinear(moment_fn, c, M_rows, f: sp.Expr, g: sp.Expr) -> Fraction:

@@ -14,6 +14,19 @@ def test_construction_rejects_entries_outside_band():
         BandedOperator(3, 1, 1, [[1, 0], [0, 1]])
 
 
+def test_dense_rows_keep_the_band_check_and_equality_ignores_the_declared_band():
+    with pytest.raises(BandViolation):
+        BandedOperator(3, 1, 0, [[1, 0, 0], [0, 1, 0], [4, 0, 1]])
+    narrow = BandedOperator(3, 1, 0, [[1, 0, 0], [2, 1, 0], [0, 3, 1]])
+    wide = BandedOperator(3, 2, 2, [[1, 0, 0], [2, 1, 0], [0, 3, 1]])
+    built = BandedOperator.from_fn(3, 2, 1, lambda i, j: narrow.entry(i, j))
+    assert narrow == wide == built
+    assert hash(narrow) == hash(wide) == hash(built)
+    assert narrow.rows == wide.rows == built.rows == ((1, 0, 0), (2, 1, 0), (0, 3, 1))
+    assert narrow != BandedOperator(3, 1, 0, [[1, 0, 0], [2, 1, 0], [0, 5, 1]])
+    assert narrow != BandedOperator(4, 1, 0, [[1, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 0, 0]])
+
+
 def test_from_fn_masks_outside_band():
     op = BandedOperator.from_fn(4, 1, 0, lambda i, j: Fraction(7))
     assert op.entry(2, 1) == 7 and op.entry(2, 2) == 7
@@ -27,6 +40,8 @@ def test_symmetry_predicate():
     assert sym.is_symmetric
     asym = BandedOperator(2, 1, 1, [[1, 2], [3, 5]])
     assert not asym.is_symmetric
+    # an entry whose mirror lies outside a narrower band
+    assert not BandedOperator(3, 0, 2, [[1, 0, 2], [0, 1, 0], [0, 0, 1]]).is_symmetric
 
 
 def _blocks(values):

@@ -24,7 +24,7 @@ from opfold.cli import (
     RunConfig,
     main,
 )
-from opfold.paper import CANONICAL_ONLY
+from opfold.paper import CANONICAL_ONLY, MIN_N_MAX
 from opfold.paper import CONFIG as _BUILTIN_CONFIG
 
 GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "paper_report.json"
@@ -177,6 +177,22 @@ def test_the_worked_case_certifies_from_n_max_8(tmp_path, capsys):
     assert {name: t["status"] for name, t in report["tasks"].items()} == dict.fromkeys(
         TASK_NAMES, "PASS"
     )
+
+
+@pytest.mark.parametrize(
+    "n_max, task, code", [(7, "min-order", 2), (3, "conjugation", 2), (4, "conjugation", 0)]
+)
+def test_the_worked_case_refuses_an_n_max_below_a_task_floor(tmp_path, capsys, n_max, task, code):
+    # below its floor a task would fail although no identity does
+    cfg = _write_config(tmp_path / "cfg.json", n_max=n_max, tasks=[task])
+    assert main(["run", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.count("config error") == 1
+        assert f"{task} needs n_max >= {MIN_N_MAX[task]}" in captured.err
+    else:
+        assert json.loads(captured.out)["tasks"][task]["status"] == "PASS"
 
 
 def test_run_report_goes_to_stdout(tmp_path, capsys):

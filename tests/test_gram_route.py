@@ -66,7 +66,25 @@ def _case(base, N, degree, c, mass, mismatch):
     return {"base": base, "N": N, "degree": degree, "c": c, "mass": mass, "mismatch": mismatch}
 
 
+# A mismatched c breaks the symmetry of the multiplication: the first
+# SymmetryViolated in a trusted row, where the band route sees a failed
+# expansion, and in one of the last N+1 rows, which the band route tests
+# against the Gram directly.
+TRUSTED_ROW = [
+    _case("laguerre0", 1, 6, Fraction(0), ([[0, 1]], Fraction(1)), Fraction(1, 2)),
+    _case("hermite", 2, 8, Fraction(1), ([[0, 0, 1]], Fraction(1)), Fraction(1, 2)),
+]
+LAST_ROWS = [
+    _case("laguerre1", 1, 4, Fraction(-1, 2), ([[0, 1]], Fraction(1)), Fraction(1, 2)),
+    _case("hermite", 2, 5, Fraction(0), ([[0, 0, 1]], Fraction(1)), Fraction(1, 2)),
+]
+
+
 @given(configs())
+@example(TRUSTED_ROW[0])
+@example(TRUSTED_ROW[1])
+@example(LAST_ROWS[0])
+@example(LAST_ROWS[1])
 @example(_case("laguerre0", 0, 8, Fraction(1), ([[1]], Fraction(1)), Fraction(0)))
 @example(_case("laguerre0", 2, 8, Fraction(1, 2), ([[0, 0, 1]], Fraction(1)), Fraction(0)))
 @example(_case("laguerre1", 2, 7, Fraction(2), ([[1, -1, 2], [0, 1, 1]], Fraction(1, 2)), Fraction(0)))
@@ -166,3 +184,61 @@ def test_canonical_recurrence_at_degree_fifty_matches_the_closed_forms():
         assert rec.orthonormal_sq(n, n + 2) == a2
         assert rec.orthonormal_sq(n, n + 1) == b2
         assert rec.raw.entry(n, n) / rec.norms_sq[n] == cdiag
+
+
+def _built(cfg):
+    """The moments, the certified sequence and the recurrence's c of a case."""
+    N, deg, c = cfg["N"], cfg["degree"], cfg["c"]
+    mu = BASES[cfg["base"]](2 * (deg + N + 2) + 2)
+    form = op.sobolev_form(op.SobolevSpec(mu, c, N, _mass(N, *cfg["mass"])))
+    return mu, op.monic_sequence(form, deg), c + cfg["mismatch"]
+
+
+def _result(fn):
+    """("ok", value) or (exception name, message)."""
+    try:
+        return "ok", fn()
+    except op.OpfoldError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _hand_built(seq: op.MonicSequence) -> op.MonicSequence:
+    return op.MonicSequence(seq.polys, seq.norms_sq, seq.form)
+
+
+@given(configs())
+@example(TRUSTED_ROW[0])
+@example(TRUSTED_ROW[1])
+@example(LAST_ROWS[0])
+@example(LAST_ROWS[1])
+@settings(max_examples=60, deadline=None)
+def test_a_hand_built_copy_gives_the_certified_sequences_tables(cfg):
+    # the copy carries no certificate, so it takes the dense scan
+    mu, seq, c_rec = _built(cfg)
+    N, deg = cfg["N"], cfg["degree"]
+    copy = _hand_built(seq)
+    assert copy == seq and repr(copy) == repr(seq)
+    assert seq.int_rows is not None and copy.int_rows is None
+    assert _result(lambda: op.banded_recurrence(seq, c_rec, N)) == _result(
+        lambda: op.banded_recurrence(copy, c_rec, N)
+    )
+    try:
+        shifted = op.monic_sequence(
+            op.measure_form(op.christoffel_shift(mu, c_rec, N + 1)), deg, require_positive=False
+        )
+    except op.SingularMatrix:
+        return
+    for source in (seq, copy, op.monic_sequence(op.measure_form(mu), deg)):
+        assert _result(lambda: op.connection_matrix(source, shifted, N)) == _result(
+            lambda: op.connection_matrix(source, _hand_built(shifted), N)
+        )
+
+
+@pytest.mark.parametrize("cfg, last", [(c, False) for c in TRUSTED_ROW] + [(c, True) for c in LAST_ROWS])
+def test_the_pinned_mismatches_fail_in_the_rows_they_name(cfg, last):
+    _, seq, c_rec = _built(cfg)
+    N = cfg["N"]
+    with pytest.raises(op.SymmetryViolated) as info:
+        op.banded_recurrence(seq, c_rec, N)
+    n = int(str(info.value).split("(")[1].split(",")[0])
+    assert (n >= len(seq) - (N + 1)) == last

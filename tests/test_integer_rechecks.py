@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import opfold as op
 import oracles
+from opfold import orthopoly
 
 MEASURES = {
     "laguerre0": lambda count: op.laguerre_moments(0, count),
@@ -152,6 +153,51 @@ def test_connection_matrix_matches_the_poly_route(fam, source, kind, seed, eps, 
     assert new == _outcome(lambda: oracles.poly_connection_matrix(seq_from, seq_to, N))
     if kind == "none":
         assert new[0] == "ok"
+
+
+@given(families, st.sampled_from(["seq", "base", "shifted"]), st.sampled_from(["seq", "base"]))
+@example((("laguerre0", Fraction(0), 1), 9), "seq", "seq")
+@example((("laguerre1", Fraction(1, 2), 2), 8), "shifted", "base")
+@example((("hermite", Fraction(-2), 0), 6), "base", "seq")
+@settings(max_examples=60, deadline=None)
+def test_certified_sequences_take_the_band_route_to_the_same_tables(fam, which, source):
+    # monic_sequence's own output is certified, and a copy made by hand
+    # (_perturbed with kind "none") is not: it takes the dense scan
+    (measure, c, N), deg = fam
+    f = _family(measure, c, N, deg)
+    if which in f:
+        seq = f[which]
+        assert seq.int_rows is not None
+        new = _outcome(lambda: op.banded_recurrence(seq, c, N))
+        assert new[0] == "ok"
+        assert new == _outcome(lambda: oracles.poly_banded_recurrence(seq, c, N))
+        copy = _perturbed(seq, "none", 0, None)
+        assert copy.int_rows is None
+        assert new == _outcome(lambda: op.banded_recurrence(copy, c, N))
+    if "shifted" in f:
+        seq_from, seq_to = f[source], f["shifted"]
+        new = _outcome(lambda: op.connection_matrix(seq_from, seq_to, N))
+        assert new[0] == "ok"
+        assert new == _outcome(lambda: oracles.poly_connection_matrix(seq_from, seq_to, N))
+        copy = _perturbed(seq_to, "none", 0, None)
+        assert new == _outcome(lambda: op.connection_matrix(seq_from, copy, N))
+
+
+def test_certified_sequences_never_reach_the_dense_scan(monkeypatch):
+    # the dense scan is reached only through an uncertified copy, which the
+    # band routes make only when one of their checks fails
+    def copy_made(*args):
+        raise AssertionError("dense scan reached")
+
+    cases = [("laguerre0", Fraction(0), 1, 9), ("laguerre1", Fraction(1), 2, 8),
+             ("hermite", Fraction(-2), 0, 6), ("laguerre2", Fraction(1, 2), 1, 9)]
+    built = [(c, N, _family(measure, c, N, deg)) for measure, c, N, deg in cases]
+    monkeypatch.setattr(orthopoly, "MonicSequence", copy_made)
+    for c, N, f in built:
+        for seq in f.values():
+            op.banded_recurrence(seq, c, N)
+        for source in (f["seq"], f["base"]):
+            op.connection_matrix(source, f["shifted"], N)
 
 
 def test_perturbed_sequences_reach_the_rechecks(canon):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opfold as op
@@ -62,6 +62,28 @@ def test_shifted_functional_matches_expansion_oracle(c, power):
     for k in range(16 - power):
         want = oracles.shifted_moment(lambda j: mu.moment(j), c, power, k)
         assert shifted.moment(k) == want
+
+
+@given(
+    st.sampled_from(["laguerre0", "laguerre2", "hermite", "explicit"]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(min_value=1, max_value=4),
+)
+@example("explicit", Fraction(-3, 4), 4)
+@example("hermite", Fraction(5, 3), 1)
+@settings(max_examples=60, deadline=None)
+def test_integer_christoffel_shift_matches_the_fraction_route(base, c, power):
+    mu = {
+        "laguerre0": lambda: op.laguerre_moments(0, 14),
+        "laguerre2": lambda: op.laguerre_moments(2, 14),
+        "hermite": lambda: op.hermite_moments(14),
+        "explicit": lambda: op.MomentFunctional(
+            tuple(Fraction((-1) ** k * (k + 1), 3 ** (k % 4) * (2 * k + 1)) for k in range(14))
+        ),
+    }[base]()
+    shifted = op.christoffel_shift(mu, c, power).moments
+    assert shifted == oracles.fraction_christoffel_shift(mu, c, power)
+    assert all(type(m) is Fraction for m in shifted)
 
 
 def test_shifted_functional_needs_enough_moments():
