@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import Matrix, exact_nullspace
 from .matfold import MatrixPolySequence, build_matrix_sequence
-from .orthopoly import MonicSequence, int_block
+from .orthopoly import MonicSequence, coeff_at, int_block
 from .poly import Poly
 from .rationals import rat_str, as_fraction
 
@@ -119,21 +119,18 @@ class EigenvalueLadder:
 # -- the eigen equations -------------------------------------------------
 
 
-def _int_deriv_table(mat: Matrix, order: int):
+def _int_deriv_table(block, order: int):
     """(table, den): table[k][i][l] lists the coefficients of the k-th
-    derivative of entry (i, l) of the Poly matrix mat, as integers over
-    den, the common denominator of the block. No list has trailing zeros."""
-    base, den = int_block(mat)
+    derivative of entry (i, l) of a matrix polynomial given as (base,
+    den) from int_block, as integers over den, the common denominator of
+    the block. No list has trailing zeros."""
+    base, den = block
     table = [base]
     for k in range(1, order + 1):
         table.append(
             [[[perm(t + k, k) * a for t, a in enumerate(e[k:])] for e in row] for row in base]
         )
     return table, den
-
-
-def _at(coeffs: list[int], t: int) -> int:
-    return coeffs[t] if 0 <= t < len(coeffs) else 0
 
 
 def _eigen_rows(table, i: int, bounds: Sequence[int]):
@@ -158,7 +155,7 @@ def _eigen_rows(table, i: int, bounds: Sequence[int]):
             for d in range(max(t - len(pol) + 1, 0), min(b, t) + 1)
             if pol[t - d]
         ]
-        eqs.append((terms, [_at(e, t) for e in row]))
+        eqs.append((terms, [coeff_at(e, t) for e in row]))
     return eqs
 
 
@@ -198,7 +195,7 @@ def verify_eigen(
     def action(terms, j: int) -> int:
         """den * opden times the y^t coefficient of column j of R_n D, for
         terms the equation of row i at that power."""
-        return sum(c * _at(coef[k * size + l][j], d) for k, l, d, c in terms)
+        return sum(c * coeff_at(coef[k * size + l][j], d) for k, l, d, c in terms)
 
     results = []
     first = None
@@ -210,7 +207,7 @@ def verify_eigen(
             raise DimensionMismatch(f"{F.shape} against operator size {size}")
         if lam.shape != (F.nrows, F.nrows):
             raise DimensionMismatch(f"{lam.shape} @ {F.shape}")
-        table, den = _int_deriv_table(F, op.order)
+        table, den = _int_deriv_table(R.int_block(n), op.order)
         # resid[i][j][t]: the coefficient of y^t in entry (i, j) of the
         # residual, times scale[i] = den * opden * (denominator of lambda_{n,i})
         resid, scale = [], []
@@ -284,7 +281,7 @@ def _discover(
     nuk = offsets[-1]
     eqs = []
     for n in range(n_fit + 1):
-        table, _ = _int_deriv_table(R.mat(n), len(bounds) - 1)
+        table, _ = _int_deriv_table(R.int_block(n), len(bounds) - 1)
         lam = ladder(n)
         eqs += [(as_fraction(lam[i, i]), _eigen_rows(table, i, bounds)) for i in range(size)]
     sols = []
@@ -408,10 +405,10 @@ def min_order_check(
     pivots: dict[tuple[int, int], list[tuple[int, int]]] = {}
     dens = []
     for n in range(n_fit + 1):
-        table, den = _int_deriv_table(R.mat(n), max_order)
+        table, den = _int_deriv_table(R.int_block(n), max_order)
         dens.append(den)
         for i in range(size):
-            if _at(table[0][i][i], n) != den:
+            if coeff_at(table[0][i][i], n) != den:
                 raise IdentityViolated(
                     f"block {n} row {i} is not monic in its own column"
                 )

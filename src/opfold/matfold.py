@@ -10,8 +10,9 @@ as squared rationals with signs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .banded import BlockTridiagonal
@@ -22,8 +23,8 @@ from .errors import (
     SingularLeading,
     SingularMatrix,
 )
-from .linalg import Matrix, inverse
-from .orthopoly import BandedRecurrence, MonicSequence, three_term_steps
+from .linalg import Matrix, clear_denominators, inverse
+from .orthopoly import BandedRecurrence, MonicSequence, coeff_at, int_block, three_term_steps
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -75,6 +76,9 @@ class MatrixPolySequence:
     Row j of block n is the fold about c of scalar number (N+1)n+j; monic
     means every block has identity leading coefficient. The source scalars
     are kept so inner products can be reduced to the scalar form.
+    int_blocks[n] is block n as (rows, den) in the form of
+    orthopoly.int_block when build_matrix_sequence or monic_normalize
+    built the sequence, and None on one built by hand.
     """
 
     mats: tuple[Matrix, ...]
@@ -82,6 +86,7 @@ class MatrixPolySequence:
     monic: bool
     scalars: Optional[MonicSequence] = None
     c: Fraction = Fraction(0)
+    int_blocks: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -97,6 +102,12 @@ class MatrixPolySequence:
             )
         return self.mats[n]
 
+    def int_block(self, n: int):
+        """Block n as (rows, den): the carried int_blocks[n], or read off
+        the Poly entries of a sequence built by hand."""
+        m = self.mat(n)
+        return int_block(m) if self.int_blocks is None else self.int_blocks[n]
+
     def leading_coefficient(self, n: int) -> Matrix:
         m = self.mat(n)
         return m.map(lambda e: e.coeff(n))
@@ -107,28 +118,79 @@ class MatrixPolySequence:
         return FoldDecomposition(tuple(m[i, j] for j in range(m.ncols)), self.c).reassemble()
 
 
+def _carrying(mats, blocks, N: int, monic: bool, scalars, c) -> MatrixPolySequence:
+    seq = MatrixPolySequence(tuple(mats), N, monic, scalars, c)
+    object.__setattr__(seq, "int_blocks", tuple(blocks))
+    return seq
+
+
+def _reduced(rows, den: int):
+    """(rows, den) over the least common denominator, trailing zeros
+    dropped: the form int_block gives the same matrix."""
+    g = den
+    for row in rows:
+        for e in row:
+            while e and not e[-1]:
+                e.pop()
+            if g > 1:
+                g = gcd(g, *e)
+    if g > 1:
+        rows = [[[a // g for a in e] for e in row] for row in rows]
+    return rows, den // g
+
+
+def _taylor_row(ints, den: int, c: Fraction):
+    """(t, den') with t[k] / den' the coefficient of (x-c)^k in s, given
+    s = sum ints[i] x^i / den and c = p/q: with f(X) = q^m s(X/q) den,
+    m = deg s, an integer polynomial, s(c+u) = f(p + q u) / (den q^m),
+    and f(p + v) is an integer Taylor shift by p."""
+    if not c:
+        return ints, den
+    p, q, m = c.numerator, c.denominator, max(len(ints) - 1, 0)
+    t = [a * q ** (m - i) for i, a in enumerate(ints)]
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            t[j] += p * t[j + 1]
+    return [a * q**k for k, a in enumerate(t)], den * q**m
+
+
 def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence:
     """Stack folds about c of N+1 consecutive scalars into matrix blocks.
 
     Entry (i,j) of block n collects the powers of (x-c) congruent to j
     mod N+1 of scalar (N+1)n+i, so its degree is at most
-    floor(((N+1)n+i-j)/(N+1)); the bound is asserted.
+    floor(((N+1)n+i-j)/(N+1)); the bound is asserted. The folds are
+    sliced from integer Taylor rows at c, read off the certified
+    int_rows of the sequence when it has them, and each block is carried
+    as (rows, den) on int_blocks.
     """
     c = as_fraction(c)
     step = N + 1
-    mats = []
+    if seq.int_rows is None:
+        scalars = [clear_denominators(p.coeffs) for p in seq.polys]
+    else:
+        scalars = [(r, r[-1]) for r in seq.int_rows]
+    mats, blocks = [], []
     for n in range(len(seq) // step):
-        rows = []
-        for i in range(step):
-            parts = fold_decompose(seq.poly(step * n + i), N, c).parts
-            for j, q in enumerate(parts):
-                if q.degree > (step * n + i - j) // step:
+        ks = range(step * n, step * n + step)
+        taylor = [_taylor_row(*scalars[k], c) for k in ks]
+        den = lcm(*(d for _, d in taylor))
+        rows = [[[a * (den // d) for a in t[j::step]] for j in range(step)] for t, d in taylor]
+        block = _reduced(rows, den)
+        for i, row in enumerate(block[0]):
+            for j, e in enumerate(row):
+                if len(e) - 1 > (step * n + i - j) // step:
                     raise IdentityViolated(
                         f"fold degree bound violated at block {n} entry ({i},{j})"
                     )
-            rows.append(parts)
-        mats.append(Matrix(rows))
-    return MatrixPolySequence(tuple(mats), N, monic=False, scalars=seq, c=c)
+        # about 0 the Taylor coefficients are the scalar's own Fractions
+        polys = [
+            seq.poly(k).coeffs if not c else [Fraction(a, d) for a in t]
+            for k, (t, d) in zip(ks, taylor)
+        ]
+        mats.append(Matrix([[Poly(p[j::step]) for j in range(step)] for p in polys]))
+        blocks.append(block)
+    return _carrying(mats, blocks, N, False, seq, c)
 
 
 def matrix_gram(R: MatrixPolySequence, n: int, m: int) -> Matrix:
@@ -156,28 +218,59 @@ class MonicNormalization:
     leadings: tuple[Matrix, ...]
 
 
+def _lead_inverse(lead: Matrix, n: int) -> list[list[Fraction]]:
+    """The rows of L^-1, L the leading coefficient of block n: by forward
+    substitution when L is unit lower triangular, else by elimination."""
+    size = lead.nrows
+    if any(lead[i, j] != int(i == j) for i in range(size) for j in range(i, size)):
+        try:
+            return inverse(lead).rows
+        except SingularMatrix as exc:
+            raise SingularLeading(f"leading coefficient of block {n} is singular") from exc
+    inv: list[list] = []
+    for i in range(size):
+        inv.append([int(i == j) - sum(lead[i, k] * inv[k][j] for k in range(j, i)) for j in range(size)])
+    return inv
+
+
+def _lincomb(coefs, polys) -> list[int]:
+    """sum(u * p for u, p in zip(coefs, polys)) over integer coefficient lists."""
+    acc = [0] * max(map(len, polys))
+    for u, p in zip(coefs, polys):
+        if u:
+            for t, a in enumerate(p):
+                acc[t] += u * a
+    return acc
+
+
 def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
     """Left-divide each block by its leading coefficient.
 
-    Folding a degree-graded monic sequence gives lower-triangular leading
-    coefficients with unit diagonal entries on the top row pattern; any
-    singular leading coefficient raises SingularLeading.
+    The leading coefficient L_n is read off the integer rows of block n,
+    and L_n^-1 is applied to them in integers. A fold of a monic
+    sequence has unit lower triangular leading coefficients: entry (i,j)
+    of block n has degree below n when i < j, and the diagonal holds the
+    leading coefficients of the scalars. Any singular leading
+    coefficient raises SingularLeading.
     """
-    mats = []
-    leadings = []
-    ident = Matrix.identity(R.block_size)
+    mats, blocks, leadings = [], [], []
     for n in range(len(R)):
-        lead = R.leading_coefficient(n)
-        try:
-            linv = inverse(lead)
-        except SingularMatrix as exc:
-            raise SingularLeading(f"leading coefficient of block {n} is singular") from exc
-        scaled = linv @ R.mat(n)
-        if scaled.map(lambda e: e.coeff(n)) != ident:
+        rows, den = R.int_block(n)
+        lead = Matrix([[Fraction(coeff_at(e, n), den) for e in row] for row in rows])
+        inv = _lead_inverse(lead, n)
+        ints, iden = clear_denominators([v for row in inv for v in row])
+        cols = list(zip(*rows))
+        size = len(rows)
+        scaled = [[_lincomb(ints[i * size : (i + 1) * size], col) for col in cols] for i in range(size)]
+        brows, bden = block = _reduced(scaled, den * iden)
+        if any(
+            coeff_at(e, n) != bden * (i == j) for i, row in enumerate(brows) for j, e in enumerate(row)
+        ):
             raise IdentityViolated(f"block {n} failed to become monic")
-        mats.append(scaled)
+        mats.append(Matrix([[Poly(Fraction(a, bden) for a in e) for e in row] for row in brows]))
+        blocks.append(block)
         leadings.append(lead)
-    seq = MatrixPolySequence(tuple(mats), R.N, monic=True, scalars=R.scalars, c=R.c)
+    seq = _carrying(mats, blocks, R.N, True, R.scalars, R.c)
     return MonicNormalization(seq, tuple(leadings))
 
 
@@ -202,7 +295,8 @@ def matrix_ttrr(R: MatrixPolySequence) -> BlockTTRRCoeffs:
         raise IdentityViolated("block recurrence extraction expects monic blocks")
     if len(R) < 2:
         raise InsufficientSequence("need at least two blocks for a recurrence step")
-    steps = list(three_term_steps(R.mats, "block recurrence"))
+    blocks = [R.int_block(n) for n in range(len(R))]
+    steps = list(three_term_steps(blocks, "block recurrence"))
     diag = tuple(D for _, D, _ in steps)
     sub = tuple(C for _, _, C in steps[1:])
     return BlockTTRRCoeffs(BlockTridiagonal(diag, sub, (Matrix.identity(R.block_size),) * len(sub)))

@@ -31,6 +31,7 @@ from .errors import (
     BandViolation,
     IdentityViolated,
     InsufficientMoments,
+    InsufficientSequence,
     NotPositiveDefinite,
     SingularMatrix,
     SymmetryViolated,
@@ -169,6 +170,19 @@ def int_block(mat: Matrix):
     return rows, den
 
 
+def coeff_at(coeffs, t: int) -> int:
+    """Entry t of an integer coefficient list, 0 beyond it."""
+    return coeffs[t] if 0 <= t < len(coeffs) else 0
+
+
+def _blocks(seq: MonicSequence, size: int) -> list:
+    """The first size members as 1x1 int_blocks, read off the certified
+    rows when the sequence has them."""
+    if seq.int_rows is None:
+        return [int_block(Matrix([[p]])) for p in seq.polys[:size]]
+    return [([[r]], r[-1]) for r in seq.int_rows[:size]]
+
+
 def recurrence_holds(cur, nxt, terms, mult=(0, 1)) -> bool:
     """Whether q cur = nxt + sum(coef @ blk for coef, blk in terms) holds
     exactly, q the polynomial with integer coefficients mult (by default
@@ -214,33 +228,39 @@ def recurrence_holds(cur, nxt, terms, mult=(0, 1)) -> bool:
     return True
 
 
-def three_term_steps(mats: Sequence[Matrix], label: str):
+def three_term_steps(blocks: Sequence, label: str):
     """Yield (n, D_n, C_n) of z P_n = P_{n+1} + D_n P_n + C_n P_{n-1} for
-    n = 0 .. len(mats) - 2, with C_0 None.
+    n = 0 .. len(blocks) - 2, with C_0 None.
 
-    mats are the square matrix polynomials P_n in z, monic of degree n; a
-    scalar sequence is the 1x1 case. Blocks multiply on the left. D_n and
-    C_n are read from the coefficients of z P_n - P_{n+1} at z^n and
-    z^{n-1} (the latter after removing D_n P_n). The residual must then
-    vanish as an exact polynomial identity over the integer coefficient
-    rows of each block, one denominator per block (recurrence_holds),
-    before step n is yielded; otherwise IdentityViolated names the label
-    and n.
+    blocks are the square matrix polynomials P_n in z, monic of degree n,
+    each as (rows, den) from int_block; a scalar sequence is the 1x1 case.
+    Blocks multiply on the left. D_n and C_n are read in integers from
+    the coefficients of z P_n - P_{n+1} at z^n and z^{n-1} (the latter
+    after removing D_n P_n). The residual must then vanish as an exact
+    polynomial identity over the integer coefficient rows
+    (recurrence_holds) before step n is yielded; otherwise
+    IdentityViolated names the label and n.
     """
-    blocks = [int_block(m) for m in mats]
 
-    def coeff(n: int, t: int) -> Matrix:
-        """The coefficient of z^t in P_n."""
-        rows, den = blocks[n]
-        return Matrix([[Fraction(e[t] if 0 <= t < len(e) else 0, den) for e in row] for row in rows])
+    def coeff(n: int, t: int) -> list:
+        """den_n times the coefficient of z^t in P_n."""
+        return [[coeff_at(e, t) for e in row] for row in blocks[n][0]]
 
-    for n in range(len(mats) - 1):
+    for n in range(len(blocks) - 1):
+        a, b = blocks[n][1], blocks[n + 1][1]
         top = coeff(n, n - 1)
-        D = top - coeff(n + 1, n)
+        # a b D_n, and a a b C_n
+        d = [[u * b - v * a for u, v in zip(r, s)] for r, s in zip(top, coeff(n + 1, n))]
+        D = Matrix([[Fraction(v, a * b) for v in row] for row in d])
         terms = [(D.rows, blocks[n])]
         C = None
         if n > 0:
-            C = coeff(n, n - 2) - coeff(n + 1, n - 1) - D @ top
+            dtop = [[sum(map(mul, row, col)) for col in zip(*top)] for row in d]
+            c = [
+                [u * a * b - v * a * a - w for u, v, w in zip(r, s, t)]
+                for r, s, t in zip(coeff(n, n - 2), coeff(n + 1, n - 1), dtop)
+            ]
+            C = Matrix([[Fraction(v, a * a * b) for v in row] for row in c])
             terms.append((C.rows, blocks[n - 1]))
         if not recurrence_holds(blocks[n], blocks[n + 1], terms):
             raise IdentityViolated(f"{label} residual nonzero at n={n}")
@@ -271,10 +291,10 @@ def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
     lam_n = ||s_n||^2 / ||s_{n-1}||^2.
     """
     if len(seq) < 2:
-        raise ValueError("need at least two polynomials")
+        raise InsufficientSequence("need at least two polynomials")
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    for n, D, C in three_term_steps([Matrix([[p]]) for p in seq.polys], "three-term"):
+    for n, D, C in three_term_steps(_blocks(seq, len(seq)), "three-term"):
         b.append(D[0, 0])
         if C is not None:
             if C[0, 0] != seq.norm_sq(n) / seq.norm_sq(n - 1):
@@ -311,14 +331,6 @@ class BandedRecurrence:
 
     def orthonormal_sign(self, n: int, k: int) -> int:
         return self.orthonormal_entry(n, k).sign
-
-
-def _blocks(seq: MonicSequence, size: int) -> list:
-    """The first size members as 1x1 int_blocks, read off the certified
-    rows when the sequence has them."""
-    if seq.int_rows is None:
-        return [int_block(Matrix([[p]])) for p in seq.polys[:size]]
-    return [([[r]], r[-1]) for r in seq.int_rows[:size]]
 
 
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:

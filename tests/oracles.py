@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Eight exceptions keep a replaced library route as the second,
+carrier. Nine exceptions keep a replaced library route as the second,
 independent one: fraction_christoffel_shift, the Fraction sum of weighted
 moments that christoffel_shift was before it worked over integers;
 IntEchelon, an incremental integer row echelon that used
@@ -47,10 +47,13 @@ from opfold.errors import (
     IdentityViolated,
     InsufficientMoments,
     InsufficientSequence,
+    SingularLeading,
+    SingularMatrix,
     SymmetryViolated,
 )
 from opfold.bispec import EigenReport
-from opfold.linalg import Matrix, _int_rows, exact_nullspace, ldlt, nullspace
+from opfold.linalg import Matrix, _int_rows, exact_nullspace, inverse, ldlt, nullspace
+from opfold.matfold import MatrixPolySequence, MonicNormalization
 from opfold.measures import gram_matrix
 from opfold.orthopoly import (
     BandedRecurrence,
@@ -498,7 +501,7 @@ def poly_jacobi_matrix(seq):
     polynomial and lam_n the norm ratio."""
     m = len(seq) - 1
     if m < 1:
-        raise ValueError("need at least two polynomials")
+        raise InsufficientSequence("need at least two polynomials")
     x = Poly.x()
     b = []
     lam = []
@@ -859,6 +862,28 @@ def dense_verify_ul(jac, c, N: int, conn, float_tol: float = 1e-12):
     if rel > float_tol:
         raise IdentityViolated(f"orthonormal float check failed: {rel} at {worst}")
     return FactorizationReport(True, trusted, rel, worst)
+
+
+def poly_monic_normalize(R):
+    """monic_normalize in Poly matrix arithmetic: each block is multiplied
+    on the left by the inverse of its leading coefficient, taken by
+    elimination, and the product must have identity leading coefficient."""
+    mats = []
+    leadings = []
+    ident = Matrix.identity(R.block_size)
+    for n in range(len(R)):
+        lead = R.leading_coefficient(n)
+        try:
+            linv = inverse(lead)
+        except SingularMatrix as exc:
+            raise SingularLeading(f"leading coefficient of block {n} is singular") from exc
+        scaled = linv @ R.mat(n)
+        if scaled.map(lambda e: e.coeff(n)) != ident:
+            raise IdentityViolated(f"block {n} failed to become monic")
+        mats.append(scaled)
+        leadings.append(lead)
+    seq = MatrixPolySequence(tuple(mats), R.N, monic=True, scalars=R.scalars, c=R.c)
+    return MonicNormalization(seq, tuple(leadings))
 
 
 def poly_matrix_ttrr(R):

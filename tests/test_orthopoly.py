@@ -69,7 +69,7 @@ def test_shifted_three_term_spots(canon):
 def test_three_term_needs_two_polynomials():
     mu = op.laguerre_moments(0, 8)
     seq = op.monic_sequence(op.measure_form(mu), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(op.InsufficientSequence, match="need at least two polynomials"):
         op.jacobi_matrix(seq)
 
 
