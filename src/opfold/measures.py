@@ -3,8 +3,10 @@
 A measure enters the pipeline only through its moment sequence, and a
 bilinear form only through its monomial Gram G[i][j] = B(x^i, x^j). The
 Gram is written down in closed form, never by multiplying polynomials:
-the moment Hankel m_{i+j}, plus for a point mass the rank <= N+1 term
-sum_{a,b} M_ab v_a[i] v_b[j] with v_a[i] = i!/(i-a)! c^(i-a). It is built
+the moment Hankel m_{i+j}, plus for a point mass the rank-r update
+sum_{a,b} M_ab v_a[i] v_b[j] with v_a[i] = i!/(i-a)! c^(i-a), r = N+1
+the size of M. Each row is a slice of the Hankel, and the update touches
+only the rows where some v_a[i] is nonzero, at c = 0 the first r. It is built
 on first use, cached on the form as integer rows over one common
 denominator, and every inner product, Gram slice and table downstream is
 an exact integer matrix product against it. Nothing here touches
@@ -172,6 +174,12 @@ class BilinearForm:
         return self._gram
 
     def _build(self, n: int) -> tuple[list[list[int]], int]:
+        """The Gram through degree n as integer rows over one denominator:
+        the moment Hankel m_{i+j}, plus for a point mass the rank-r update
+        sum_a v_a[i] W_a[j], W_a = sum_b M_ab v_b, r the size of M. Each row
+        is a scaled slice of the Hankel, and the update is added only to
+        rows i where some v_a[i] is nonzero: i >= a always, and at c = 0
+        only the first r rows. The rows are reduced by their common gcd."""
         hankel, den = clear_denominators(self.mu.moments[: 2 * n + 1])
         if self.M is None or self.M.is_zero:
             return [hankel[i : i + n + 1] for i in range(n + 1)], den
@@ -187,15 +195,18 @@ class BilinearForm:
         W = [[sum(m * v[j] for m, v in zip(row, V)) for j in range(n + 1)] for row in mass]
         # in integers: den * scale * G = scale * hankel + den * V^T (dM M) V
         scale = dM * q ** (2 * n)
-        rows = [
-            [
-                hankel[i + j] * scale + den * sum(v[i] * w[j] for v, w in zip(V, W))
-                for j in range(n + 1)
-            ]
-            for i in range(n + 1)
-        ]
+        rows = []
+        g = den * scale
+        for i in range(n + 1):
+            row = [h * scale for h in hankel[i : i + n + 1]]
+            for v, w in zip(V, W):
+                if v[i]:
+                    f = den * v[i]
+                    row = [h + f * u for h, u in zip(row, w)]
+            if g > 1:
+                g = gcd(g, *row)
+            rows.append(row)
         den *= scale
-        g = gcd(den, *(v for r in rows for v in r))
         if g > 1:
             rows = [[v // g for v in r] for r in rows]
             den //= g

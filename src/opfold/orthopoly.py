@@ -4,13 +4,17 @@ Everything is generated from a BilinearForm's monomial Gram G. The monic
 sequence comes from the form's own short recurrence: multiplication by
 (x-c)^r, r the size of the point-mass matrix, is symmetric for the form,
 so s_k is (x-c)^r s_{k-r} minus its components along the 2r members
-before it, each an integer dot product against G; G s_k is then checked
-to vanish in integers on every row below k. The recurrence and connection
-tables are computed in their bands only, each entry an integer dot
-product of a shifted coefficient row with a few rows of G s_k, and then
-checked a second way, as the polynomial expansion they claim, on the
-rows the truncation determines; with the sequence orthogonal, that
-expansion is what makes the entries off the band vanish.
+before it, each an integer dot product against G. That symmetry is
+checked once on G, in integers; given it, G s_k vanishes below row k-2r
+(proof in monic_sequence), so G s_k is formed from row k-2r and checked
+to vanish on rows k-2r .. k-1. For a Gram without it G s_k is checked
+on every row below k, so the same pair is named as not orthogonal. The
+recurrence and connection tables are computed in their bands only, each
+entry an integer dot product of a shifted coefficient row with a few
+rows of G s_k, and then checked a second way, as the polynomial
+expansion they claim, on the rows the truncation determines; with the
+sequence orthogonal, that expansion is what makes the entries off the
+band vanish.
 Every polynomial identity is checked over integer coefficient rows
 (recurrence_holds); three_term_steps extracts monic three-term
 recurrences, scalar (jacobi_matrix) and block (matfold.matrix_ttrr).
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .banded import BandedOperator
@@ -84,6 +89,24 @@ class MonicSequence:
         return all(v > 0 for v in self.norms_sq)
 
 
+def _shift_symmetric(G, qc, m: int) -> bool:
+    """Whether multiplication by q, given by its integer coefficients qc,
+    is self-adjoint for the Gram G on degrees below m: whether
+    sum_t qc[t] G[a+t][b] == sum_t qc[t] G[a][b+t] for all a, b < m.
+    G need not be symmetric."""
+    ts = [t for t, v in enumerate(qc) if v]
+    if len(ts) == 1:
+        t = ts[0]
+        return all(G[a + t][:m] == G[a][t : t + m] for a in range(m))
+    for a in range(m):
+        diff = [0] * m  # sum_t qc[t] (G[a+t][b] - G[a][b+t]) for b < m
+        for t in ts:
+            diff = list(map(add, diff, map(mul, repeat(qc[t]), map(sub, G[a + t], G[a][t : t + m]))))
+        if any(diff):
+            return False
+    return True
+
+
 def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True) -> MonicSequence:
     """Generate s_0..s_{n_max} by the form's own banded recurrence.
 
@@ -98,16 +121,33 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     Each s_j is held as integer coefficients over one denominator together
     with its Gram image G s_j (G the form's cached integer Gram), so every
     inner product and pivot is an integer dot product and only the
-    combination of the window is rational. The result is certified a
-    second way: G s_k must vanish in integers on every row i < k, that is
-    s_k is orthogonal to every monomial of lower degree, else
-    IdentityViolated names the first such i.
+    combination of the window is rational.
+
+    The result is certified in integers: G s_k must vanish on every row
+    i < k, that is s_k is orthogonal to every monomial of lower degree,
+    else IdentityViolated names the first such i. The symmetry above is
+    not assumed but checked once, on the Gram: sum_t q_t G[a+t][b] ==
+    sum_t q_t G[a][b+t] for all a, b <= n_max - r, O(n_max^2 r). When it
+    holds, G s_k is formed only on rows k-2r .. k+2r and checked on rows
+    k-2r .. k-1, because the rows below vanish: for i < k - 2r, by
+    induction on k,
+
+        B(s_i, s_k) = B(s_i, q s_{k-r}) = B(q s_i, s_{k-r}) = 0,
+
+    the window terms dropping since each s_j with j > i is orthogonal to
+    s_i, and the last step since deg(q s_i) = i + r < k - r. Then
+    d_k = s_k[k] (G s_k)[k] over the common denominators. When the check
+    fails, the same loop forms G s_k from row 0, so every row below k is
+    checked and the first non-orthogonal pair is named as before.
 
     The d_k are the LDL^T pivots of the Gram, which are unique, so the
     pivot policy is that of ldlt: with require_positive the first
     nonpositive pivot raises NotPositiveDefinite(k, d); without it, only a
-    zero pivot (loss of quasi-definiteness) raises SingularMatrix.
+    zero pivot (loss of quasi-definiteness) raises SingularMatrix. A
+    negative n_max raises ValueError.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     G, gden = form.gram(n_max)
     if form.M is None or form.M.is_zero:
         r, shift = 1, Poly.x()
@@ -115,8 +155,10 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         r = form.M.nrows
         shift = Poly((-form.c, Fraction(1))) ** r
     qc, _ = clear_denominators(shift.coeffs)
+    symmetric = _shift_symmetric(G, qc, n_max - r + 1)
     S: list[list[int]] = []  # s_j = S[j] / S[j][j]
-    GS: list[list[int]] = []  # G S[j] on rows 0 .. j + 2r, as far as n_max
+    GS: list[list[int]] = []  # G S[j] on rows first[j] .. j + 2r, as far as n_max
+    first: list[int] = []
     P: list[int] = []  # S[j]^T G S[j]; d_j = P[j] / (gden S[j][j]^2)
     polys: list[Poly] = []
     norms: list[Fraction] = []
@@ -131,7 +173,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
                         u[i + t] += a * b
         # s_k is proportional to u - sum_j (H_j / P_j) S_j, H_j = u^T G S_j
         window = range(max(0, k - 2 * r), k)
-        coef = [Fraction(sum(map(mul, u, GS[j])), P[j]) for j in window]
+        coef = [Fraction(sum(map(mul, u[first[j] :], GS[j])), P[j]) for j in window]
         scale = lcm(*(f.denominator for f in coef))
         w = [scale * a for a in u]
         for j, f in zip(window, coef):
@@ -141,11 +183,12 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
                     w[i] -= m * a
         g = gcd(*w)  # w[k] is scale times the positive leading term of u
         s = [a // g for a in w]
-        gs = [sum(map(mul, G[i], s)) for i in range(min(n_max, k + 2 * r) + 1)]
-        for i in range(k):
-            if gs[i]:
+        lo = window.start if symmetric else 0
+        gs = [sum(map(mul, G[i], s)) for i in range(lo, min(n_max, k + 2 * r) + 1)]
+        for i in range(lo, k):
+            if gs[i - lo]:
                 raise IdentityViolated(f"monic sequence not orthogonal: s_{i}, s_{k}")
-        p = sum(map(mul, s, gs))
+        p = s[k] * gs[k - lo]
         d = Fraction(p, gden * s[k] * s[k])
         if require_positive and d <= 0:
             raise NotPositiveDefinite(k, d)
@@ -153,6 +196,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
             raise SingularMatrix(f"zero pivot at index {k}")
         S.append(s)
         GS.append(gs)
+        first.append(lo)
         P.append(p)
         polys.append(Poly(Fraction(a, s[k]) for a in s))
         norms.append(d)

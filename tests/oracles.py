@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Nine exceptions keep a replaced library route as the second,
+carrier. Ten exceptions keep a replaced library route as the second,
 independent one: fraction_christoffel_shift, the Fraction sum of weighted
 moments that christoffel_shift was before it worked over integers;
 IntEchelon, an incremental integer row echelon that used
@@ -15,7 +15,10 @@ polynomials at a time (a full polynomial product against the moments plus
 derivative values at the point), as the library did before it held each
 form as its monomial Gram; ldlt_monic_sequence, the Fraction LDL^T of
 the Gram plus the inverse of its unit lower factor, which generated the
-monic sequence before the form's own banded recurrence did; the
+monic sequence before the form's own banded recurrence did;
+dense_monic_sequence, that recurrence with G s_k formed and checked on
+every row below k, as monic_sequence certified it before it checked the
+Gram's shift symmetry once and G s_k only inside the window; the
 dense_verify_* and poly_* routes of the Darboux and fold identities:
 H = T T* and (J-c)^(N+1) = T* T checked over every entry pair with
 dense float products, and the three-term, block and interlaced
@@ -34,7 +37,8 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import mul
 from types import SimpleNamespace
 
 import sympy as sp
@@ -47,12 +51,21 @@ from opfold.errors import (
     IdentityViolated,
     InsufficientMoments,
     InsufficientSequence,
+    NotPositiveDefinite,
     SingularLeading,
     SingularMatrix,
     SymmetryViolated,
 )
 from opfold.bispec import EigenReport
-from opfold.linalg import Matrix, _int_rows, exact_nullspace, inverse, ldlt, nullspace
+from opfold.linalg import (
+    Matrix,
+    _int_rows,
+    clear_denominators,
+    exact_nullspace,
+    inverse,
+    ldlt,
+    nullspace,
+)
 from opfold.matfold import MatrixPolySequence, MonicNormalization
 from opfold.measures import gram_matrix
 from opfold.orthopoly import (
@@ -549,6 +562,84 @@ def ldlt_monic_sequence(form, n_max: int, require_positive: bool = True):
     inv = unit_lower_inverse(L)
     polys = tuple(Poly(inv[n][: n + 1]) for n in range(n_max + 1))
     return MonicSequence(polys, tuple(D), form)
+
+
+def dense_monic_sequence(form, n_max: int, require_positive: bool = True):
+    """Generate s_0..s_{n_max} by the form's own banded recurrence, with
+    G s_k formed on rows 0 .. k + 2r and checked on every row below k.
+
+    Let q = (x-c)^r with r the size of the point-mass matrix, or q = x and
+    r = 1 when there is no mass or it is zero. Every derivative of order
+    below r of q f vanishes at c, so B(q f, g) = L[q f g] = B(f, q g), and
+    q s_{k-r} is orthogonal to every s_j with j < k - 2r:
+
+        s_k = q s_{k-r} - sum_{j=max(0,k-2r)}^{k-1} B(q s_{k-r}, s_j)/d_j s_j,
+
+    with d_j = B(s_j, s_j); for k < r the start is x^k against every j < k.
+    Each s_j is held as integer coefficients over one denominator together
+    with its Gram image G s_j (G the form's cached integer Gram), so every
+    inner product and pivot is an integer dot product and only the
+    combination of the window is rational. The result is certified a
+    second way: G s_k must vanish in integers on every row i < k, that is
+    s_k is orthogonal to every monomial of lower degree, else
+    IdentityViolated names the first such i.
+
+    The d_k are the LDL^T pivots of the Gram, which are unique, so the
+    pivot policy is that of ldlt: with require_positive the first
+    nonpositive pivot raises NotPositiveDefinite(k, d); without it, only a
+    zero pivot (loss of quasi-definiteness) raises SingularMatrix.
+    """
+    G, gden = form.gram(n_max)
+    if form.M is None or form.M.is_zero:
+        r, shift = 1, Poly.x()
+    else:
+        r = form.M.nrows
+        shift = Poly((-form.c, Fraction(1))) ** r
+    qc, _ = clear_denominators(shift.coeffs)
+    S: list[list[int]] = []  # s_j = S[j] / S[j][j]
+    GS: list[list[int]] = []  # G S[j] on rows 0 .. j + 2r, as far as n_max
+    P: list[int] = []  # S[j]^T G S[j]; d_j = P[j] / (gden S[j][j]^2)
+    polys: list[Poly] = []
+    norms: list[Fraction] = []
+    for k in range(n_max + 1):
+        if k < r:
+            u = [0] * k + [1]
+        else:
+            u = [0] * (k + 1)
+            for i, a in enumerate(S[k - r]):
+                if a:
+                    for t, b in enumerate(qc):
+                        u[i + t] += a * b
+        # s_k is proportional to u - sum_j (H_j / P_j) S_j, H_j = u^T G S_j
+        window = range(max(0, k - 2 * r), k)
+        coef = [Fraction(sum(map(mul, u, GS[j])), P[j]) for j in window]
+        scale = lcm(*(f.denominator for f in coef))
+        w = [scale * a for a in u]
+        for j, f in zip(window, coef):
+            if f:
+                m = f.numerator * (scale // f.denominator)
+                for i, a in enumerate(S[j]):
+                    w[i] -= m * a
+        g = gcd(*w)  # w[k] is scale times the positive leading term of u
+        s = [a // g for a in w]
+        gs = [sum(map(mul, G[i], s)) for i in range(min(n_max, k + 2 * r) + 1)]
+        for i in range(k):
+            if gs[i]:
+                raise IdentityViolated(f"monic sequence not orthogonal: s_{i}, s_{k}")
+        p = sum(map(mul, s, gs))
+        d = Fraction(p, gden * s[k] * s[k])
+        if require_positive and d <= 0:
+            raise NotPositiveDefinite(k, d)
+        if d == 0:
+            raise SingularMatrix(f"zero pivot at index {k}")
+        S.append(s)
+        GS.append(gs)
+        P.append(p)
+        polys.append(Poly(Fraction(a, s[k]) for a in s))
+        norms.append(d)
+    seq = MonicSequence(tuple(polys), tuple(norms), form)
+    object.__setattr__(seq, "int_rows", tuple(map(tuple, S)))
+    return seq
 
 
 def _deriv_table(R, n: int, order: int):

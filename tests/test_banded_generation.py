@@ -5,7 +5,11 @@ monic_sequence builds s_k from the form's own short recurrence under
 the Fraction LDL^T of the Gram plus the inverse of its unit lower factor
 as the second route. Both must give the same polynomials and squared
 norms, or raise the same exception with the same message, degree and
-pivot.
+pivot. The certificate itself has a second route too: oracles'
+dense_monic_sequence checks G s_k on every row below k, where
+monic_sequence checks the Gram's shift symmetry once and G s_k only in
+the recurrence window; the two must agree on forms with and without that
+symmetry.
 """
 
 from fractions import Fraction
@@ -16,6 +20,8 @@ from hypothesis import strategies as st
 
 import opfold as op
 import oracles
+from opfold import orthopoly
+from opfold.linalg import clear_denominators
 
 BASES = {
     "laguerre0": lambda count: op.laguerre_moments(0, count),
@@ -141,3 +147,122 @@ def test_deep_canonical_sequence_matches_the_ldlt_route():
     seq = op.monic_sequence(form, n_max)
     ref = oracles.ldlt_monic_sequence(form, n_max)
     assert seq.polys == ref.polys and seq.norms_sq == ref.norms_sq
+
+
+class _PerturbedForm(op.BilinearForm):
+    """The Gram of form with entry at moved by delta: outside the square
+    the shift-symmetry check reads, or inside it, where the check fails
+    unless the entry is one the symmetry does not constrain."""
+
+    def __init__(self, form, at, delta):
+        super().__init__(form.mu, form.c, form.M, form.label)
+        self.at, self.delta = at, delta
+
+    def _build(self, n):
+        rows, den = super()._build(n)
+        i, j = self.at
+        if max(i, j) <= n:
+            rows[i][j] += self.delta
+        return rows, den
+
+
+def _shift(form):
+    """(r, integer coefficients of q): q = (x-c)^r, or x and r = 1."""
+    if form.M is None or form.M.is_zero:
+        return 1, [0, 1]
+    r = form.M.nrows
+    return r, clear_denominators((op.Poly((-form.c, Fraction(1))) ** r).coeffs)[0]
+
+
+@st.composite
+def certified_forms(draw):
+    """(form, n_max): a Laguerre or Hermite Sobolev form with N 0..3 and
+    c in {0, 1, 1/2, -2}, or its Christoffel shift, with at times one Gram
+    entry perturbed inside or outside the checked square."""
+    base = draw(st.sampled_from(["laguerre0", "hermite"]))
+    n_max = draw(st.integers(0, 12))
+    N = draw(st.integers(0, 3))
+    c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)]))
+    count = 2 * n_max + 1 + draw(st.sampled_from([0, 0, 2, -1]))
+    if draw(st.booleans()):
+        form = op.measure_form(op.christoffel_shift(BASES[base](max(count, 1) + N + 1), c, N + 1))
+    else:
+        b = draw(st.lists(st.integers(-2, 2), min_size=N + 1, max_size=N + 1))
+        M = op.Matrix.rational([[x * y for y in b] for x in b])
+        form = op.sobolev_form(op.SobolevSpec(BASES[base](max(count, 1)), c, N, M))
+    where = draw(st.sampled_from(["none", "inside", "outside"]))
+    if where == "none":
+        return form, n_max
+    side = n_max - _shift(form)[0]  # the check reads rows and columns a, b <= side
+    if where == "inside" and side >= 0:
+        at = (draw(st.integers(0, n_max)), draw(st.integers(0, side)))
+        at = at if draw(st.booleans()) else at[::-1]
+    else:
+        span = st.integers(max(0, side + 1), n_max)
+        at = (draw(span), draw(span))
+    return _PerturbedForm(form, at, draw(st.sampled_from([-3, -1, 1, 2]))), n_max
+
+
+def _certified(fn):
+    """("ok", polys, norms, int_rows) or (exception name, message)."""
+    try:
+        seq = fn()
+    except op.OpfoldError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", seq.polys, seq.norms_sq, seq.int_rows
+
+
+def _worked(n_max, extra=0):
+    return _sobolev("laguerre0", 1, 0, [[0, 0], [0, 1]], n_max, extra)[0]
+
+
+def _hermite_half():
+    return _sobolev("hermite", 1, Fraction(1, 2), [[1, 1], [1, 1]], 8)[0]
+
+
+@given(certified_forms(), st.booleans())
+@example((_PerturbedForm(_worked(8), (5, 2), 1), 8), True)
+@example((_PerturbedForm(_worked(8), (7, 8), -1), 8), True)
+@example((_PerturbedForm(_worked(8), (2, 5), 1), 8), False)
+@example((_PerturbedForm(_worked(8), (8, 6), 1), 8), True)
+@example((_PerturbedForm(_worked(8), (2, 8), 1), 8), True)
+@example((_PerturbedForm(_worked(8), (1, 0), 1), 8), True)
+@example((_PerturbedForm(_hermite_half(), (0, 5), 1), 8), True)
+@example(_sobolev("hermite", 3, -2, [[1, 1, 0, 1], [1, 1, 0, 1], [0] * 4, [1, 1, 0, 1]], 12), True)
+@example(_shifted("laguerre0", Fraction(1, 2), 3, 12), False)
+@settings(max_examples=120, deadline=None)
+def test_window_certificate_matches_the_dense_one(case, require_positive):
+    form, n_max = case
+    assert _certified(lambda: op.monic_sequence(form, n_max, require_positive)) == _certified(
+        lambda: oracles.dense_monic_sequence(form, n_max, require_positive)
+    )
+
+
+def test_the_shift_symmetry_check_reads_the_square_it_names():
+    for form, n_max, symmetric in [
+        (_worked(8), 8, True),
+        (_PerturbedForm(_worked(8), (5, 2), 1), 8, False),
+        (_PerturbedForm(_worked(8), (7, 8), 1), 8, True),
+        # G[1][0] is not read: under x^2 it is symmetric to no other entry
+        (_PerturbedForm(_worked(8), (1, 0), 1), 8, True),
+        (_PerturbedForm(_worked(8), (8, 6), 1), 8, False),
+        # read only on the last column of the square, shows only below the window
+        (_PerturbedForm(_worked(8), (2, 8), 1), 8, False),
+        (_PerturbedForm(_hermite_half(), (0, 5), 1), 8, False),
+        # under (x - 1/2)^2 these reach only the first and the last column of the check
+        (_PerturbedForm(_hermite_half(), (5, 0), 1), 8, False),
+        (_PerturbedForm(_hermite_half(), (3, 8), 1), 8, False),
+        (_sobolev("hermite", 2, Fraction(1, 2), [[1, 0, 0], [0, 0, 0], [0, 0, 0]], 8)[0], 8, True),
+        (_shifted("laguerre0", -2, 3, 8)[0], 8, True),
+        (_DenseGramForm(op.laguerre_moments(0, 11)), 4, False),
+    ]:
+        r, qc = _shift(form)
+        G, _ = form.gram(n_max)
+        assert orthopoly._shift_symmetric(G, qc, n_max - r + 1) is symmetric
+
+
+def test_a_negative_degree_is_refused():
+    form = _worked(4)
+    for n_max in (-1, -5):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            op.monic_sequence(form, n_max)

@@ -90,6 +90,8 @@ LAST_ROWS = [
 @example(_case("laguerre1", 2, 7, Fraction(2), ([[1, -1, 2], [0, 1, 1]], Fraction(1, 2)), Fraction(0)))
 @example(_case("laguerre0", 1, 8, Fraction(0), ([[0, 1]], Fraction(1)), Fraction(1, 2)))
 @example(_case("hermite", 1, 6, Fraction(1, 3), ([[1, 2]], Fraction(3)), Fraction(0)))
+# the mass makes row 0 the only row whose first entry keeps the Gram's gcd at 1
+@example(_case("laguerre0", 0, 1, Fraction(0), ([[1]], Fraction(1, 2)), Fraction(0)))
 @settings(max_examples=60, deadline=None)
 def test_gram_route_matches_pairwise_route(cfg):
     N, deg, c = cfg["N"], cfg["degree"], cfg["c"]
