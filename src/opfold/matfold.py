@@ -24,7 +24,9 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Matrix, clear_denominators, inverse
-from .orthopoly import BandedRecurrence, MonicSequence, coeff_at, int_block, three_term_steps
+from .orthopoly import (
+    BandedRecurrence, MonicSequence, checked_index, coeff_at, int_block, member_blocks, three_term_steps
+)
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -78,7 +80,8 @@ class MatrixPolySequence:
     are kept so inner products can be reduced to the scalar form.
     int_blocks[n] is block n as (rows, den) in the form of
     orthopoly.int_block when build_matrix_sequence or monic_normalize
-    built the sequence, and None on one built by hand.
+    built the sequence, and None on one built by hand. A built sequence
+    makes mats from int_blocks on first read (==, hash and repr too).
     """
 
     mats: tuple[Matrix, ...]
@@ -88,29 +91,33 @@ class MatrixPolySequence:
     c: Fraction = Fraction(0)
     int_blocks: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
+    def __getattr__(self, name: str):  # reached only when lookup fails: mats not yet made
+        if name != "mats" or self.int_blocks is None:
+            raise AttributeError(name)
+        mats = [[[Poly(Fraction(a, d) for a in e) for e in r] for r in rows] for rows, d in self.int_blocks]
+        object.__setattr__(self, name, tuple(map(Matrix, mats)))
+        return self.mats
+
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self.mats if self.int_blocks is None else self.int_blocks)
 
     @property
     def block_size(self) -> int:
         return self.N + 1
 
     def mat(self, n: int) -> Matrix:
-        if not 0 <= n < len(self.mats):
-            raise InsufficientSequence(
-                f"block {n} requested, only {len(self.mats)} built"
-            )
+        n = checked_index(n, len(self), "block")  # before mats is read
         return self.mats[n]
 
     def int_block(self, n: int):
         """Block n as (rows, den): the carried int_blocks[n], or read off
         the Poly entries of a sequence built by hand."""
-        m = self.mat(n)
-        return int_block(m) if self.int_blocks is None else self.int_blocks[n]
+        n = checked_index(n, len(self), "block")
+        return int_block(self.mats[n]) if self.int_blocks is None else self.int_blocks[n]
 
     def leading_coefficient(self, n: int) -> Matrix:
-        m = self.mat(n)
-        return m.map(lambda e: e.coeff(n))
+        rows, den = self.int_block(n)
+        return Matrix([[Fraction(coeff_at(e, n), den) for e in row] for row in rows])
 
     def row_scalar(self, n: int, i: int) -> Poly:
         """Reassemble row i of block n into its scalar polynomial."""
@@ -118,9 +125,9 @@ class MatrixPolySequence:
         return FoldDecomposition(tuple(m[i, j] for j in range(m.ncols)), self.c).reassemble()
 
 
-def _carrying(mats, blocks, N: int, monic: bool, scalars, c) -> MatrixPolySequence:
-    seq = MatrixPolySequence(tuple(mats), N, monic, scalars, c)
-    object.__setattr__(seq, "int_blocks", tuple(blocks))
+def _carrying(blocks, N: int, monic: bool, scalars, c) -> MatrixPolySequence:
+    seq = object.__new__(MatrixPolySequence)  # mats is left to the view
+    vars(seq).update(N=N, monic=monic, scalars=scalars, c=c, int_blocks=tuple(blocks))
     return seq
 
 
@@ -166,11 +173,8 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
     """
     c = as_fraction(c)
     step = N + 1
-    if seq.int_rows is None:
-        scalars = [clear_denominators(p.coeffs) for p in seq.polys]
-    else:
-        scalars = [(r, r[-1]) for r in seq.int_rows]
-    mats, blocks = [], []
+    scalars = [(rows[0][0], den) for rows, den in member_blocks(seq, len(seq))]
+    blocks = []
     for n in range(len(seq) // step):
         ks = range(step * n, step * n + step)
         taylor = [_taylor_row(*scalars[k], c) for k in ks]
@@ -183,14 +187,8 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
                     raise IdentityViolated(
                         f"fold degree bound violated at block {n} entry ({i},{j})"
                     )
-        # about 0 the Taylor coefficients are the scalar's own Fractions
-        polys = [
-            seq.poly(k).coeffs if not c else [Fraction(a, d) for a in t]
-            for k, (t, d) in zip(ks, taylor)
-        ]
-        mats.append(Matrix([[Poly(p[j::step]) for j in range(step)] for p in polys]))
         blocks.append(block)
-    return _carrying(mats, blocks, N, False, seq, c)
+    return _carrying(blocks, N, False, seq, c)
 
 
 def matrix_gram(R: MatrixPolySequence, n: int, m: int) -> Matrix:
@@ -253,10 +251,10 @@ def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
     leading coefficients of the scalars. Any singular leading
     coefficient raises SingularLeading.
     """
-    mats, blocks, leadings = [], [], []
+    blocks, leadings = [], []
     for n in range(len(R)):
         rows, den = R.int_block(n)
-        lead = Matrix([[Fraction(coeff_at(e, n), den) for e in row] for row in rows])
+        lead = R.leading_coefficient(n)
         inv = _lead_inverse(lead, n)
         ints, iden = clear_denominators([v for row in inv for v in row])
         cols = list(zip(*rows))
@@ -267,10 +265,9 @@ def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
             coeff_at(e, n) != bden * (i == j) for i, row in enumerate(brows) for j, e in enumerate(row)
         ):
             raise IdentityViolated(f"block {n} failed to become monic")
-        mats.append(Matrix([[Poly(Fraction(a, bden) for a in e) for e in row] for row in brows]))
         blocks.append(block)
         leadings.append(lead)
-    seq = _carrying(mats, blocks, R.N, True, R.scalars, R.c)
+    seq = _carrying(blocks, R.N, True, R.scalars, R.c)
     return MonicNormalization(seq, tuple(leadings))
 
 

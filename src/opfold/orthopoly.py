@@ -65,7 +65,8 @@ class MonicSequence:
     norms_sq[k] = B(s_k, s_k); entries may be negative in quasi-definite
     mode, never zero. int_rows[k] is the primitive integer row of s_k
     (s_k = int_rows[k] / int_rows[k][k]) when monic_sequence built and
-    certified the sequence, and None on one built by hand.
+    certified the sequence, and None on one built by hand. A certified
+    sequence builds polys from int_rows on first read (==, hash and repr too).
     """
 
     polys: tuple[Poly, ...]
@@ -75,18 +76,32 @@ class MonicSequence:
         default=None, init=False, compare=False, repr=False
     )
 
+    def __getattr__(self, name: str):  # reached only when lookup fails: polys not yet built
+        if name != "polys" or self.int_rows is None:
+            raise AttributeError(name)
+        object.__setattr__(self, name, tuple(Poly(Fraction(a, r[-1]) for a in r) for r in self.int_rows))
+        return self.polys
+
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self.norms_sq)
 
     def poly(self, n: int) -> Poly:
+        n = checked_index(n, len(self), "polynomial")  # before polys is read
         return self.polys[n]
 
     def norm_sq(self, n: int) -> Fraction:
-        return self.norms_sq[n]
+        return self.norms_sq[checked_index(n, len(self), "polynomial")]
 
     @property
     def is_positive(self) -> bool:
         return all(v > 0 for v in self.norms_sq)
+
+
+def checked_index(n: int, size: int, what: str) -> int:
+    """n, if 0 <= n < size; else InsufficientSequence names what was asked."""
+    if not 0 <= n < size:
+        raise InsufficientSequence(f"{what} {n} requested, only {size} built")
+    return n
 
 
 def _shift_symmetric(G, qc, m: int) -> bool:
@@ -160,7 +175,6 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     GS: list[list[int]] = []  # G S[j] on rows first[j] .. j + 2r, as far as n_max
     first: list[int] = []
     P: list[int] = []  # S[j]^T G S[j]; d_j = P[j] / (gden S[j][j]^2)
-    polys: list[Poly] = []
     norms: list[Fraction] = []
     for k in range(n_max + 1):
         if k < r:
@@ -198,10 +212,9 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         GS.append(gs)
         first.append(lo)
         P.append(p)
-        polys.append(Poly(Fraction(a, s[k]) for a in s))
         norms.append(d)
-    seq = MonicSequence(tuple(polys), tuple(norms), form)
-    object.__setattr__(seq, "int_rows", tuple(map(tuple, S)))
+    seq = object.__new__(MonicSequence)  # polys is left to the view
+    vars(seq).update(norms_sq=tuple(norms), form=form, int_rows=tuple(map(tuple, S)))
     return seq
 
 
@@ -219,7 +232,7 @@ def coeff_at(coeffs, t: int) -> int:
     return coeffs[t] if 0 <= t < len(coeffs) else 0
 
 
-def _blocks(seq: MonicSequence, size: int) -> list:
+def member_blocks(seq: MonicSequence, size: int) -> list:
     """The first size members as 1x1 int_blocks, read off the certified
     rows when the sequence has them."""
     if seq.int_rows is None:
@@ -338,7 +351,7 @@ def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
         raise InsufficientSequence("need at least two polynomials")
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    for n, D, C in three_term_steps(_blocks(seq, len(seq)), "three-term"):
+    for n, D, C in three_term_steps(member_blocks(seq, len(seq)), "three-term"):
         b.append(D[0, 0])
         if C is not None:
             if C[0, 0] != seq.norm_sq(n) / seq.norm_sq(n - 1):
@@ -394,7 +407,7 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     size, w = len(seq), N + 1
     top = seq.form.max_degree
     kc, kden = clear_denominators((Poly((-c, Fraction(1))) ** w).coeffs)
-    S = _blocks(seq, size)
+    S = member_blocks(seq, size)
     G, gden = seq.form.gram(min(size + N, top))
     cols = list(zip(*G))  # cols[j][i] = G[i][j]
     banded = seq.int_rows is not None and size + N <= top
@@ -495,7 +508,7 @@ def connection_matrix(
     top = form_to.max_degree
     size, w = min(len(seq_from), len(seq_to)), N + 1
     G, gden = form_to.gram(min(size - 1, top))
-    S_from, S_to = _blocks(seq_from, size), _blocks(seq_to, size)
+    S_from, S_to = member_blocks(seq_from, size), member_blocks(seq_to, size)
     banded = seq_to.int_rows is not None
     if banded:
         tau = [

@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Ten exceptions keep a replaced library route as the second,
+carrier. Eleven exceptions keep a replaced library route as the second,
 independent one: fraction_christoffel_shift, the Fraction sum of weighted
 moments that christoffel_shift was before it worked over integers;
 IntEchelon, an incremental integer row echelon that used
@@ -19,6 +19,10 @@ monic sequence before the form's own banded recurrence did;
 dense_monic_sequence, that recurrence with G s_k formed and checked on
 every row below k, as monic_sequence certified it before it checked the
 Gram's shift symmetry once and G s_k only inside the window; the
+eager_* functions, which build the Poly members of a monic sequence and
+of its fold and monic normalization from the integer rows, one Fraction
+per coefficient, as the builders did before the members became views
+built on first read; the
 dense_verify_* and poly_* routes of the Darboux and fold identities:
 H = T T* and (J-c)^(N+1) = T* T checked over every entry pair with
 dense float products, and the three-term, block and interlaced
@@ -66,7 +70,7 @@ from opfold.linalg import (
     ldlt,
     nullspace,
 )
-from opfold.matfold import MatrixPolySequence, MonicNormalization
+from opfold.matfold import MatrixPolySequence, MonicNormalization, _taylor_row
 from opfold.measures import gram_matrix
 from opfold.orthopoly import (
     BandedRecurrence,
@@ -642,6 +646,37 @@ def dense_monic_sequence(form, n_max: int, require_positive: bool = True):
     return seq
 
 
+def eager_polys(seq) -> tuple:
+    """The members of a certified sequence as monic_sequence built them:
+    each integer row over its leading entry, one Fraction per coefficient."""
+    return tuple(Poly(Fraction(a, s[k]) for a in s) for k, s in enumerate(seq.int_rows))
+
+
+def eager_fold_mats(seq, N: int, c=0) -> tuple:
+    """The blocks of build_matrix_sequence(seq, N, c) as it built them:
+    entry (i, j) of block n is the residue-j slice of the Taylor row at c
+    of member (N+1)n+i, which about 0 is the member's own Fractions."""
+    c, step = as_fraction(c), N + 1
+    polys = eager_polys(seq)
+    mats = []
+    for n in range(len(seq) // step):
+        ks = range(step * n, step * n + step)
+        taylor = [_taylor_row(list(seq.int_rows[k]), seq.int_rows[k][-1], c) for k in ks]
+        rows = [polys[k].coeffs if not c else [Fraction(a, d) for a in t] for k, (t, d) in zip(ks, taylor)]
+        mats.append(Matrix([[Poly(p[j::step]) for j in range(step)] for p in rows]))
+    return tuple(mats)
+
+
+def eager_monic_mats(R) -> tuple:
+    """The blocks of a monic_normalize result R as it built them: each
+    carried integer block over its denominator, one Fraction per
+    coefficient."""
+    return tuple(
+        Matrix([[Poly(Fraction(a, bden) for a in e) for e in row] for row in brows])
+        for brows, bden in R.int_blocks
+    )
+
+
 def _deriv_table(R, n: int, order: int):
     mats = [R.mat(n)]
     for _ in range(order):
@@ -957,13 +992,14 @@ def dense_verify_ul(jac, c, N: int, conn, float_tol: float = 1e-12):
 
 def poly_monic_normalize(R):
     """monic_normalize in Poly matrix arithmetic: each block is multiplied
-    on the left by the inverse of its leading coefficient, taken by
-    elimination, and the product must have identity leading coefficient."""
+    on the left by the inverse of its leading coefficient, read off its
+    Poly entries and inverted by elimination, and the product must have
+    identity leading coefficient."""
     mats = []
     leadings = []
     ident = Matrix.identity(R.block_size)
     for n in range(len(R)):
-        lead = R.leading_coefficient(n)
+        lead = R.mat(n).map(lambda e: e.coeff(n))
         try:
             linv = inverse(lead)
         except SingularMatrix as exc:

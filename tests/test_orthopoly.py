@@ -150,3 +150,25 @@ def test_connection_reconstructs_the_expanded_family(canon):
 def test_connection_band_is_enforced(canon):
     with pytest.raises(op.BandViolation):
         op.connection_matrix(canon["seq"], canon["shifted"], 0)
+
+
+def test_member_indices_outside_the_sequence_are_refused(canon):
+    # -1 must not wrap to the last member, and neither accessor builds the
+    # Poly members to say so
+    mu = canon["mu"]
+    seq = op.monic_sequence(op.measure_form(mu), 5)
+    hand = op.MonicSequence(seq.polys[:3], seq.norms_sq[:3], seq.form)
+    fold = op.build_matrix_sequence(op.monic_sequence(canon["form"], 5), 1)
+    for s, size in ((op.monic_sequence(op.measure_form(mu), 5), 6), (hand, 3)):
+        for n in (-1, -size, size):
+            for read in (s.poly, s.norm_sq):
+                message = f"polynomial {n} requested, only {size} built"
+                with pytest.raises(op.InsufficientSequence, match=message):
+                    read(n)
+        assert s is hand or "polys" not in vars(s)
+        assert s.poly(size - 1) == seq.poly(size - 1) and s.norm_sq(0) == seq.norm_sq(0)
+    for read in (fold.mat, fold.int_block, fold.leading_coefficient):
+        for n in (-1, 3):
+            with pytest.raises(op.InsufficientSequence, match=f"block {n} requested, only 3 built"):
+                read(n)
+    assert "mats" not in vars(fold)
