@@ -53,7 +53,6 @@ __all__ = [
     "apply_scalar",
     "scalar_eigenvalues",
     "discover_scalar",
-    "cyclotomic_poly",
     "FoldConjugationData",
     "ConjugationResult",
     "conjugation_eval",
@@ -504,27 +503,13 @@ def discover_scalar(
 # -- fold conjugation ----------------------------------------------------
 
 
-def cyclotomic_poly(n: int) -> Poly:
-    """n-th cyclotomic polynomial by exact recursive division."""
-    num = Poly.monomial(n) - Poly.constant(1)
-    out = num
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod(out, cyclotomic_poly(d))
-            if not r.is_zero:
-                raise IdentityViolated("cyclotomic division left a remainder")
-            out = q
-    return out
-
-
 @dataclass(frozen=True)
 class FoldConjugationData:
     """Root-of-unity conjugation data for fold order N+1.
 
-    B is stored by exponents: B_{jk} = w^{jk} with w the primitive
-    (N+1)-th root of unity. Unitarity B conj(B)^T = (N+1) I is proven in
-    the symbol algebra: each off-diagonal sum of w-powers is divisible by
-    the (N+1)-th cyclotomic polynomial.
+    B is stored by exponents: B_{jk} = w^{jk} with w = exp(2 pi i/(N+1))
+    the primitive (N+1)-th root of unity, evaluated only in floating point
+    (w_float), so B conj(B)^T = (N+1) I holds up to rounding.
     """
 
     N: int
@@ -535,26 +520,6 @@ class FoldConjugationData:
 
     def exponent(self, j: int, k: int) -> int:
         return (j * k) % self.step
-
-    def check_b_unitary(self) -> bool:
-        step = self.step
-        phi = cyclotomic_poly(step)
-        for j in range(step):
-            for k in range(step):
-                coeffs = [0] * step
-                for l in range(step):
-                    coeffs[((j - k) * l) % step] += 1
-                p = Poly([Fraction(c) for c in coeffs])
-                if j == k:
-                    if p != Poly.constant(step):
-                        raise IdentityViolated("diagonal Gram entry is not N+1")
-                    continue
-                q, r = divmod(p, phi)
-                if not r.is_zero:
-                    raise IdentityViolated(
-                        f"B Gram entry ({j},{k}) not divisible by the cyclotomic"
-                    )
-        return True
 
     def w_float(self, precision: str = "double"):
         if precision == "double":

@@ -23,7 +23,9 @@ from typing import Optional
 from .banded import BandedOperator, BlockTridiagonal
 from .errors import DimensionMismatch, IdentityViolated, SingularMatrix, SingularPivotBlock
 from .linalg import Matrix, clear_denominators, ldlt, solve_linear
-from .orthopoly import BandedRecurrence, ConnectionMatrix, JacobiMatrix, int_block, recurrence_holds
+from .orthopoly import (
+    BandedRecurrence, ConnectionMatrix, JacobiMatrix, checked_index, int_block, recurrence_holds
+)
 from .rationals import as_fraction, ldexp2, split_csqrt, split_float
 
 __all__ = [
@@ -318,7 +320,7 @@ class ZetaSequence:
         return len(self.zetas)
 
     def zeta(self, k: int) -> Matrix:
-        return self.zetas[k]
+        return self.zetas[checked_index(k, len(self), "zeta")]
 
 
 @dataclass(frozen=True)

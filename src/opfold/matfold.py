@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import Matrix, clear_denominators, inverse
 from .orthopoly import (
-    BandedRecurrence, MonicSequence, checked_index, coeff_at, int_block, member_blocks, three_term_steps
+    BandedRecurrence, MonicSequence, checked_index, coeff_at, int_block, three_term_steps
 )
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
@@ -79,9 +79,9 @@ class MatrixPolySequence:
     means every block has identity leading coefficient. The source scalars
     are kept so inner products can be reduced to the scalar form.
     int_blocks[n] is block n as (rows, den) in the form of
-    orthopoly.int_block when build_matrix_sequence or monic_normalize
-    built the sequence, and None on one built by hand. A built sequence
-    makes mats from int_blocks on first read (==, hash and repr too).
+    orthopoly.int_block. build_matrix_sequence and monic_normalize carry
+    them, and mats is built from them on first read (==, hash and repr
+    too); a sequence built by hand reads them off mats.
     """
 
     mats: tuple[Matrix, ...]
@@ -89,17 +89,20 @@ class MatrixPolySequence:
     monic: bool
     scalars: Optional[MonicSequence] = None
     c: Fraction = Fraction(0)
-    int_blocks: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    int_blocks: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):  # by hand only: the builders do not call it
+        object.__setattr__(self, "int_blocks", tuple(map(int_block, self.mats)))
 
     def __getattr__(self, name: str):  # reached only when lookup fails: mats not yet made
-        if name != "mats" or self.int_blocks is None:
+        if name != "mats":
             raise AttributeError(name)
         mats = [[[Poly(Fraction(a, d) for a in e) for e in r] for r in rows] for rows, d in self.int_blocks]
         object.__setattr__(self, name, tuple(map(Matrix, mats)))
         return self.mats
 
     def __len__(self) -> int:
-        return len(self.mats if self.int_blocks is None else self.int_blocks)
+        return len(self.int_blocks)
 
     @property
     def block_size(self) -> int:
@@ -110,10 +113,8 @@ class MatrixPolySequence:
         return self.mats[n]
 
     def int_block(self, n: int):
-        """Block n as (rows, den): the carried int_blocks[n], or read off
-        the Poly entries of a sequence built by hand."""
-        n = checked_index(n, len(self), "block")
-        return int_block(self.mats[n]) if self.int_blocks is None else self.int_blocks[n]
+        """Block n as (rows, den): int_blocks[n]."""
+        return self.int_blocks[checked_index(n, len(self), "block")]
 
     def leading_coefficient(self, n: int) -> Matrix:
         rows, den = self.int_block(n)
@@ -167,13 +168,12 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
     Entry (i,j) of block n collects the powers of (x-c) congruent to j
     mod N+1 of scalar (N+1)n+i, so its degree is at most
     floor(((N+1)n+i-j)/(N+1)); the bound is asserted. The folds are
-    sliced from integer Taylor rows at c, read off the certified
-    int_rows of the sequence when it has them, and each block is carried
-    as (rows, den) on int_blocks.
+    sliced from integer Taylor rows at c of the sequence's int_rows, and
+    each block is carried as (rows, den) on int_blocks.
     """
     c = as_fraction(c)
     step = N + 1
-    scalars = [(rows[0][0], den) for rows, den in member_blocks(seq, len(seq))]
+    scalars = [(r, r[-1]) for r in seq.int_rows]
     blocks = []
     for n in range(len(seq) // step):
         ks = range(step * n, step * n + step)

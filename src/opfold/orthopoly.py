@@ -8,13 +8,17 @@ before it, each an integer dot product against G. That symmetry is
 checked once on G, in integers; given it, G s_k vanishes below row k-2r
 (proof in monic_sequence), so G s_k is formed from row k-2r and checked
 to vanish on rows k-2r .. k-1. For a Gram without it G s_k is checked
-on every row below k, so the same pair is named as not orthogonal. The
-recurrence and connection tables are computed in their bands only, each
-entry an integer dot product of a shifted coefficient row with a few
-rows of G s_k, and then checked a second way, as the polynomial
-expansion they claim, on the rows the truncation determines; with the
-sequence orthogonal, that expansion is what makes the entries off the
-band vanish.
+on every row below k, so the same pair is named as not orthogonal.
+Every sequence carries its members as integer rows: monic_sequence its
+certified ones, a sequence built by hand those read off its members,
+which it certifies by the same integer check the first time a table
+needs them orthogonal. The recurrence and connection tables are computed
+in their bands only, each entry an integer dot product of a shifted
+coefficient row with a few rows of G s_k, and then checked row by row a
+second way, as the polynomial expansion they claim, on the rows the
+truncation determines; with the sequence orthogonal, that expansion is
+what makes the entries off the band vanish. A row that fails is read
+whole, that row only, to name its first nonzero entry off the band.
 Every polynomial identity is checked over integer coefficient rows
 (recurrence_holds); three_term_steps extracts monic three-term
 recurrences, scalar (jacobi_matrix) and block (matfold.matrix_ttrr).
@@ -26,14 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .banded import BandedOperator
 from .errors import (
     BandViolation,
+    DimensionMismatch,
     IdentityViolated,
     InsufficientMoments,
     InsufficientSequence,
@@ -63,21 +68,30 @@ class MonicSequence:
     """Monic polynomials s_0..s_n orthogonal under a bilinear form.
 
     norms_sq[k] = B(s_k, s_k); entries may be negative in quasi-definite
-    mode, never zero. int_rows[k] is the primitive integer row of s_k
-    (s_k = int_rows[k] / int_rows[k][k]) when monic_sequence built and
-    certified the sequence, and None on one built by hand. A certified
-    sequence builds polys from int_rows on first read (==, hash and repr too).
+    mode, never zero. int_rows[k] is the primitive integer row of s_k,
+    s_k = int_rows[k] / int_rows[k][-1]. monic_sequence builds and
+    certifies the rows, and polys is built from them on first read (==,
+    hash and repr too). A sequence built by hand reads its rows off polys,
+    refusing a member that is zero or not monic, and is certified once,
+    the first time certified_rows is called.
     """
 
     polys: tuple[Poly, ...]
     norms_sq: tuple[Fraction, ...]
     form: BilinearForm
-    int_rows: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    int_rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):  # by hand only: monic_sequence does not call it
+        if len(self.polys) != len(self.norms_sq):
+            raise DimensionMismatch(f"{len(self.polys)} members but {len(self.norms_sq)} norms")
+        for k, p in enumerate(self.polys):
+            if p.coeffs[-1:] != (1,):
+                raise IdentityViolated(f"member {k} is not monic")
+        rows = (tuple(clear_denominators(p.coeffs)[0]) for p in self.polys)
+        object.__setattr__(self, "int_rows", tuple(rows))
 
     def __getattr__(self, name: str):  # reached only when lookup fails: polys not yet built
-        if name != "polys" or self.int_rows is None:
+        if name != "polys":
             raise AttributeError(name)
         object.__setattr__(self, name, tuple(Poly(Fraction(a, r[-1]) for a in r) for r in self.int_rows))
         return self.polys
@@ -95,6 +109,30 @@ class MonicSequence:
     @property
     def is_positive(self) -> bool:
         return all(v > 0 for v in self.norms_sq)
+
+    def certified_rows(self) -> tuple[tuple[int, ...], ...]:
+        """int_rows, known orthogonal under the form: monic_sequence
+        certified its own, and a sequence built by hand is certified here,
+        once (_certify)."""
+        if "_certified" not in vars(self):
+            _certify(self)
+            object.__setattr__(self, "_certified", True)
+        return self.int_rows
+
+
+def _certify(seq: MonicSequence) -> None:
+    """monic_sequence's integer check on the members the form has moments
+    for, which are all that a table reads before it runs out of moments:
+    s_k has degree k, and G s_k vanishes on every row i < k, else
+    IdentityViolated names the first such pair."""
+    top = min(len(seq.int_rows), seq.form.max_degree + 1) - 1
+    G, _ = seq.form.gram(max(top, 0))
+    for k, s in enumerate(seq.int_rows[: top + 1]):
+        if len(s) != k + 1:
+            raise IdentityViolated(f"monic sequence member s_{k} has degree {len(s) - 1}")
+        i = next((i for i in range(k) if sum(map(mul, G[i], s))), None)
+        if i is not None:
+            raise IdentityViolated(f"monic sequence not orthogonal: s_{i}, s_{k}")
 
 
 def checked_index(n: int, size: int, what: str) -> int:
@@ -214,7 +252,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         P.append(p)
         norms.append(d)
     seq = object.__new__(MonicSequence)  # polys is left to the view
-    vars(seq).update(norms_sq=tuple(norms), form=form, int_rows=tuple(map(tuple, S)))
+    vars(seq).update(norms_sq=tuple(norms), form=form, int_rows=tuple(map(tuple, S)), _certified=True)
     return seq
 
 
@@ -230,14 +268,6 @@ def int_block(mat: Matrix):
 def coeff_at(coeffs, t: int) -> int:
     """Entry t of an integer coefficient list, 0 beyond it."""
     return coeffs[t] if 0 <= t < len(coeffs) else 0
-
-
-def member_blocks(seq: MonicSequence, size: int) -> list:
-    """The first size members as 1x1 int_blocks, read off the certified
-    rows when the sequence has them."""
-    if seq.int_rows is None:
-        return [int_block(Matrix([[p]])) for p in seq.polys[:size]]
-    return [([[r]], r[-1]) for r in seq.int_rows[:size]]
 
 
 def recurrence_holds(cur, nxt, terms, mult=(0, 1)) -> bool:
@@ -351,7 +381,7 @@ def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
         raise InsufficientSequence("need at least two polynomials")
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    for n, D, C in three_term_steps(member_blocks(seq, len(seq)), "three-term"):
+    for n, D, C in three_term_steps([([[r]], r[-1]) for r in seq.int_rows], "three-term"):
         b.append(D[0, 0])
         if C is not None:
             if C[0, 0] != seq.norm_sq(n) / seq.norm_sq(n - 1):
@@ -390,78 +420,75 @@ class BandedRecurrence:
         return self.orthonormal_entry(n, k).sign
 
 
+def _first_below(G, ks, rows, lo: int):
+    """(k, h) for the first k < lo with h = ks^T G rows[k] nonzero, or None.
+    rows[k] has degree k, so ks^T G is needed on its first lo columns
+    only, and it vanishes there exactly when every such h does."""
+    v = [sum(map(mul, ks, col)) for col in islice(zip(*G), max(lo, 0))]
+    if any(v):
+        for k in range(lo):
+            h = sum(map(mul, v, rows[k]))
+            if h:
+                return k, h
+    return None
+
+
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     """Build the recurrence table for multiplication by (x-c)^{N+1}.
 
     raw[n][k] = (K s_n)^T G s_k in integers, K the multiplication by
     (x-c)^{N+1}, for |n-k| <= N+1 only: G s_k vanishes above row k
-    (monic_sequence certified it). On rows unaffected by truncation the
-    expansion (x-c)^{N+1} s_n = sum_k monic[n][k] s_k, verified over integer
-    rows (recurrence_holds), makes the entries off the band vanish; on the
-    last N+1 rows (K s_n)^T G must vanish below the band. A sequence built
-    by hand, or one that fails a check, is scanned whole on every row
-    before any expansion is checked: the first nonzero entry off the band
-    raises SymmetryViolated.
+    (seq.certified_rows). Each row is checked before the next is built.
+    On rows unaffected by truncation the expansion (x-c)^{N+1} s_n =
+    sum_k monic[n][k] s_k, verified over integer rows (recurrence_holds),
+    makes the entries off the band vanish; on the last N+1 rows (K s_n)^T G
+    must vanish below the band. A row that fails is read whole: its first
+    nonzero entry below the band raises SymmetryViolated, and without one
+    the failed expansion raises IdentityViolated.
     """
     c = as_fraction(c)
     size, w = len(seq), N + 1
     top = seq.form.max_degree
     kc, kden = clear_denominators((Poly((-c, Fraction(1))) ** w).coeffs)
-    S = member_blocks(seq, size)
-    G, gden = seq.form.gram(min(size + N, top))
-    cols = list(zip(*G))  # cols[j][i] = G[i][j]
-    banded = seq.int_rows is not None and size + N <= top
-    if banded:
-        sig = [
-            [sum(map(mul, G[i], r)) for i in range(k, min(size + N, k + 2 * w) + 1)]
-            for k, r in enumerate(seq.int_rows)
-        ]
+    R = seq.certified_rows()
+    hi = min(size + N, top)
+    G, gden = seq.form.gram(hi)
+    sig = [[sum(map(mul, G[i], r)) for i in range(k, min(hi, k + 2 * w) + 1)] for k, r in enumerate(R)]
 
     def band(n: int) -> range:
         return range(max(0, n - w), min(size, n + w + 1))
 
-    def scan(n: int, ks: list) -> list:
-        """The integer entries of row n in the band, after every entry off
-        it is found to vanish: above the band by plain orthogonality, below
-        it only when multiplication by the shift is symmetric for the form."""
-        v = [sum(map(mul, ks, cols[j])) for j in range(min(size, top + 1))]
-        hs = [sum(map(mul, v, S[k][0][0][0])) if k <= top else None for k in range(size)]
-        k = next((k for k, h in enumerate(hs) if h is None or h and k not in band(n)), None)
-        if k is None:
-            return hs[band(n).start : band(n).stop]
-        if hs[k] is None:
-            raise InsufficientMoments(2 * k, 2 * top)
-        raise SymmetryViolated(
-            f"entry ({n},{k}) = {Fraction(hs[k], S[n][1] * S[k][1] * kden * gden)} outside band "
-            f"{w}; multiplication by the shift is not symmetric for this form"
-        )
+    def entry(n: int, k: int, h: int) -> Fraction:
+        return Fraction(h, R[n][-1] * R[k][-1] * kden * gden)
 
-    shifted, rows = [], []
+    raw_rows, monic_rows = [], []
     for n in range(size):
         if n + w > top:
             raise InsufficientMoments(2 * (n + w), 2 * top)
-        [[sn]], dn = S[n]
-        ks = [0] * (n + w + 1)  # kden dn (x-c)^{N+1} s_n
+        sn = R[n]
+        ks = [0] * (n + w + 1)  # kden sn[-1] (x-c)^{N+1} s_n
         for i, a in enumerate(sn):
             for t, b in enumerate(kc):
                 ks[i + t] += a * b
-        shifted.append(ks)
-        hs = [sum(map(mul, ks[k:], sig[k])) for k in band(n)] if banded else scan(n, ks)
-        rows.append([Fraction(h, dn * S[k][1] * kden * gden) for h, k in zip(hs, band(n))])
-    raw = BandedOperator.from_fn(size, w, w, lambda n, k: rows[n][k - max(0, n - w)])
-    monic = BandedOperator.from_fn(size, w, w, lambda n, k: raw.entry(n, k) / seq.norm_sq(k))
-    for n in range(size - w):
-        terms = [([[monic.entry(n, k)]], S[k]) for k in band(n)]
-        if not recurrence_holds((S[n][0], S[n][1] * kden), _ZERO_BLOCK, terms, kc):
-            if banded:
-                return banded_recurrence(MonicSequence(seq.polys, seq.norms_sq, seq.form), c, N)
-            raise IdentityViolated(f"banded expansion failed at row {n}")
-    # every earlier row holds, so a failure here is the dense scan's first;
-    # (K s_n)^T G s_k = 0 for all k < n-w if and only if (K s_n)^T G x^j = 0
-    # for all j < n-w, the s_k being triangular
-    for n in range(max(0, size - w), size) if banded else ():
-        if any(sum(map(mul, shifted[n], cols[j])) for j in range(n - w)):
-            scan(n, shifted[n])
+        raw = [entry(n, k, sum(map(mul, ks[k:], sig[k]))) for k in band(n)]
+        monic = [e / seq.norm_sq(k) for e, k in zip(raw, band(n))]
+        terms = [([[e]], ([[R[k]]], R[k][-1])) for e, k in zip(monic, band(n))]
+        trusted = n < size - w
+        if not trusted or not recurrence_holds(([[sn]], sn[-1] * kden), _ZERO_BLOCK, terms, kc):
+            # (K s_n)^T G s_k = 0 for all k < n-w if and only if (K s_n)^T G x^j = 0
+            # for all j < n-w, the s_k being triangular
+            hit = _first_below(G, ks, R, n - w)
+            if hit:
+                raise SymmetryViolated(
+                    f"entry ({n},{hit[0]}) = {entry(n, *hit)} outside band {w}; "
+                    "multiplication by the shift is not symmetric for this form"
+                )
+            if trusted:
+                raise IdentityViolated(f"banded expansion failed at row {n}")
+        raw_rows.append(raw)
+        monic_rows.append(monic)
+    raw = BandedOperator.from_fn(size, w, w, lambda n, k: raw_rows[n][k - max(0, n - w)])
+    monic = BandedOperator.from_fn(size, w, w, lambda n, k: monic_rows[n][k - max(0, n - w)])
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
 
@@ -497,47 +524,37 @@ def connection_matrix(
 
     Entries are inner products under seq_to's own form (the one that
     makes it orthogonal), s_n^T G_to p_j / d_j in integers, for
-    n-(N+1) <= j <= n only: G_to p_j vanishes above row j (monic_sequence
-    certified it). Each row is cross-validated by checking
-    s_n = sum_j T[n][j] p_j over integer rows (recurrence_holds), which
-    makes the entries below the band vanish. A seq_to built by hand, or a
-    row that fails its check, is scanned whole on every row: the first
-    nonzero entry below the band raises BandViolation.
+    n-(N+1) <= j <= n only: G_to p_j vanishes above row j
+    (seq_to.certified_rows). Each row is cross-validated before the next
+    is built, by checking s_n = sum_j T[n][j] p_j over integer rows
+    (recurrence_holds), which makes the entries below the band vanish. A
+    row that fails is read whole: its first nonzero entry below the band
+    raises BandViolation, and without one the failed expansion raises
+    IdentityViolated.
     """
     form_to = seq_to.form
     top = form_to.max_degree
     size, w = min(len(seq_from), len(seq_to)), N + 1
-    G, gden = form_to.gram(min(size - 1, top))
-    S_from, S_to = member_blocks(seq_from, size), member_blocks(seq_to, size)
-    banded = seq_to.int_rows is not None
-    if banded:
-        tau = [
-            [sum(map(mul, G[i], r)) for i in range(j, min(size, j + w + 1))]
-            for j, r in enumerate(seq_to.int_rows[:size])
-        ]
+    P = seq_to.certified_rows()
+    hi = min(size - 1, top)
+    G, gden = form_to.gram(hi)
+    tau = [[sum(map(mul, G[i], r)) for i in range(j, min(hi, j + w) + 1)] for j, r in enumerate(P[:size])]
+
+    def entry(n: int, j: int, h: int) -> Fraction:
+        return Fraction(h, seq_from.int_rows[n][-1] * P[j][-1] * gden) / seq_to.norm_sq(j)
+
     rows = []
     for n in range(size):
         if n > top:
             raise InsufficientMoments(2 * n, 2 * top)
-        [[sn]], dn = S_from[n]
+        sn = seq_from.int_rows[n]
         band = range(max(0, n - w), n + 1)
-        if banded:
-            hs = [sum(map(mul, sn[j:], tau[j])) for j in band]
-        else:
-            v = [sum(a * G[i][j] for i, a in enumerate(sn) if a) for j in range(n + 1)]
-            hs = [sum(map(mul, v, S_to[j][0][0][0])) for j in range(n + 1)]
-            j = next((j for j in range(band.start) if hs[j]), None)
-            if j is not None:
-                v = Fraction(hs[j], dn * S_to[j][1] * gden) / seq_to.norm_sq(j)
-                raise BandViolation(f"connection entry ({n},{j}) = {v} below band {w}")
-            hs = hs[band.start :]
-        row = [Fraction(h, dn * S_to[j][1] * gden) / seq_to.norm_sq(j) for h, j in zip(hs, band)]
-        terms = [([[e]], S_to[j]) for e, j in zip(row, band)]
-        if not recurrence_holds(S_from[n], _ZERO_BLOCK, terms, (1,)):
-            if banded:
-                return connection_matrix(
-                    seq_from, MonicSequence(seq_to.polys, seq_to.norms_sq, form_to), N
-                )
+        row = [entry(n, j, sum(map(mul, sn[j:], tau[j]))) for j in band]
+        terms = [([[e]], ([[P[j]]], P[j][-1])) for e, j in zip(row, band)]
+        if not recurrence_holds(([[sn]], sn[-1]), _ZERO_BLOCK, terms, (1,)):
+            hit = _first_below(G, sn, P, band.start)
+            if hit:
+                raise BandViolation(f"connection entry ({n},{hit[0]}) = {entry(n, *hit)} below band {w}")
             raise IdentityViolated(f"basis expansion disagrees with inner products at row {n}")
         rows.append(row)
     T = BandedOperator.from_fn(size, w, 0, lambda n, j: rows[n][j - max(0, n - w)])

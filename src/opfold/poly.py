@@ -132,26 +132,6 @@ class Poly:
             k >>= 1
         return result
 
-    def __divmod__(self, other: "Poly"):
-        """Exact rational polynomial division."""
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [_ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
-
     # -- calculus and substitutions -------------------------------------
     def derivative(self, order: int = 1) -> "Poly":
         if order < 0:

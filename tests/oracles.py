@@ -198,10 +198,6 @@ def hankel_minor(moments: list[Fraction], n: int) -> Fraction:
     return to_frac(m.det())
 
 
-def cyclotomic(n: int) -> list[Fraction]:
-    return sympy_to_coeffs(sp.cyclotomic_poly(n, X))
-
-
 def nullspace_basis(rows: list[list[int]]):
     """Exact rational nullspace via sympy, as lists of Fractions."""
     m = sp.Matrix(rows)

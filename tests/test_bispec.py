@@ -519,18 +519,10 @@ def test_scalar_operator_guards():
 # -- conjugation -----------------------------------------------------------
 
 
-def test_cyclotomic_polynomials_match_sympy():
-    for n in range(1, 31):
-        assert oracles.poly_to_sympy(op.cyclotomic_poly(n)) == sp.expand(
-            sp.cyclotomic_poly(n, oracles.X)
-        )
-
-
 def test_root_of_unity_change_of_basis_is_unitary():
     for N in range(1, 6):
         data = op.FoldConjugationData(N)
         assert data.step == N + 1
-        assert data.check_b_unitary()
         assert data.exponent(2, 3) == (6 % (N + 1))
 
 

@@ -135,6 +135,18 @@ def test_zeta_product_display_matches_under_true_labels(block_pipeline):
         assert z.zeta(2 * n + 1) @ z.zeta(2 * n) == prod
 
 
+def test_zeta_indices_outside_the_sequence_are_refused(block_pipeline):
+    # -1 must not wrap to the last zeta, and one past the end is a typed error
+    zero = op.Matrix.rational([[0, 0], [0, 0]])
+    for z in (op.ZetaSequence((zero, op.Matrix.identity(2), zero)), block_pipeline["lu"].zetas):
+        size = len(z)
+        for k in (-1, -size, size):
+            message = f"^zeta {k} requested, only {size} built$"
+            with pytest.raises(op.InsufficientSequence, match=message):
+                z.zeta(k)
+        assert z.zeta(size - 1) is z.zetas[-1]
+
+
 def test_interlaced_recurrence_and_corruption_detection(block_pipeline, canon):
     P = block_pipeline["P"]
     Q = block_pipeline["Q"]

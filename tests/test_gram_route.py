@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import opfold as op
 import oracles
+from opfold import orthopoly
 
 BASES = {
     "laguerre0": lambda count: op.laguerre_moments(0, count),
@@ -173,6 +174,34 @@ def test_one_moment_too_few_raises_the_pairwise_budget(N):
     assert (gram.needed, gram.available) == (pairwise.needed, pairwise.available)
 
 
+def test_a_failed_row_raises_before_a_later_row_runs_out_of_moments():
+    # one moment too few for the last row of each table, and a row before
+    # it that fails: the mismatched shift's row 3, and s_4 + s_0 in place
+    # of s_4, whose connection row reaches below the band
+    deg, N = 8, 1
+    mass = op.Matrix.rational([[0, 0], [0, 1]])
+    mu = op.laguerre_moments(0, 2 * (deg + N + 1))
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, Fraction(0), N, mass)), deg)
+    symmetric = _outcome(lambda: op.banded_recurrence(seq, Fraction(0), N).raw.rows)
+    assert symmetric[0] == "InsufficientMoments"
+    gram = _outcome(lambda: op.banded_recurrence(seq, Fraction(1), N).raw.rows)
+    assert gram == _outcome(lambda: oracles.pairwise_recurrence_raw(seq, Fraction(1), N))
+    assert gram[0] == "SymmetryViolated" and gram[1].startswith("entry (3,0) = ")
+
+    shifted_mu = op.christoffel_shift(op.laguerre_moments(0, 40), Fraction(0), N + 1)
+    shifted = op.monic_sequence(op.measure_form(shifted_mu), deg)
+    short = op.measure_form(op.MomentFunctional(shifted_mu.moments[: 2 * deg]))
+    short_seq = op.MonicSequence(shifted.polys, shifted.norms_sq, short)
+    polys = list(seq.polys)
+    polys[4] = polys[4] + polys[0]
+    skew = op.MonicSequence(tuple(polys), seq.norms_sq, seq.form)
+    orthogonal = _outcome(lambda: op.connection_matrix(seq, short_seq, N).T_monic.rows)
+    assert orthogonal[0] == "InsufficientMoments"
+    gram = _outcome(lambda: op.connection_matrix(skew, short_seq, N).T_monic.rows)
+    assert gram == _outcome(lambda: oracles.poly_connection_matrix(skew, short_seq, N).T_monic.rows)
+    assert gram[0] == "BandViolation" and gram[1].startswith("connection entry (4,0) = ")
+
+
 def test_canonical_recurrence_at_degree_fifty_matches_the_closed_forms():
     deg = 50
     mu = op.laguerre_moments(0, 2 * (deg + 1 + 2) + 2)
@@ -215,12 +244,12 @@ def _hand_built(seq: op.MonicSequence) -> op.MonicSequence:
 @example(LAST_ROWS[1])
 @settings(max_examples=60, deadline=None)
 def test_a_hand_built_copy_gives_the_certified_sequences_tables(cfg):
-    # the copy carries no certificate, so it takes the dense scan
+    # the copy reads its rows off its members and is certified on first use
     mu, seq, c_rec = _built(cfg)
     N, deg = cfg["N"], cfg["degree"]
     copy = _hand_built(seq)
     assert copy == seq and repr(copy) == repr(seq)
-    assert seq.int_rows is not None and copy.int_rows is None
+    assert copy.int_rows == seq.int_rows
     assert _result(lambda: op.banded_recurrence(seq, c_rec, N)) == _result(
         lambda: op.banded_recurrence(copy, c_rec, N)
     )
@@ -244,3 +273,44 @@ def test_the_pinned_mismatches_fail_in_the_rows_they_name(cfg, last):
         op.banded_recurrence(seq, c_rec, N)
     n = int(str(info.value).split("(")[1].split(",")[0])
     assert (n >= len(seq) - (N + 1)) == last
+
+
+def _entries(monkeypatch, name: str) -> list:
+    """Record every entry into orthopoly's table name, its calls to
+    itself included."""
+    calls = []
+    table = getattr(orthopoly, name)
+    monkeypatch.setattr(orthopoly, name, lambda *args: calls.append(args) or table(*args))
+    return calls
+
+
+@pytest.mark.parametrize("cfg", TRUSTED_ROW + LAST_ROWS)
+def test_a_failed_band_check_enters_the_recurrence_once(cfg, monkeypatch):
+    _, seq, c_rec = _built(cfg)
+    calls = _entries(monkeypatch, "banded_recurrence")
+    with pytest.raises(op.SymmetryViolated):
+        orthopoly.banded_recurrence(seq, c_rec, cfg["N"])
+    assert len(calls) == 1
+
+
+def test_a_failed_expansion_enters_the_connection_once(canon, monkeypatch):
+    # s_4 + s_0 from the certified Sobolev sequence reaches below the band
+    # of row 4, and the shifted sequence with one norm scaled fails the
+    # expansion of row 1
+    seq, shifted = canon["seq"], canon["shifted"]
+    polys = list(seq.polys)
+    polys[4] = polys[4] + polys[0]
+    skew = op.MonicSequence(tuple(polys), seq.norms_sq, seq.form)
+    norms = list(shifted.norms_sq)
+    norms[1] *= 3
+    scaled = op.MonicSequence(shifted.polys, tuple(norms), shifted.form)
+    cases = [
+        (skew, shifted, op.BandViolation, r"connection entry \(4,0\) = "),
+        (seq, scaled, op.IdentityViolated, "basis expansion disagrees with inner products at row 1"),
+    ]
+    for seq_from, seq_to, error, message in cases:
+        calls = _entries(monkeypatch, "connection_matrix")
+        with pytest.raises(error, match=message):
+            orthopoly.connection_matrix(seq_from, seq_to, 1)
+        assert len(calls) == 1
+        monkeypatch.undo()

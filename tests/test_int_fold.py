@@ -8,8 +8,9 @@ recurrences from them. tests/oracles.py keeps the Poly matrix routes
 (poly_monic_normalize, poly_matrix_ttrr). On Laguerre and Hermite
 Sobolev families at N = 0..3 and c in {0, 1, 1/2, -2}, their base
 measures and Christoffel shifts, folded about c, the certified folds,
-their hand-built copies (no int_blocks) and perturbed copies must give
-equal results or the same exception with the same message.
+their hand-built copies (which read int_blocks off their blocks) and
+perturbed copies must give equal results or the same exception with the
+same message.
 """
 
 from fractions import Fraction
@@ -57,7 +58,7 @@ def _outcome(fn):
 
 
 def _by_hand(R: op.MatrixPolySequence, mats=None) -> op.MatrixPolySequence:
-    """A copy of R without int_blocks, with its blocks replaced by mats."""
+    """A hand-built copy of R, with its blocks replaced by mats."""
     return op.MatrixPolySequence(tuple(mats or R.mats), R.N, R.monic, R.scalars, R.c)
 
 
@@ -129,7 +130,8 @@ def test_integer_fold_path_matches_the_poly_route(fam, which, kind, seed, delta)
     assert new[0] == "ok" or which == "shifted", new
     assert new == _outcome(lambda: _poly_route(fold))
     copy = _by_hand(fold) if kind == "none" else _changed(fold, kind, seed, delta)
-    assert copy.int_blocks is None
+    read_off = tuple(map(orthopoly.int_block, copy.mats))
+    assert copy.int_blocks == (fold.int_blocks if kind == "none" else read_off)
     got = _outcome(lambda: _int_route(copy))
     assert got == _outcome(lambda: _poly_route(copy))
     if kind == "none":

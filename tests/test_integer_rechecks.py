@@ -8,12 +8,16 @@ keeps the Poly routes they replaced. On Laguerre and Hermite Sobolev
 families at integer and rational c, their Christoffel shifts and base
 measures, and copies perturbed to s_k + eps s_{k-1} or with one norm
 scaled, both routes must give equal results or the same exception with
-the same message.
+the same message. The one exception is a perturbed member of a sequence
+a table needs orthogonal: the table refuses it when it certifies the
+sequence, naming the first pair the pairwise form finds not orthogonal,
+and the Poly route must refuse it too.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +85,16 @@ families = st.tuples(
 kinds = st.sampled_from(["none", "poly", "norm"])
 
 
+def _not_orthogonal(seq: op.MonicSequence) -> tuple:
+    """The certification failure of seq: the first pair (i, k), by k and
+    then i, with B(x^i, s_k) != 0, evaluated pair by pair."""
+    pair = oracles.pairwise_form(seq.form)
+    i, k = next(
+        (i, k) for k in range(len(seq)) for i in range(k) if pair(op.Poly.monomial(i), seq.poly(k))
+    )
+    return "IdentityViolated", f"monic sequence not orthogonal: s_{i}, s_{k}"
+
+
 def _change(seq, kind: str, seed: int, eps, factor):
     if kind == "poly":
         return _perturbed(seq, kind, 1 + seed % (len(seq) - 1), eps)
@@ -121,7 +135,11 @@ def test_banded_recurrence_matches_the_poly_route(fam, kind, seed, eps, factor):
     (measure, c, N), deg = fam
     seq = _change(_family(measure, c, N, deg)["seq"], kind, seed, eps, factor)
     new = _outcome(lambda: op.banded_recurrence(seq, c, N))
-    assert new == _outcome(lambda: oracles.poly_banded_recurrence(seq, c, N))
+    old = _outcome(lambda: oracles.poly_banded_recurrence(seq, c, N))
+    if kind == "poly":
+        assert new == _not_orthogonal(seq) and old[0] != "ok"
+    else:
+        assert new == old
     if kind == "none":
         assert new[0] == "ok"
 
@@ -150,7 +168,11 @@ def test_connection_matrix_matches_the_poly_route(fam, source, kind, seed, eps, 
     elif kind != "none":
         seq_to = _change(seq_to, kind[3:], seed, eps, factor)
     new = _outcome(lambda: op.connection_matrix(seq_from, seq_to, N))
-    assert new == _outcome(lambda: oracles.poly_connection_matrix(seq_from, seq_to, N))
+    old = _outcome(lambda: oracles.poly_connection_matrix(seq_from, seq_to, N))
+    if kind == "to_poly":
+        assert new == _not_orthogonal(seq_to) and old[0] != "ok"
+    else:
+        assert new == old
     if kind == "none":
         assert new[0] == "ok"
 
@@ -162,7 +184,8 @@ def test_connection_matrix_matches_the_poly_route(fam, source, kind, seed, eps, 
 @settings(max_examples=60, deadline=None)
 def test_certified_sequences_take_the_band_route_to_the_same_tables(fam, which, source):
     # monic_sequence's own output is certified, and a copy made by hand
-    # (_perturbed with kind "none") is not: it takes the dense scan
+    # (_perturbed with kind "none") reads the same rows off its members and
+    # is certified on first use
     (measure, c, N), deg = fam
     f = _family(measure, c, N, deg)
     if which in f:
@@ -172,7 +195,7 @@ def test_certified_sequences_take_the_band_route_to_the_same_tables(fam, which, 
         assert new[0] == "ok"
         assert new == _outcome(lambda: oracles.poly_banded_recurrence(seq, c, N))
         copy = _perturbed(seq, "none", 0, None)
-        assert copy.int_rows is None
+        assert copy.int_rows == seq.int_rows
         assert new == _outcome(lambda: op.banded_recurrence(copy, c, N))
     if "shifted" in f:
         seq_from, seq_to = f[source], f["shifted"]
@@ -183,36 +206,22 @@ def test_certified_sequences_take_the_band_route_to_the_same_tables(fam, which, 
         assert new == _outcome(lambda: op.connection_matrix(seq_from, copy, N))
 
 
-def test_certified_sequences_never_reach_the_dense_scan(monkeypatch):
-    # the dense scan is reached only through an uncertified copy, which the
-    # band routes make only when one of their checks fails
-    def copy_made(*args):
-        raise AssertionError("dense scan reached")
-
-    cases = [("laguerre0", Fraction(0), 1, 9), ("laguerre1", Fraction(1), 2, 8),
-             ("hermite", Fraction(-2), 0, 6), ("laguerre2", Fraction(1, 2), 1, 9)]
-    built = [(c, N, _family(measure, c, N, deg)) for measure, c, N, deg in cases]
-    monkeypatch.setattr(orthopoly, "MonicSequence", copy_made)
-    for c, N, f in built:
-        for seq in f.values():
-            op.banded_recurrence(seq, c, N)
-        for source in (f["seq"], f["base"]):
-            op.connection_matrix(source, f["shifted"], N)
-
-
 def test_perturbed_sequences_reach_the_rechecks(canon):
-    # s_1 + s_0 in place of s_1 leaves every table inside its band, so
-    # only the polynomial identities can catch it, at the first row that
-    # reads s_1; s_2 + s_1 in place of s_2 keeps a three-term step at n=1
-    # and breaks the one at n=2
-    seq = _perturbed(canon["seq"], "poly", 1, Fraction(1))
+    # a scaled norm leaves every table inside its band and the sequence
+    # orthogonal, so only the polynomial identities can catch it, at the
+    # first row that reads it; s_1 + s_0 in place of s_1, which jacobi_matrix
+    # reads without certifying, keeps a three-term step at n=0 and breaks
+    # the norm ratio at n=1, and s_2 + s_1 in place of s_2 keeps a
+    # three-term step at n=1 and breaks the one at n=2
+    seq = _perturbed(canon["seq"], "norm", 1, Fraction(3, 2))
+    scaled = _perturbed(canon["shifted"], "norm", 1, Fraction(3, 2))
     shifted = _perturbed(canon["shifted"], "poly", 1, Fraction(1))
     shifted2 = _perturbed(canon["shifted"], "poly", 2, Fraction(1))
     cases = [
         (lambda: op.banded_recurrence(seq, 0, 1), lambda: oracles.poly_banded_recurrence(seq, 0, 1),
          "banded expansion failed at row 0"),
-        (lambda: op.connection_matrix(canon["seq"], shifted, 1),
-         lambda: oracles.poly_connection_matrix(canon["seq"], shifted, 1),
+        (lambda: op.connection_matrix(canon["seq"], scaled, 1),
+         lambda: oracles.poly_connection_matrix(canon["seq"], scaled, 1),
          "basis expansion disagrees with inner products at row 1"),
         (lambda: op.jacobi_matrix(shifted2), lambda: oracles.poly_jacobi_matrix(shifted2),
          "three-term residual nonzero at n=2"),
@@ -221,6 +230,48 @@ def test_perturbed_sequences_reach_the_rechecks(canon):
     ]
     for new, old, message in cases:
         assert _outcome(new) == _outcome(old) == ("IdentityViolated", message)
+
+
+def test_hand_built_members_are_refused_or_certified_once(canon, monkeypatch):
+    seq, shifted = canon["seq"], canon["shifted"]
+    polys, norms, form = list(shifted.polys), shifted.norms_sq, shifted.form
+    # a zero or non-monic member is refused where it is built
+    for bad in (op.Poly(), 2 * polys[2], polys[2] + op.Poly.monomial(3, Fraction(1, 2))):
+        with pytest.raises(op.IdentityViolated, match="^member 2 is not monic$"):
+            op.MonicSequence(tuple(polys[:2] + [bad] + polys[3:]), norms, form)
+    with pytest.raises(op.DimensionMismatch):
+        op.MonicSequence(tuple(polys[:3]), norms, form)
+    # a member not orthogonal, or of the wrong degree, is refused by both
+    # tables, and jacobi_matrix and the fold read it as before
+    skew = _perturbed(shifted, "poly", 3, Fraction(-1, 7))
+    wrong = op.MonicSequence(tuple(polys[:2] + [polys[2] * op.Poly.x()] + polys[3:]), norms, form)
+    cases = [
+        (skew, _not_orthogonal(skew), "ok"),
+        (wrong, ("IdentityViolated", "monic sequence member s_2 has degree 3"),
+         ("IdentityViolated", "fold degree bound violated at block 1 entry (0,1)")),
+    ]
+    assert cases[0][1] == ("IdentityViolated", "monic sequence not orthogonal: s_2, s_3")
+    for bad, refusal, folded in cases:
+        assert _outcome(lambda: op.banded_recurrence(bad, 0, 1)) == refusal
+        assert _outcome(lambda: op.connection_matrix(seq, bad, 1)) == refusal
+        jac = _outcome(lambda: op.jacobi_matrix(bad))
+        assert jac != refusal and jac == _outcome(lambda: oracles.poly_jacobi_matrix(bad))
+        fold = _outcome(lambda: op.build_matrix_sequence(bad, 1))
+        assert (fold[0] if folded == "ok" else fold) == folded
+    # certification runs once per hand-built sequence, only for the
+    # tables, and never on monic_sequence's output
+    calls = []
+    certify = orthopoly._certify
+    monkeypatch.setattr(orthopoly, "_certify", lambda s: calls.append(s) or certify(s))
+    copy, other = _perturbed(shifted, "none", 0, None), _perturbed(shifted, "none", 0, None)
+    op.jacobi_matrix(other)
+    op.build_matrix_sequence(other, 1)
+    for _ in range(2):
+        op.banded_recurrence(copy, 0, 1)
+        op.connection_matrix(seq, copy, 1)
+        op.banded_recurrence(seq, 0, 1)
+        op.connection_matrix(seq, shifted, 1)
+    assert len(calls) == 1 and calls[0] is copy
 
 
 def test_jacobi_matrix_is_the_one_by_one_block_recurrence(canon):
