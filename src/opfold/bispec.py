@@ -201,16 +201,17 @@ def verify_eigen(
     res_repr = None
     for n in n_range:
         lam = ladder(n)
-        F = R.mat(n)
-        if F.ncols != size:
-            raise DimensionMismatch(f"{F.shape} against operator size {size}")
-        if lam.shape != (F.nrows, F.nrows):
-            raise DimensionMismatch(f"{lam.shape} @ {F.shape}")
-        table, den = _int_deriv_table(R.int_block(n), op.order)
+        block = R.int_block(n)
+        shape = (len(block[0]), len(block[0][0]) if block[0] else 0)  # R.mat(n).shape, unbuilt
+        if shape[1] != size:
+            raise DimensionMismatch(f"{shape} against operator size {size}")
+        if lam.shape != (shape[0], shape[0]):
+            raise DimensionMismatch(f"{lam.shape} @ {shape}")
+        table, den = _int_deriv_table(block, op.order)
         # resid[i][j][t]: the coefficient of y^t in entry (i, j) of the
         # residual, times scale[i] = den * opden * (denominator of lambda_{n,i})
         resid, scale = [], []
-        for i in range(F.nrows):
+        for i in range(shape[0]):
             li = as_fraction(lam[i, i])
             eqs = _eigen_rows(table, i, bounds)
             resid.append(

@@ -55,6 +55,8 @@ class MomentFunctional:
         return len(self.moments)
 
     def moment(self, k: int) -> Fraction:
+        if k < 0:
+            raise ValueError("moment index must be >= 0")
         if k >= len(self.moments):
             raise InsufficientMoments(k, len(self.moments) - 1)
         return self.moments[k]

@@ -12,12 +12,11 @@ on every row below k, so the same pair is named as not orthogonal.
 Every sequence carries its members as integer rows: monic_sequence its
 certified ones, a sequence built by hand those read off its members,
 which it certifies by the same integer check the first time a table
-needs them orthogonal. The recurrence and connection tables are computed
-in their bands only, each entry an integer dot product of a shifted
-coefficient row with a few rows of G s_k, and then checked row by row a
-second way, as the polynomial expansion they claim, on the rows the
-truncation determines; with the sequence orthogonal, that expansion is
-what makes the entries off the band vanish. A row that fails is read
+needs them orthogonal. The recurrence table H, for f_n = (x-c)^{N+1} s_n,
+and the connection T, for f_n = s_n, are one table B(f_n, p_k) on a band,
+built by one kernel (_band_rows): each entry an integer dot product with
+a few rows of G p_k, and each row checked as the expansion it claims,
+which makes the entries off the band vanish; a row that fails is read
 whole, that row only, to name its first nonzero entry off the band.
 Every polynomial identity is checked over integer coefficient rows
 (recurrence_holds); three_term_steps extracts monic three-term
@@ -142,6 +141,16 @@ def checked_index(n: int, size: int, what: str) -> int:
     return n
 
 
+def _times(q, s) -> list[int]:
+    """The integer coefficients of the product q s, given theirs: one slice
+    pass per nonzero coefficient of q."""
+    out = [0] * (len(s) + len(q) - 1)
+    for t, b in enumerate(q):
+        if b:
+            out[t : t + len(s)] = map(add, out[t : t + len(s)], map(mul, repeat(b), s))
+    return out
+
+
 def _shift_symmetric(G, qc, m: int) -> bool:
     """Whether multiplication by q, given by its integer coefficients qc,
     is self-adjoint for the Gram G on degrees below m: whether
@@ -215,14 +224,7 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     P: list[int] = []  # S[j]^T G S[j]; d_j = P[j] / (gden S[j][j]^2)
     norms: list[Fraction] = []
     for k in range(n_max + 1):
-        if k < r:
-            u = [0] * k + [1]
-        else:
-            u = [0] * (k + 1)
-            for i, a in enumerate(S[k - r]):
-                if a:
-                    for t, b in enumerate(qc):
-                        u[i + t] += a * b
+        u = [0] * k + [1] if k < r else _times(qc, S[k - r])
         # s_k is proportional to u - sum_j (H_j / P_j) S_j, H_j = u^T G S_j
         window = range(max(0, k - 2 * r), k)
         coef = [Fraction(sum(map(mul, u[first[j] :], GS[j])), P[j]) for j in window]
@@ -433,62 +435,78 @@ def _first_below(G, ks, rows, lo: int):
     return None
 
 
+def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation):
+    """(raw, monic), row by row over the band: raw[n][k] = B(f_n, p_k) and
+    monic[n][k] = raw[n][k] / d_k for n-lower <= k <= n+upper, B and the
+    p_k the form and members of seq_to, rows[n] = (f, den) the integer
+    row of f_n = f / den, of degree n + upper.
+
+    Entry (n, k) is f from column k dotted with G p_k, formed once on rows
+    k .. k+lower+upper (G p_k vanishes above row k). Row n is checked
+    before row n+1 is read: f_n = sum_k monic[n][k] p_k over integer rows
+    (recurrence_holds) where the truncation fits, n < len(rows) - upper,
+    and f^T G vanishes below the band on the last upper rows. With
+    violation = (error, below, expansion), a failed row's first nonzero
+    entry below the band raises error(below) formatted with n, k, raw,
+    monic and lower; without one, IdentityViolated(expansion) with n.
+    """
+    error, below, expansion = violation
+    size, top = len(rows), seq_to.form.max_degree
+    P = seq_to.certified_rows()
+    hi = min(size - 1 + upper, top)
+    G, gden = seq_to.form.gram(hi)
+    images = []  # G p_k on rows k .. k+lower+upper, as far as hi
+    for k, p in enumerate(P[:size]):
+        images.append([sum(map(mul, G[i], p)) for i in range(k, min(hi, k + lower + upper) + 1)])
+
+    def entry(n: int, k: int, h: int) -> Fraction:
+        return Fraction(h, rows[n][1] * P[k][-1] * gden)
+
+    raw_rows, monic_rows = [], []
+    for n, (f, den) in enumerate(rows):
+        if n + upper > top:
+            raise InsufficientMoments(2 * (n + upper), 2 * top)
+        if len(f) != n + upper + 1:
+            raise IdentityViolated(f"monic sequence member s_{n} has degree {len(f) - 1 - upper}")
+        band = range(max(0, n - lower), min(size, n + upper + 1))
+        raw = [entry(n, k, sum(map(mul, f[k:], images[k]))) for k in band]
+        monic = [e / seq_to.norm_sq(k) for e, k in zip(raw, band)]
+        terms = [([[e]], ([[P[k]]], P[k][-1])) for e, k in zip(monic, band)]
+        fits = n < size - upper
+        if not fits or not recurrence_holds(([[f]], den), _ZERO_BLOCK, terms, (1,)):
+            # f^T G p_k = 0 for all k < n-lower if and only if f^T G x^j = 0
+            # for all j < n-lower, the p_k being triangular
+            hit = _first_below(G, f, P, n - lower)
+            if hit:
+                k, e = hit[0], entry(n, *hit)
+                raise error(below.format(n=n, k=k, raw=e, monic=e / seq_to.norm_sq(k), lower=lower))
+            if fits:
+                raise IdentityViolated(expansion.format(n=n))
+        raw_rows.append(raw)
+        monic_rows.append(monic)
+    return raw_rows, monic_rows
+
+
 def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     """Build the recurrence table for multiplication by (x-c)^{N+1}.
 
-    raw[n][k] = (K s_n)^T G s_k in integers, K the multiplication by
-    (x-c)^{N+1}, for |n-k| <= N+1 only: G s_k vanishes above row k
-    (seq.certified_rows). Each row is checked before the next is built.
-    On rows unaffected by truncation the expansion (x-c)^{N+1} s_n =
-    sum_k monic[n][k] s_k, verified over integer rows (recurrence_holds),
-    makes the entries off the band vanish; on the last N+1 rows (K s_n)^T G
-    must vanish below the band. A row that fails is read whole: its first
-    nonzero entry below the band raises SymmetryViolated, and without one
-    the failed expansion raises IdentityViolated.
+    _band_rows of f_n = (x-c)^{N+1} s_n against seq itself, |n-k| <= N+1,
+    each f_n formed once in integers. A row whose entry below the band is
+    nonzero raises SymmetryViolated; one whose expansion fails without
+    such an entry raises IdentityViolated.
     """
     c = as_fraction(c)
-    size, w = len(seq), N + 1
-    top = seq.form.max_degree
+    w = N + 1
     kc, kden = clear_denominators((Poly((-c, Fraction(1))) ** w).coeffs)
-    R = seq.certified_rows()
-    hi = min(size + N, top)
-    G, gden = seq.form.gram(hi)
-    sig = [[sum(map(mul, G[i], r)) for i in range(k, min(hi, k + 2 * w) + 1)] for k, r in enumerate(R)]
-
-    def band(n: int) -> range:
-        return range(max(0, n - w), min(size, n + w + 1))
-
-    def entry(n: int, k: int, h: int) -> Fraction:
-        return Fraction(h, R[n][-1] * R[k][-1] * kden * gden)
-
-    raw_rows, monic_rows = [], []
-    for n in range(size):
-        if n + w > top:
-            raise InsufficientMoments(2 * (n + w), 2 * top)
-        sn = R[n]
-        ks = [0] * (n + w + 1)  # kden sn[-1] (x-c)^{N+1} s_n
-        for i, a in enumerate(sn):
-            for t, b in enumerate(kc):
-                ks[i + t] += a * b
-        raw = [entry(n, k, sum(map(mul, ks[k:], sig[k]))) for k in band(n)]
-        monic = [e / seq.norm_sq(k) for e, k in zip(raw, band(n))]
-        terms = [([[e]], ([[R[k]]], R[k][-1])) for e, k in zip(monic, band(n))]
-        trusted = n < size - w
-        if not trusted or not recurrence_holds(([[sn]], sn[-1] * kden), _ZERO_BLOCK, terms, kc):
-            # (K s_n)^T G s_k = 0 for all k < n-w if and only if (K s_n)^T G x^j = 0
-            # for all j < n-w, the s_k being triangular
-            hit = _first_below(G, ks, R, n - w)
-            if hit:
-                raise SymmetryViolated(
-                    f"entry ({n},{hit[0]}) = {entry(n, *hit)} outside band {w}; "
-                    "multiplication by the shift is not symmetric for this form"
-                )
-            if trusted:
-                raise IdentityViolated(f"banded expansion failed at row {n}")
-        raw_rows.append(raw)
-        monic_rows.append(monic)
-    raw = BandedOperator.from_fn(size, w, w, lambda n, k: raw_rows[n][k - max(0, n - w)])
-    monic = BandedOperator.from_fn(size, w, w, lambda n, k: monic_rows[n][k - max(0, n - w)])
+    rows = [(_times(kc, s), s[-1] * kden) for s in seq.int_rows]  # (x-c)^{N+1} s_n
+    raw_rows, monic_rows = _band_rows(rows, seq, w, w, (
+        SymmetryViolated,
+        "entry ({n},{k}) = {raw} outside band {lower}; "
+        "multiplication by the shift is not symmetric for this form",
+        "banded expansion failed at row {n}",
+    ))
+    raw = BandedOperator.from_fn(len(seq), w, w, lambda n, k: raw_rows[n][k - max(0, n - w)])
+    monic = BandedOperator.from_fn(len(seq), w, w, lambda n, k: monic_rows[n][k - max(0, n - w)])
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
 
@@ -522,40 +540,17 @@ def connection_matrix(
 ) -> ConnectionMatrix:
     """Connection coefficients of seq_from in the seq_to basis.
 
-    Entries are inner products under seq_to's own form (the one that
-    makes it orthogonal), s_n^T G_to p_j / d_j in integers, for
-    n-(N+1) <= j <= n only: G_to p_j vanishes above row j
-    (seq_to.certified_rows). Each row is cross-validated before the next
-    is built, by checking s_n = sum_j T[n][j] p_j over integer rows
-    (recurrence_holds), which makes the entries below the band vanish. A
-    row that fails is read whole: its first nonzero entry below the band
-    raises BandViolation, and without one the failed expansion raises
+    The monic table of _band_rows of f_n = s_n against seq_to, under its
+    own form, n-(N+1) <= j <= n. A member s_n not of degree n raises
+    IdentityViolated; a row whose entry below the band is nonzero raises
+    BandViolation, and one whose expansion fails without such an entry
     IdentityViolated.
     """
-    form_to = seq_to.form
-    top = form_to.max_degree
-    size, w = min(len(seq_from), len(seq_to)), N + 1
-    P = seq_to.certified_rows()
-    hi = min(size - 1, top)
-    G, gden = form_to.gram(hi)
-    tau = [[sum(map(mul, G[i], r)) for i in range(j, min(hi, j + w) + 1)] for j, r in enumerate(P[:size])]
-
-    def entry(n: int, j: int, h: int) -> Fraction:
-        return Fraction(h, seq_from.int_rows[n][-1] * P[j][-1] * gden) / seq_to.norm_sq(j)
-
-    rows = []
-    for n in range(size):
-        if n > top:
-            raise InsufficientMoments(2 * n, 2 * top)
-        sn = seq_from.int_rows[n]
-        band = range(max(0, n - w), n + 1)
-        row = [entry(n, j, sum(map(mul, sn[j:], tau[j]))) for j in band]
-        terms = [([[e]], ([[P[j]]], P[j][-1])) for e, j in zip(row, band)]
-        if not recurrence_holds(([[sn]], sn[-1]), _ZERO_BLOCK, terms, (1,)):
-            hit = _first_below(G, sn, P, band.start)
-            if hit:
-                raise BandViolation(f"connection entry ({n},{hit[0]}) = {entry(n, *hit)} below band {w}")
-            raise IdentityViolated(f"basis expansion disagrees with inner products at row {n}")
-        rows.append(row)
-    T = BandedOperator.from_fn(size, w, 0, lambda n, j: rows[n][j - max(0, n - w)])
+    rows = [(s, s[-1]) for s in seq_from.int_rows[: len(seq_to)]]
+    _, T_rows = _band_rows(rows, seq_to, N + 1, 0, (
+        BandViolation,
+        "connection entry ({n},{k}) = {monic} below band {lower}",
+        "basis expansion disagrees with inner products at row {n}",
+    ))
+    T = BandedOperator.from_fn(len(rows), N + 1, 0, lambda n, j: T_rows[n][j - max(0, n - N - 1)])
     return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)

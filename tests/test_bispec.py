@@ -50,6 +50,15 @@ def test_eigen_identity_on_folded_blocks(canon):
     assert all(good for _, good in rep.results)
 
 
+def test_eigen_check_reads_no_poly_block(canon):
+    # the block shapes come from the integer rows, so a fresh fold keeps
+    # its Poly view unbuilt
+    ref, lad = op.reference_operator()
+    fold = op.build_matrix_sequence(canon["seq"], 1)
+    assert op.verify_eigen(fold, ref, lad, range(9)).ok
+    assert "mats" not in vars(fold)
+
+
 def test_eigen_identity_spot_rows(canon):
     # block 0 row 1 is the constant row (-1, 1) and maps to 3 times itself;
     # block 1 row 0 is (y, -2) and maps to 9 times itself

@@ -51,6 +51,14 @@ def test_moment_access_beyond_table_raises():
         mu.moment(5)
 
 
+def test_a_negative_moment_index_is_refused():
+    # -1 must not wrap to the last moment
+    mu = op.laguerre_moments(0, 5)
+    with pytest.raises(ValueError, match="moment index must be >= 0"):
+        mu.moment(-1)
+    assert mu.moment(4) == 24
+
+
 @given(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.integers(min_value=1, max_value=3),

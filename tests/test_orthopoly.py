@@ -152,6 +152,20 @@ def test_connection_band_is_enforced(canon):
         op.connection_matrix(canon["seq"], canon["shifted"], 0)
 
 
+@pytest.mark.parametrize("k", [5, 9])
+def test_a_connection_source_member_of_the_wrong_degree_is_refused(canon, k):
+    # x s_k in place of s_k: its row must not be truncated at the Gram's
+    # last row and read as an entry below the band
+    mu, form = canon["mu"], canon["form"]
+    seq = op.monic_sequence(form, 9)
+    shifted = op.monic_sequence(op.measure_form(op.christoffel_shift(mu, Fraction(0), 2)), 9)
+    polys = list(seq.polys)
+    polys[k] = op.Poly.x() * polys[k]
+    bad = op.MonicSequence(tuple(polys), seq.norms_sq, form)
+    with pytest.raises(op.IdentityViolated, match=f"monic sequence member s_{k} has degree {k + 1}"):
+        op.connection_matrix(bad, shifted, 1)
+
+
 def test_member_indices_outside_the_sequence_are_refused(canon):
     # -1 must not wrap to the last member, and neither accessor builds the
     # Poly members to say so
