@@ -19,7 +19,7 @@ and diagonal folds admit constant diagonal multipliers) certify nothing.
 """
 from __future__ import annotations
 
-import contextlib
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -53,7 +53,6 @@ __all__ = [
     "apply_scalar",
     "scalar_eigenvalues",
     "discover_scalar",
-    "FoldConjugationData",
     "ConjugationResult",
     "conjugation_eval",
     "operator_to_json",
@@ -505,34 +504,6 @@ def discover_scalar(
 
 
 @dataclass(frozen=True)
-class FoldConjugationData:
-    """Root-of-unity conjugation data for fold order N+1.
-
-    B is stored by exponents: B_{jk} = w^{jk} with w = exp(2 pi i/(N+1))
-    the primitive (N+1)-th root of unity, evaluated only in floating point
-    (w_float), so B conj(B)^T = (N+1) I holds up to rounding.
-    """
-
-    N: int
-
-    @property
-    def step(self) -> int:
-        return self.N + 1
-
-    def exponent(self, j: int, k: int) -> int:
-        return (j * k) % self.step
-
-    def w_float(self, precision: str = "double"):
-        if precision == "double":
-            import cmath
-
-            return cmath.exp(2j * cmath.pi / self.step)
-        from mpmath import mp, mpf
-
-        return mp.expjpi(mpf(2) / self.step)
-
-
-@dataclass(frozen=True)
 class ConjugationResult:
     lhs: tuple
     rhs: tuple
@@ -566,17 +537,19 @@ def conjugation_eval(
     R: MatrixPolySequence,
     n: int,
     y0,
-    precision: str = "double",
 ) -> ConjugationResult | tuple[ConjugationResult, ...]:
-    """Numerically realize the conjugated operator at one point or several.
+    """Numerically realize the conjugated operator at one point or several,
+    in double precision.
 
     R is a raw fold about its centre c, with its scalars. Row j of block
     n times the fold-conjugated scalar operator evaluates, via the
     root-of-unity chain, to (D s_{(N+1)n+j}) at the rotated points
     c + w^k y0^{1/(N+1)}, pushed back through B^{-1} and the
-    fractional-power diagonal. The result is compared against Lambda_n
-    times R.mat(n) at y0, with Lambda the exact scalar eigenvalues. Only
-    y0 > 0 is meaningful on this support.
+    fractional-power diagonal, with w = exp(2 pi i/(N+1)). The result is
+    compared against Lambda_n times block n at y0, with Lambda the exact
+    scalar eigenvalues; block n is read from R.int_block(n), so the
+    fold's Poly view is not built. Only y0 > 0 is meaningful on this
+    support.
 
     D is applied once to each member of block n, degrees (N+1)n through
     (N+1)n+N, and only those members are checked exactly to be
@@ -597,7 +570,8 @@ def conjugation_eval(
         raise NumericalInstability("evaluation point must be strictly positive")
     step = R.block_size
     # first, so that a block past the fold raises InsufficientSequence
-    block = R.mat(n).rows
+    rows, den = R.int_block(n)
+    block = [[Poly(Fraction(a, den) for a in e) for e in row] for row in rows]
     lams, images = [], []
     for j in range(step):
         m = step * n + j
@@ -605,34 +579,16 @@ def conjugation_eval(
         lams.append(lam)
         # the image about the fold centre, evaluated at w^k y0^{1/(N+1)}
         images.append(ds.shift(R.c))
-    if precision == "double":
-        scope = contextlib.nullcontext()
-    else:
-        from mpmath import mp
-
-        # mp precision is process-global; hold 50 digits only for this call
-        scope = mp.workdps(50)
-    with scope:
-        w = FoldConjugationData(R.N).w_float(precision)
-        results = tuple(
-            _conjugate_at(images, lams, block, step, w, y, precision) for y in points
-        )
+    w = cmath.exp(2j * cmath.pi / step)
+    results = tuple(_conjugate_at(images, lams, block, step, w, y) for y in points)
     return results if several else results[0]
 
 
-def _conjugate_at(images, lams, block, step: int, w, y0: Fraction, precision: str) -> ConjugationResult:
+def _conjugate_at(images, lams, block, step: int, w: complex, y0: Fraction) -> ConjugationResult:
     """One ConjugationResult of conjugation_eval, at the point y0 > 0; w is
-    the primitive step-th root of unity at the working precision."""
-    if precision == "double":
-        r = float(y0) ** (1.0 / step)
-        y0f = float(y0)
-        to_c = complex
-    else:
-        from mpmath import mp, mpf, mpc
-
-        y0f = mpf(y0.numerator) / y0.denominator
-        r = mp.power(y0f, mpf(1) / step)
-        to_c = lambda q: mpc(mpf(q.numerator) / q.denominator)
+    the primitive step-th root of unity."""
+    y0f = float(y0)
+    r = y0f ** (1.0 / step)
     pts = [w**k * r for k in range(step)]
     m2 = [[ds(pt) for pt in pts] for ds in images]
     lhs = []
@@ -648,7 +604,7 @@ def _conjugate_at(images, lams, block, step: int, w, y0: Fraction, precision: st
     dev = 0.0
     scale = 1.0
     for j in range(step):
-        lam = to_c(lams[j])
+        lam = complex(lams[j])
         row = []
         for k in range(step):
             val = lam * block[j][k](y0f)
@@ -661,7 +617,7 @@ def _conjugate_at(images, lams, block, step: int, w, y0: Fraction, precision: st
     return ConjugationResult(
         tuple(tuple(r) for r in lhs),
         tuple(tuple(r) for r in rhs),
-        float(dev / scale),
+        dev / scale,
     )
 
 

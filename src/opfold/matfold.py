@@ -122,6 +122,7 @@ class MatrixPolySequence:
 
     def row_scalar(self, n: int, i: int) -> Poly:
         """Reassemble row i of block n into its scalar polynomial."""
+        i = checked_index(i, self.block_size, "row")
         m = self.mat(n)
         return FoldDecomposition(tuple(m[i, j] for j in range(m.ncols)), self.c).reassemble()
 
@@ -299,15 +300,15 @@ def matrix_ttrr(R: MatrixPolySequence) -> BlockTTRRCoeffs:
     return BlockTTRRCoeffs(BlockTridiagonal(diag, sub, (Matrix.identity(R.block_size),) * len(sub)))
 
 
-def orthonormal_blocks(rec: BandedRecurrence, N: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+def orthonormal_blocks(rec: BandedRecurrence) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
     """Orthonormal block recurrence entries as SignedSquare matrices.
 
     With H the raw table of the N+1-st shift power against the scalar
-    sequence, {B_n}_{ij} and {A_n}_{ij} are H entries scaled by the two
-    squared norms; only squares and signs are rational, so that is what
-    is exposed.
+    sequence, rec.N its own, {B_n}_{ij} and {A_n}_{ij} are H entries
+    scaled by the two squared norms; only squares and signs are rational,
+    so that is what is exposed.
     """
-    step = N + 1
+    step = rec.N + 1
     nblocks = rec.size // step
 
     def block(n: int, m: int) -> Matrix:

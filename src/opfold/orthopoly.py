@@ -411,7 +411,9 @@ class BandedRecurrence:
         return self.raw.size
 
     def orthonormal_entry(self, n: int, k: int) -> SignedSquare:
-        """Orthonormal entry raw[n][k] / sqrt(nu_n nu_k) by square and sign."""
+        """Orthonormal entry raw[n][k] / sqrt(nu_n nu_k) by square and sign;
+        an index outside the table raises InsufficientSequence."""
+        n, k = (checked_index(i, self.size, "recurrence index") for i in (n, k))
         scale = 1 / (self.norms_sq[n] * self.norms_sq[k])
         return SignedSquare.of(self.raw.entry(n, k), scale)
 
@@ -529,6 +531,8 @@ class ConnectionMatrix:
         return self.T_monic.size
 
     def orthonormal_sq(self, n: int, j: int) -> Fraction:
+        """T_orth[n][j]^2; an index outside the table raises InsufficientSequence."""
+        n, j = (checked_index(i, self.size, "connection index") for i in (n, j))
         scale = self.to_norms_sq[j] / self.from_norms_sq[n]
         return SignedSquare.of(self.T_monic.entry(n, j), scale).sq
 

@@ -480,7 +480,7 @@ def check_darboux(payload: dict, zetas) -> bool:
 def check_ttrr(payload: dict, rec) -> bool | None:
     """Orthonormal blocks 0..10 against reference_block_ttrr, up to the
     diagonal sign similarity fixed from B_0."""
-    A, B = orthonormal_blocks(rec, 1)
+    A, B = orthonormal_blocks(rec)
     if not B:
         return None
     eps = similarity_from_block(B[0], reference_block_ttrr(0)[1])

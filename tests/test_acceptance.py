@@ -107,7 +107,7 @@ def test_criterion_04_zeta_displays_as_printed(block_pipeline):
 
 
 def test_criterion_05_matrix_ttrr_displays_modulo_sign_similarity(canon):
-    A, B = op.orthonormal_blocks(canon["rec"], 1)
+    A, B = op.orthonormal_blocks(canon["rec"])
     eps = op.similarity_from_block(B[0], op.reference_block_ttrr(0)[1])
     for n in range(11):
         refA, refB = op.reference_block_ttrr(n)

@@ -528,22 +528,6 @@ def test_scalar_operator_guards():
 # -- conjugation -----------------------------------------------------------
 
 
-def test_root_of_unity_change_of_basis_is_unitary():
-    for N in range(1, 6):
-        data = op.FoldConjugationData(N)
-        assert data.step == N + 1
-        assert data.exponent(2, 3) == (6 % (N + 1))
-
-
-def test_float_roots_agree_between_precisions():
-    for N in (1, 2, 4):
-        data = op.FoldConjugationData(N)
-        wd = data.w_float("double")
-        we = data.w_float("extended")
-        assert abs(complex(we.real, we.imag) - wd) < 1e-14
-        assert abs(wd ** data.step - 1) < 1e-12
-
-
 def test_conjugated_operator_matches_the_block_action(canon, hermite):
     D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     r = op.conjugation_eval(D8, canon["fold"], 1, Fraction(1, 2))
@@ -554,24 +538,15 @@ def test_conjugated_operator_matches_the_block_action(canon, hermite):
             assert rh.max_deviation < 1e-12, (y0, n)
 
 
-def test_conjugation_extended_precision_tightens_the_residual(canon):
-    D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
-    r = op.conjugation_eval(
-        D8, canon["fold"], 1, Fraction(1, 2), precision="extended"
-    )
-    assert float(r.max_deviation) < 1e-40
-
-
-def test_extended_conjugation_leaves_the_global_precision_alone(hermite):
-    from mpmath import mp
-
-    with mp.workdps(15):
-        # a leak would show here as mp.dps == 50
-        r = op.conjugation_eval(
-            hermite["D"], hermite["fold"], 2, Fraction(1, 2), precision="extended"
-        )
-        assert mp.dps == 15
-    assert float(r.max_deviation) < 1e-40
+def test_conjugation_reads_no_poly_block(hermite):
+    # block n is evaluated from the fold's integer rows, so the Poly view
+    # of the whole fold is never built
+    R = op.build_matrix_sequence(hermite["seq"], 1)
+    grid = [Fraction(1, 2), Fraction(3)]
+    got = [op.conjugation_eval(hermite["D"], R, n, grid) for n in range(len(R))]
+    assert "mats" not in vars(R)
+    assert got == [op.conjugation_eval(hermite["D"], hermite["fold"], n, grid) for n in range(len(R))]
+    assert all(r.max_deviation < 1e-12 for rs in got for r in rs)
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(-3, 2)])

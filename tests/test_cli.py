@@ -1,6 +1,7 @@
 """Command line behavior: the built-in verification run, config-driven
 runs, deterministic reports, CSV side tables, and config validation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -671,6 +672,25 @@ def test_verify_paper_imports_no_numeric_stack(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_the_package_needs_only_the_standard_library():
+    # every absolute import in the package names a standard library module,
+    # and the project declares no runtime dependency
+    root = Path(op.__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11
+    project = tomllib.loads((root.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

@@ -133,7 +133,7 @@ def test_a_fold_about_c_carries_the_scalars_and_is_block_orthogonal():
 
 
 def test_orthonormal_blocks_match_tabulated_forms(canon):
-    A, B = op.orthonormal_blocks(canon["rec"], 1)
+    A, B = op.orthonormal_blocks(canon["rec"])
     refA0, refB0 = op.reference_block_ttrr(0)
     assert B[0][0, 0].sq == 4 and B[0][0, 0].sign == 1
     assert B[0][1, 1].sq == 49

@@ -166,9 +166,30 @@ def test_a_connection_source_member_of_the_wrong_degree_is_refused(canon, k):
         op.connection_matrix(bad, shifted, 1)
 
 
+def test_orthonormal_indices_outside_the_table_are_refused(canon):
+    # -1 must not read as an entry off the band, nor may the row past the
+    # table, where the connection still has a source norm
+    mu, form = canon["mu"], canon["form"]
+    rec = op.banded_recurrence(op.monic_sequence(form, 9), Fraction(0), 1)
+    shifted = op.monic_sequence(op.measure_form(op.christoffel_shift(mu, Fraction(0), 2)), 9)
+    conn = op.connection_matrix(op.monic_sequence(form, 12), shifted, 1)
+    assert rec.size == conn.size == 10 and len(conn.from_norms_sq) == 13
+    for read, what in (
+        (rec.orthonormal_sq, "recurrence"),
+        (rec.orthonormal_sign, "recurrence"),
+        (conn.orthonormal_sq, "connection"),
+    ):
+        for n, k, bad in ((-1, 0, -1), (0, -1, -1), (10, 9, 10), (9, 10, 10)):
+            with pytest.raises(op.InsufficientSequence, match=f"{what} index {bad} requested, only 10 built"):
+                read(n, k)
+        assert read(9, 0) == 0  # off the band inside the table
+    assert rec.orthonormal_sq(9, 8) == canon["rec"].orthonormal_sq(9, 8) != 0
+    assert conn.orthonormal_sq(9, 8) != 0
+
+
 def test_member_indices_outside_the_sequence_are_refused(canon):
-    # -1 must not wrap to the last member, and neither accessor builds the
-    # Poly members to say so
+    # -1 must not wrap to the last member or row, and no accessor builds
+    # the Poly members to say so
     mu = canon["mu"]
     seq = op.monic_sequence(op.measure_form(mu), 5)
     hand = op.MonicSequence(seq.polys[:3], seq.norms_sq[:3], seq.form)
@@ -185,4 +206,7 @@ def test_member_indices_outside_the_sequence_are_refused(canon):
         for n in (-1, 3):
             with pytest.raises(op.InsufficientSequence, match=f"block {n} requested, only 3 built"):
                 read(n)
+    for i in (-1, 2):
+        with pytest.raises(op.InsufficientSequence, match=f"row {i} requested, only 2 built"):
+            fold.row_scalar(0, i)
     assert "mats" not in vars(fold)
