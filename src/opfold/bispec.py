@@ -33,9 +33,9 @@ from .errors import (
     NumericalInstability,
     Underdetermined,
 )
-from .linalg import Matrix, exact_nullspace
+from .linalg import Matrix, clear_denominators, exact_nullspace
 from .matfold import MatrixPolySequence, build_matrix_sequence
-from .orthopoly import MonicSequence, coeff_at, int_block
+from .orthopoly import MonicSequence, checked_index, coeff_at, int_block
 from .poly import Poly
 from .rationals import rat_str, as_fraction
 
@@ -144,17 +144,16 @@ def _eigen_rows(table, i: int, bounds: Sequence[int]):
     """
     row = table[0][i]
     top = max(len(pol) + b for b, level in zip(bounds, table) for pol in level[i])
-    eqs = []
-    for t in range(max(top, *map(len, row))):
-        terms = [
-            (k, l, d, pol[t - d])
-            for k, b in enumerate(bounds)
-            for l, pol in enumerate(table[k][i])
-            for d in range(max(t - len(pol) + 1, 0), min(b, t) + 1)
-            if pol[t - d]
-        ]
-        eqs.append((terms, [coeff_at(e, t) for e in row]))
-    return eqs
+    terms = [[] for _ in range(max(top, *map(len, row)))]
+    # one pass over the nonzero coefficients a of y^s, each landing at
+    # every t = s + d; for each t the terms come in (k, l, d) order
+    for k, b in enumerate(bounds):
+        for l, pol in enumerate(table[k][i]):
+            nonzero = [(s, a) for s, a in enumerate(pol) if a]
+            for d in range(b + 1):
+                for s, a in nonzero:
+                    terms[s + d].append((k, l, d, a))
+    return [(ts, [coeff_at(e, t) for e in row]) for t, ts in enumerate(terms)]
 
 
 # -- eigen verification --------------------------------------------------
@@ -434,8 +433,9 @@ def min_order_check(
     orders = [max(c for c, x in enumerate(v) if x) // per_order for v in V]
 
     def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
+        ints, vden = clear_denominators(vec)  # over integers: one Fraction per eigenvalue
         return [
-            [sum(c * vec[idx] for idx, c in pivots[(n, i)]) / dens[n] for i in range(size)]
+            [Fraction(sum(c * ints[x] for x, c in pivots[(n, i)] if ints[x]), vden * dens[n]) for i in range(size)]
             for n in range(n_fit + 1)
         ]
 
@@ -547,9 +547,9 @@ def conjugation_eval(
     c + w^k y0^{1/(N+1)}, pushed back through B^{-1} and the
     fractional-power diagonal, with w = exp(2 pi i/(N+1)). The result is
     compared against Lambda_n times block n at y0, with Lambda the exact
-    scalar eigenvalues; block n is read from R.int_block(n), so the
-    fold's Poly view is not built. Only y0 > 0 is meaningful on this
-    support.
+    scalar eigenvalues; block n is read from R.int_block(n) and its
+    members from R.scalars.int_rows, so neither Poly view is built. Only
+    y0 > 0 is meaningful on this support.
 
     D is applied once to each member of block n, degrees (N+1)n through
     (N+1)n+N, and only those members are checked exactly to be
@@ -575,7 +575,9 @@ def conjugation_eval(
     lams, images = [], []
     for j in range(step):
         m = step * n + j
-        lam, ds = _eigen_image(D, R.scalars.poly(m), m)
+        # s_m = s / s[-1], leaving the sequence's Poly view unbuilt
+        s = R.scalars.int_rows[checked_index(m, len(R.scalars), "polynomial")]
+        lam, ds = _eigen_image(D, Poly(Fraction(a, s[-1]) for a in s), m)
         lams.append(lam)
         # the image about the fold centre, evaluated at w^k y0^{1/(N+1)}
         images.append(ds.shift(R.c))

@@ -16,7 +16,11 @@ Fraction entries. This module is the only home of exact elimination:
   step is a sparse elimination with deferred reduction (pivot rows held
   as their nonzero entries, entries reduced mod p only when read as a
   multiplier, back substitution from the rightmost pivot); its output is
-  the canonical RREF mod p.
+  the canonical RREF mod p. The first prime tries a certificate from the
+  rows so far whenever a run of rows that leave the rank unchanged
+  reaches twice the longest before it (or 1): all rows have no larger
+  nullity over Q than a prefix has mod p, so that many vectors verified
+  against every row are the whole nullspace.
 
 Everything here is pure Python: numpy would cost more to import than a
 whole verify-paper setup takes.
@@ -297,50 +301,56 @@ def _primes() -> Iterator[int]:
         candidate += 2
 
 
-def _mod_nullspace(int_rows, ncols: int, p: int):
-    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis).
+def _mod_reduce(tails: dict, raw, ncols: int, p: int) -> bool:
+    """Eliminate one integer row mod p against the pivot rows in tails;
+    if it raises the rank, store it as a new pivot row and return True.
 
-    Sparse elimination with deferred reduction. Each pivot row is held as
-    its nonzero (column, value) pairs right of its lead, normalised to lead
-    1. An incoming row is reduced against the pivots in increasing column
-    order; an entry is taken mod p only when it is read as a multiplier,
-    and the row once more when it becomes a pivot. Back substitution runs
-    from the rightmost pivot, so each pivot row it reads is already
-    reduced to free columns. The RREF mod p is canonical, so the result
-    does not depend on the elimination order.
+    Each pivot row is held as its nonzero (column, value) pairs right of
+    its lead, normalised to lead 1, keyed by its lead. The row is reduced
+    against the pivots in increasing column order with deferred
+    reduction: an entry is taken mod p only when it is read as a
+    multiplier, and the row once more when it becomes a pivot.
     """
-    tails: dict[int, list[tuple[int, int]]] = {}
-    for raw in int_rows:
-        row = list(raw)
-        lead = None
-        for c in range(ncols):
-            x = row[c]
-            if not x:
-                continue
-            x %= p
-            if not x:
-                continue
-            tail = tails.get(c)
-            if tail is None:
-                if lead is None:
-                    lead = c
-                continue
-            row[c] = 0
-            for j, v in tail:
-                row[j] -= x * v
-        if lead is None:
+    row = list(raw)
+    lead = None
+    for c in range(ncols):
+        x = row[c]
+        if not x:
             continue
-        inv = pow(row[lead] % p, p - 2, p)
-        tail = []
-        for j in range(lead + 1, ncols):
-            x = row[j]
+        x %= p
+        if not x:
+            continue
+        tail = tails.get(c)
+        if tail is None:
+            if lead is None:
+                lead = c
+            continue
+        row[c] = 0
+        for j, v in tail:
+            row[j] -= x * v
+    if lead is None:
+        return False
+    inv = pow(row[lead] % p, p - 2, p)
+    tail = []
+    for j in range(lead + 1, ncols):
+        x = row[j]
+        if x:
+            x = x * inv % p
             if x:
-                x = x * inv % p
-                if x:
-                    tail.append((j, x))
-        tails[lead] = tail
-    # back substitution: reduced[c] holds pivot row c on the free columns
-    reduced: dict[int, list[tuple[int, int]]] = {}
+                tail.append((j, x))
+    tails[lead] = tail
+    return True
+
+
+def _mod_rref(tails: dict, ncols: int, p: int):
+    """(pivot_cols, free_cols, vector) of the pivot rows in tails, with
+    vector(f) the canonical RREF null vector mod p at free column f.
+
+    Back substitution runs from the rightmost pivot, so each pivot row it
+    reads is already reduced to free columns; a vector is built only when
+    asked for.
+    """
+    reduced: dict[int, dict[int, int]] = {}
     for c in sorted(tails, reverse=True):
         acc: dict[int, int] = {}
         for j, v in tails[c]:
@@ -348,18 +358,31 @@ def _mod_nullspace(int_rows, ncols: int, p: int):
             if right is None:
                 acc[j] = acc.get(j, 0) + v
             else:
-                for f, w in right:
+                for f, w in right.items():
                     acc[f] = acc.get(f, 0) - v * w
-        reduced[c] = [(f, w % p) for f, w in acc.items() if w % p]
+        reduced[c] = {f: w % p for f, w in acc.items() if w % p}
+
+    def vector(f: int) -> list[int]:
+        vec = [0] * ncols
+        vec[f] = 1
+        for c, right in reduced.items():
+            w = right.get(f)
+            if w:
+                vec[c] = p - w
+        return vec
+
     free = [c for c in range(ncols) if c not in tails]
-    index = {f: k for k, f in enumerate(free)}
-    basis = [[0] * ncols for _ in free]
-    for k, f in enumerate(free):
-        basis[k][f] = 1
-    for c, right in reduced.items():
-        for f, w in right:
-            basis[index[f]][c] = p - w
-    return tuple(sorted(tails)), free, basis
+    return tuple(sorted(tails)), free, vector
+
+
+def _mod_nullspace(int_rows, ncols: int, p: int):
+    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis).
+    The RREF mod p is canonical: the result does not depend on row order."""
+    tails: dict[int, list[tuple[int, int]]] = {}
+    for raw in int_rows:
+        _mod_reduce(tails, raw, ncols, p)
+    piv, free, vector = _mod_rref(tails, ncols, p)
+    return piv, free, [vector(f) for f in free]
 
 
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -384,7 +407,10 @@ def _verify_null_vector(int_rows, vec: list[Fraction]) -> bool:
 
 
 def _reconstruct_basis(residues, modulus: int, int_rows) -> Optional[list[list[Fraction]]]:
-    """Rational lift of every residue vector, or None unless all verify."""
+    """Rational lift of every residue vector, or None unless all verify.
+
+    residues may be lazy: each vector is read only once those before it
+    have verified, so a failure costs one vector, not a basis."""
     basis = []
     for v in residues:
         vec = []
@@ -406,12 +432,28 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     (reduction mod p never shrinks a nullspace); candidates are rationally
     reconstructed and verified over the integers, which makes the basis a
     certificate rather than a guess. Primes come lazily from a fixed
-    deterministic stream, so runs are reproducible. The structure with
-    the fewest free columns, then the smallest pivot columns, wins; only
-    primes that agree on it are combined by CRT. Every basis entry is a
-    ratio of minors bounded by the Hadamard bound H of the rows, so once
-    the combined modulus exceeds 2 H^2 a correct structure must verify,
-    and failing that raises NumericalInstability.
+    deterministic stream, so runs are reproducible.
+
+    The first prime eliminates the rows one at a time, in their order,
+    and attempts a certificate from the rows so far whenever the rank
+    has stopped growing: at the first row that leaves the rank unchanged,
+    and again each time a run of such rows reaches twice the longest run
+    before it. Let k be the nullity mod p of the prefix. The nullity over
+    Q of all rows is at most that of the prefix, which is at most k, so k
+    vectors verified against every row, each with the identity on its
+    own free column, span the whole nullspace. A null vector whose last
+    nonzero entry is at f proves that f is a free column over Q, so they
+    are also the canonical RREF basis: the same basis as from all rows.
+    The attempt reconstructs and verifies the first free column's vector
+    before it builds the others. If no attempt succeeds, that prime's
+    elimination goes on from where it stopped, to the last row.
+
+    From there on the structure with the fewest free columns, then the
+    smallest pivot columns, wins; only primes that agree on it are
+    combined by CRT. Every basis entry is a ratio of minors bounded by
+    the Hadamard bound H of the rows, so once the combined modulus
+    exceeds 2 H^2 a correct structure must verify, and failing that
+    raises NumericalInstability.
     """
     rows = [r for r in int_rows if any(r)]
     if not rows:
@@ -421,7 +463,23 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
         ]
     key = residues = modulus = limit = None
     for p in _primes():
-        piv, free, basis = _mod_nullspace(rows, ncols, p)
+        if key is None:
+            tails: dict[int, list[tuple[int, int]]] = {}
+            run = longest = 0
+            for raw in rows:
+                if _mod_reduce(tails, raw, ncols, p):
+                    longest, run = max(longest, run), 0
+                    continue
+                run += 1
+                if run == max(1, 2 * longest):
+                    _, free, vector = _mod_rref(tails, ncols, p)
+                    candidate = _reconstruct_basis(map(vector, free), p, rows)
+                    if candidate is not None:
+                        return candidate
+            piv, free, vector = _mod_rref(tails, ncols, p)
+            basis = [vector(f) for f in free]
+        else:
+            piv, free, basis = _mod_nullspace(rows, ncols, p)
         structure = (len(free), piv)
         if key is None or structure < key:
             key, residues, modulus = structure, basis, p

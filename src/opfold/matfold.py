@@ -123,8 +123,9 @@ class MatrixPolySequence:
     def row_scalar(self, n: int, i: int) -> Poly:
         """Reassemble row i of block n into its scalar polynomial."""
         i = checked_index(i, self.block_size, "row")
-        m = self.mat(n)
-        return FoldDecomposition(tuple(m[i, j] for j in range(m.ncols)), self.c).reassemble()
+        rows, den = self.int_block(n)
+        parts = tuple(Poly(Fraction(a, den) for a in e) for e in rows[i])
+        return FoldDecomposition(parts, self.c).reassemble()
 
 
 def _carrying(blocks, N: int, monic: bool, scalars, c) -> MatrixPolySequence:

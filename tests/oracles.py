@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Eleven exceptions keep a replaced library route as the second,
+carrier. Thirteen exceptions keep a replaced library route as the second,
 independent one: fraction_christoffel_shift, the Fraction sum of weighted
 moments that christoffel_shift was before it worked over integers;
 IntEchelon, an incremental integer row echelon that used
@@ -31,9 +31,13 @@ peeled and compared as Poly sums and Poly matrices, as the library did
 before it checked them inside the band and over integer rows;
 poly_verify_eigen, the residual R_n D - Lambda_n R_n formed in Poly
 matrix arithmetic through apply_right, as verify_eigen did before it
-evaluated discovery's integer equations; and section_min_order, which
+evaluated discovery's integer equations; section_min_order, which
 takes one nullspace per order for the sections of min_order_check, as
-the library did before it read them off one RREF basis.
+the library did before it read them off one RREF basis;
+all_rows_nullspace, exact_nullspace with every prime eliminating all
+rows, as it did before it certified from the rows that reach full rank;
+and scan_eigen_rows, which scans every (k, l, d) for each power, as
+_eigen_rows did before it made one pass over the nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from types import SimpleNamespace
 
@@ -56,6 +60,7 @@ from opfold.errors import (
     InsufficientMoments,
     InsufficientSequence,
     NotPositiveDefinite,
+    NumericalInstability,
     SingularLeading,
     SingularMatrix,
     SymmetryViolated,
@@ -64,6 +69,9 @@ from opfold.bispec import EigenReport
 from opfold.linalg import (
     Matrix,
     _int_rows,
+    _mod_nullspace,
+    _primes,
+    _reconstruct_basis,
     clear_denominators,
     exact_nullspace,
     inverse,
@@ -77,6 +85,7 @@ from opfold.orthopoly import (
     ConnectionMatrix,
     JacobiMatrix,
     MonicSequence,
+    coeff_at,
 )
 from opfold.poly import Poly
 from opfold.rationals import _csqrt, as_fraction
@@ -393,6 +402,56 @@ def dense_mod_nullspace(int_rows, ncols: int, p: int):
             v[pc] = (-pr[f]) % p
         basis.append(v)
     return tuple(sorted(piv_cols)), free, basis
+
+
+def all_rows_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
+    """exact_nullspace as it was before it certified from a prefix of the
+    rows: every prime, the first one too, eliminates all rows before a
+    reconstruction is attempted. Structure choice, CRT and the Hadamard
+    stop are the library's."""
+    rows = [r for r in int_rows if any(r)]
+    if not rows:
+        return [[Fraction(int(c == f)) for c in range(ncols)] for f in range(ncols)]
+    key = residues = modulus = limit = None
+    for p in _primes():
+        piv, free, basis = _mod_nullspace(rows, ncols, p)
+        structure = (len(free), piv)
+        if key is None or structure < key:
+            key, residues, modulus = structure, basis, p
+        elif structure == key:
+            inv = pow(modulus % p, p - 2, p)
+            for v, w in zip(residues, basis):
+                for c in range(ncols):
+                    v[c] += modulus * ((w[c] - v[c]) * inv % p)
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct_basis(residues, modulus, rows)
+        if candidate is not None:
+            return candidate
+        if limit is None:
+            limit = 2 * prod(sum(v * v for v in r) for r in rows)
+        if modulus > limit:
+            raise NumericalInstability("rational reconstruction failed past the Hadamard bound")
+
+
+def scan_eigen_rows(table, i: int, bounds):
+    """bispec._eigen_rows as it was before its one pass over the nonzero
+    coefficients: for every power t, a scan of every (k, l, d) that
+    reads the coefficient of y^(t-d)."""
+    row = table[0][i]
+    top = max(len(pol) + b for b, level in zip(bounds, table) for pol in level[i])
+    eqs = []
+    for t in range(max(top, *map(len, row))):
+        terms = [
+            (k, l, d, pol[t - d])
+            for k, b in enumerate(bounds)
+            for l, pol in enumerate(table[k][i])
+            for d in range(max(t - len(pol) + 1, 0), min(b, t) + 1)
+            if pol[t - d]
+        ]
+        eqs.append((terms, [coeff_at(e, t) for e in row]))
+    return eqs
 
 
 def pairwise_form(form):

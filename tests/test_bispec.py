@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opfold as op
@@ -303,11 +303,9 @@ def test_exact_nullspace_gives_up_once_past_the_hadamard_bound(monkeypatch, rows
     # passes 2 H^2, H the Hadamard bound of the rows; the bound is worked
     # out only after the first failure, and the count must not move
     seen = []
-    mod_nullspace = op.linalg._mod_nullspace
+    stream = op.linalg._primes
     monkeypatch.setattr(op.linalg, "_reconstruct_basis", lambda *args: None)
-    monkeypatch.setattr(
-        op.linalg, "_mod_nullspace", lambda r, n, p: seen.append(p) or mod_nullspace(r, n, p)
-    )
+    monkeypatch.setattr(op.linalg, "_primes", lambda: (seen.append(p) or p for p in stream()))
     with pytest.raises(op.NumericalInstability, match="past the Hadamard bound"):
         exact_nullspace(rows, ncols)
     assert len(seen) == primes
@@ -485,6 +483,44 @@ def test_min_order_size_counts_the_system_min_order_check_builds(canon, monkeypa
     assert (rows, unknowns) == (sum(2 * (2 * (n + 7) - 1) for n in range(11)), 9 * 2 * 2 * 7)
     ((built, ncols),) = captured
     assert ncols == unknowns and len(built) <= rows
+
+
+def test_the_verify_paper_systems_give_the_all_rows_bases(canon, monkeypatch):
+    # the two discovery columns, the min-order system and the scalar
+    # discovery system: each certified from the rows that reach full rank
+    captured = []
+    monkeypatch.setattr(
+        op.bispec, "exact_nullspace", lambda rows, ncols: captured.append((rows, ncols)) or exact_nullspace(rows, ncols)
+    )
+    fold = canon["fold"]
+    _, ladder = op.reference_operator()
+    op.discover_operator(fold, ladder, 8, 6, 12)
+    op.min_order_check(fold, 8, 6, 10)
+    op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
+    monkeypatch.undo()
+    assert [(len(rows), ncols) for rows, ncols in captured] == [(338, 127), (338, 127), (506, 252), (153, 46)]
+    for rows, ncols in captured:
+        assert exact_nullspace(rows, ncols) == oracles.all_rows_nullspace(rows, ncols)
+
+
+@st.composite
+def eigen_tables(draw):
+    """(table, i, bounds) for _eigen_rows: the derivative table of a
+    random integer block of size 1-3 and degree < 6, with degree bounds
+    from -1 (a zero coefficient) to 4, one per order up to 3."""
+    size = draw(st.integers(1, 3))
+    entry = st.lists(st.integers(-3, 3), max_size=6)
+    base = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size))
+    bounds = draw(st.lists(st.integers(-1, 4), min_size=1, max_size=4))
+    table, _ = op.bispec._int_deriv_table((base, 1), len(bounds) - 1)
+    return table, draw(st.integers(0, size - 1)), bounds
+
+
+@given(eigen_tables())
+@example((op.bispec._int_deriv_table(([[[2, 0, 1], [1]], [[], [0, 3]]], 1), 2)[0], 1, [-1, 2, 0]))
+@settings(max_examples=150, deadline=None)
+def test_eigen_rows_match_the_per_power_scan(case):
+    assert op.bispec._eigen_rows(*case) == oracles.scan_eigen_rows(*case)
 
 
 # -- scalar route ----------------------------------------------------------

@@ -110,3 +110,29 @@ def test_the_deep_chain_builds_no_member():
     # a read builds the view once and keeps it
     assert seq.poly(3) is seq.polys[3] and "polys" in vars(seq)
     assert seq.polys == oracles.eager_polys(seq)
+
+
+def _fresh_hermite_fold(hermite):
+    """The degree-13 Hermite sequence and its fold at N = 1 (7 blocks),
+    built anew so that no view has been read."""
+    seq = op.monic_sequence(op.measure_form(hermite["mu"]), 13)
+    return seq, op.build_matrix_sequence(seq, 1)
+
+
+def test_row_scalars_read_no_poly_block(hermite):
+    # matrix_gram reassembles each row from the integer block
+    seq, R = _fresh_hermite_fold(hermite)
+    assert op.matrix_gram(R, 0, 0) == op.matrix_gram(hermite["fold"], 0, 0)
+    assert "mats" not in vars(R)
+    scalars = [R.row_scalar(n, i) for n in range(len(R)) for i in range(2)]
+    assert scalars == list(oracles.eager_polys(seq))
+    assert "mats" not in vars(R) and "polys" not in vars(seq)
+
+
+def test_conjugation_reads_no_poly_member(hermite):
+    # block 0 needs members 0 and 1 only, read off the integer rows
+    seq, R = _fresh_hermite_fold(hermite)
+    y0 = Fraction(1, 2)
+    got = op.conjugation_eval(hermite["D"], R, 0, y0)
+    assert "polys" not in vars(seq) and "mats" not in vars(R)
+    assert got == op.conjugation_eval(hermite["D"], hermite["fold"], 0, y0)

@@ -17,7 +17,8 @@ from opfold import (
     nullspace,
     solve_linear,
 )
-from opfold.linalg import _mod_nullspace, _primes, ldlt
+from opfold import linalg
+from opfold.linalg import _mod_nullspace, _primes, exact_nullspace, ldlt
 
 import oracles
 
@@ -186,6 +187,57 @@ def test_sparse_mod_nullspace_with_a_zero_pivot_mod_p():
     for p in KERNEL_PRIMES:
         assert _mod_nullspace(rows, 3, p) == oracles.dense_mod_nullspace(rows, 3, p)
     assert _mod_nullspace(rows, 3, 7)[:2] == ((0, 1), [2])
+
+
+@st.composite
+def redundant_systems(draw):
+    """Integer systems of rank r <= ncols whose r independent rows come
+    in order with integer combinations of the rows before them between
+    and after them: runs of rows that leave the rank unchanged sit
+    among the rows that raise it, and at the end."""
+    ncols = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, ncols))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        return rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(2**80), 2**80)))
+
+    fresh = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    while fresh or rng.random() < 0.8:
+        if fresh and (not rows or rng.random() < 0.4):
+            rows.append(fresh.pop())
+            continue
+        picks = rng.sample(rows, min(len(rows), 3)) if rows else [[0] * ncols]
+        coef = [rng.randint(-3, 3) for _ in picks]
+        rows.append([sum(k * r[c] for k, r in zip(coef, picks)) for c in range(ncols)])
+    return rows, ncols
+
+
+@given(redundant_systems())
+@settings(max_examples=150, deadline=None)
+def test_exact_nullspace_matches_the_all_rows_route(system):
+    rows, ncols = system
+    assert exact_nullspace(rows, ncols) == oracles.all_rows_nullspace(rows, ncols)
+
+
+def test_a_prefix_candidate_that_a_later_row_refutes_is_not_returned(monkeypatch):
+    # row 1 repeats row 0, so the rows so far are tried; their vector
+    # (1, 1, 0) solves both of them but not row 2, which raises the rank
+    rows = [[1, -1, 0], [2, -2, 0], [0, 1, -1]]
+    tried = []
+    reconstruct = linalg._reconstruct_basis
+
+    def spy(residues, modulus, int_rows):
+        residues = list(residues)
+        tried.append(residues)
+        return reconstruct(residues, modulus, int_rows)
+
+    monkeypatch.setattr(linalg, "_reconstruct_basis", spy)
+    assert exact_nullspace(rows, 3) == [[1, 1, 1]] == oracles.all_rows_nullspace(rows, 3)
+    first = tried[0][0]
+    assert first == [1, 1, 0]
+    assert [sum(a * x for a, x in zip(r, first)) for r in rows] == [0, 0, 1]
 
 
 def test_ldlt_pivot_policies():
