@@ -435,7 +435,10 @@ def min_order_check(
     def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
         ints, vden = clear_denominators(vec)  # over integers: one Fraction per eigenvalue
         return [
-            [Fraction(sum(c * ints[x] for x, c in pivots[(n, i)] if ints[x]), vden * dens[n]) for i in range(size)]
+            [
+                Fraction(sum(c * ints[x] for x, c in pivots[(n, i)] if ints[x]), vden * dens[n])
+                for i in range(size)
+            ]
             for n in range(n_fit + 1)
         ]
 
