@@ -260,8 +260,10 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
     trusted row of the power over one denominator (_int_shift_power).
     Orthonormal float form: the same identity with materialized square
     roots, a banded float power, and the roots held as in
-    verify_h_factorization.
+    verify_h_factorization. A negative N raises ValueError.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     c = as_fraction(c)
     m = conn.size
     nu = conn.from_norms_sq

@@ -434,19 +434,20 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     certificate rather than a guess. Primes come lazily from a fixed
     deterministic stream, so runs are reproducible.
 
-    The first prime eliminates the rows one at a time, in their order,
-    and attempts a certificate from the rows so far whenever the rank
-    has stopped growing: at the first row that leaves the rank unchanged,
-    and again each time a run of such rows reaches twice the longest run
-    before it. Let k be the nullity mod p of the prefix. The nullity over
-    Q of all rows is at most that of the prefix, which is at most k, so k
-    vectors verified against every row, each with the identity on its
-    own free column, span the whole nullspace. A null vector whose last
-    nonzero entry is at f proves that f is a free column over Q, so they
-    are also the canonical RREF basis: the same basis as from all rows.
-    The attempt reconstructs and verifies the first free column's vector
-    before it builds the others. If no attempt succeeds, that prime's
-    elimination goes on from where it stopped, to the last row.
+    Every prime eliminates the rows one at a time, in their order. The
+    first, while no structure is chosen, also attempts a certificate
+    from the rows so far whenever the rank has stopped growing: at the
+    first row that leaves the rank unchanged, and again each time a run
+    of such rows reaches twice the longest run before it. Let k be the
+    nullity mod p of the prefix. The nullity over Q of all rows is at
+    most that of the prefix, which is at most k, so k vectors verified
+    against every row, each with the identity on its own free column,
+    span the whole nullspace. A null vector whose last nonzero entry is
+    at f proves that f is a free column over Q, so they are also the
+    canonical RREF basis: the same basis as from all rows. The attempt
+    reconstructs and verifies the first free column's vector before it
+    builds the others. If no attempt succeeds, that prime's elimination
+    goes on to the last row.
 
     From there on the structure with the fewest free columns, then the
     smallest pivot columns, wins; only primes that agree on it are
@@ -463,23 +464,20 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
         ]
     key = residues = modulus = limit = None
     for p in _primes():
-        if key is None:
-            tails: dict[int, list[tuple[int, int]]] = {}
-            run = longest = 0
-            for raw in rows:
-                if _mod_reduce(tails, raw, ncols, p):
-                    longest, run = max(longest, run), 0
-                    continue
-                run += 1
-                if run == max(1, 2 * longest):
-                    _, free, vector = _mod_rref(tails, ncols, p)
-                    candidate = _reconstruct_basis(map(vector, free), p, rows)
-                    if candidate is not None:
-                        return candidate
-            piv, free, vector = _mod_rref(tails, ncols, p)
-            basis = [vector(f) for f in free]
-        else:
-            piv, free, basis = _mod_nullspace(rows, ncols, p)
+        tails: dict[int, list[tuple[int, int]]] = {}
+        run = longest = 0
+        for raw in rows:
+            if _mod_reduce(tails, raw, ncols, p):
+                longest, run = max(longest, run), 0
+                continue
+            run += 1
+            if key is None and run == max(1, 2 * longest):
+                _, free, vector = _mod_rref(tails, ncols, p)
+                candidate = _reconstruct_basis(map(vector, free), p, rows)
+                if candidate is not None:
+                    return candidate
+        piv, free, vector = _mod_rref(tails, ncols, p)
+        basis = [vector(f) for f in free]
         structure = (len(free), piv)
         if key is None or structure < key:
             key, residues, modulus = structure, basis, p

@@ -171,8 +171,11 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
     mod N+1 of scalar (N+1)n+i, so its degree is at most
     floor(((N+1)n+i-j)/(N+1)); the bound is asserted. The folds are
     sliced from integer Taylor rows at c of the sequence's int_rows, and
-    each block is carried as (rows, den) on int_blocks.
+    each block is carried as (rows, den) on int_blocks. A negative N
+    raises ValueError.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     c = as_fraction(c)
     step = N + 1
     scalars = [(r, r[-1]) for r in seq.int_rows]

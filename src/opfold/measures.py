@@ -9,15 +9,18 @@ the size of M. Each row is a slice of the Hankel, and the update touches
 only the rows where some v_a[i] is nonzero, at c = 0 the first r. It is built
 on first use, cached on the form as integer rows over one common
 denominator, and every inner product, Gram slice and table downstream is
-an exact integer matrix product against it. Nothing here touches
+an exact integer matrix product against it. The shift (x-c)^m lives here
+too: its integer row (shift_row) and the check on the Gram that it is
+self-adjoint for the form (symmetry_check). Nothing here touches
 quadrature or floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, gcd, lcm, perm
-from operator import mul
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import ConfigError, InsufficientMoments, NotPositiveDefinite
@@ -29,6 +32,7 @@ __all__ = [
     "MomentFunctional",
     "laguerre_moments",
     "hermite_moments",
+    "shift_row",
     "christoffel_shift",
     "SobolevSpec",
     "mass_matrix",
@@ -89,21 +93,30 @@ def hermite_moments(count: int) -> MomentFunctional:
     return MomentFunctional(tuple(vals), label="hermite(normalized)")
 
 
+def shift_row(c, m: int) -> tuple[list[int], int]:
+    """(ints, den) with (x - c)^m = sum_i ints[i] x^i / den: for c = p/q,
+    ints[i] = binom(m, i) (-p)^(m-i) q^i over den = q^m. A negative m
+    raises ValueError."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    c = as_fraction(c)
+    p, q = c.numerator, c.denominator
+    return [comb(m, i) * (-p) ** (m - i) * q**i for i in range(m + 1)], q**m
+
+
 def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
-    """Moments of (x - c)^power dmu via exact binomial expansion: with
-    c = p/q, an integer dot product of q^power times the binomial weights
-    with the moments over one denominator."""
+    """Moments of (x - c)^power dmu via exact binomial expansion: an
+    integer dot product of the shift's row (shift_row) with the moments
+    over one denominator."""
     if power < 1:
         raise ValueError("power must be >= 1")
     c = as_fraction(c)
     if mu.count <= power:
         raise InsufficientMoments(power, mu.count - 1)
-    p, q = c.numerator, c.denominator
-    weights = [comb(power, i) * (-p) ** (power - i) * q**i for i in range(power + 1)]
+    weights, wden = shift_row(c, power)
     ints, den = clear_denominators(mu.moments)
-    den *= q**power
     vals = tuple(
-        Fraction(sum(map(mul, weights, ints[k : k + power + 1])), den)
+        Fraction(sum(map(mul, weights, ints[k : k + power + 1])), den * wden)
         for k in range(mu.count - power)
     )
     return MomentFunctional(vals, label=f"({mu.label})*(x-{c})^{power}")
@@ -258,34 +271,30 @@ class SymmetryReport:
 
 
 def symmetry_check(form: BilinearForm, N: int, degree: int, c=0) -> SymmetryReport:
-    """Test whether multiplication by (x-c)^{N+1} commutes symmetrically.
-
-    Checks B((x-c)^{N+1} x^i, (x-c) x^j) = B((x-c) x^i, (x-c)^{N+1} x^j)
-    over all monomial pairs i, j <= degree; returns the first failing pair
-    in row-major order. With K_m the multiplication by (x-c)^m, the
-    left-hand sides are A = K_{N+1} G K_1^T and, G being symmetric, the
-    right-hand sides are A^T. A pair whose shifted monomial exceeds the
-    degree budget raises InsufficientMoments where the scan reaches it.
+    """Test whether multiplication by K = (x-c)^{N+1} is self-adjoint:
+    B(K x^a, x^b) = B(x^a, K x^b) for all a, b <= degree, that is
+    sum_t k_t G[a+t][b] == sum_t k_t G[a][b+t] on the integer Gram G
+    (which need not be symmetric), k = shift_row(c, N+1). One
+    row-difference pass per a, or at c = 0 one slice comparison; the
+    first failing pair in row-major order is returned with both sides.
+    The Gram must reach degree + N + 1, else InsufficientMoments is raised
+    before the scan; a negative N raises ValueError.
     """
-    c = as_fraction(c)
-    top = form.max_degree
-    if 2 * degree + N + 2 > 2 * top:
-        raise InsufficientMoments(2 * degree + N + 2, 2 * top)
-    lin = Poly((-c, Fraction(1)))
-    hi, hden = clear_denominators((lin ** (N + 1)).coeffs)
-    lo, lden = clear_denominators(lin.coeffs)
-    G, den = form.gram(min(degree + N + 1, top))
-    fits = range(min(degree, top - N - 1) + 1)  # rows i with i + N + 1 <= top
-    KG = [[sum(h * G[i + s][j] for s, h in enumerate(hi)) for j in range(degree + 2)] for i in fits]
-    A = [[sum(r[j + t] * v for t, v in enumerate(lo)) for j in range(degree + 1)] for r in KG]
-    scale = den * hden * lden
-    for i in range(degree + 1):
-        if i + N + 1 > top:
-            raise InsufficientMoments(2 * (i + N + 1), 2 * top)
-        for j in range(degree + 1):
-            if j + N + 1 > top:
-                raise InsufficientMoments(2 * (j + N + 1), 2 * top)
-            if A[i][j] != A[j][i]:
-                lhs, rhs = Fraction(A[i][j], scale), Fraction(A[j][i], scale)
-                return SymmetryReport(False, (i, j), lhs, rhs)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    k, kden = shift_row(c, N + 1)
+    G, den = form.gram(max(degree + N + 1, 0))
+    ts = [t for t, v in enumerate(k) if v]
+    m = degree + 1
+    for a in range(m):
+        if len(ts) == 1 and G[a + ts[0]][:m] == G[a][ts[0] : ts[0] + m]:
+            continue
+        diff = [0] * m  # sum_t k_t (G[a+t][b] - G[a][b+t]) for b <= degree
+        for t in ts:
+            diff = list(map(add, diff, map(mul, repeat(k[t]), map(sub, G[a + t], G[a][t : t + m]))))
+        b = next((b for b, v in enumerate(diff) if v), None)
+        if b is not None:
+            lhs = Fraction(sum(k[t] * G[a + t][b] for t in ts), den * kden)
+            rhs = Fraction(sum(k[t] * G[a][b + t] for t in ts), den * kden)
+            return SymmetryReport(False, (a, b), lhs, rhs)
     return SymmetryReport(True, None)

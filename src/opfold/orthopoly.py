@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Sequence
 
 from .banded import BandedOperator
@@ -46,7 +46,7 @@ from .errors import (
     SymmetryViolated,
 )
 from .linalg import Matrix, clear_denominators
-from .measures import BilinearForm
+from .measures import BilinearForm, shift_row, symmetry_check
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -71,8 +71,9 @@ class MonicSequence:
     s_k = int_rows[k] / int_rows[k][-1]. monic_sequence builds and
     certifies the rows, and polys is built from them on first read (==,
     hash and repr too). A sequence built by hand reads its rows off polys,
-    refusing a member that is zero or not monic, and is certified once,
-    the first time certified_rows is called.
+    refusing a member that is zero or not monic (IdentityViolated) and a
+    zero norm (SingularMatrix), and is certified once, the first time
+    certified_rows is called.
     """
 
     polys: tuple[Poly, ...]
@@ -83,9 +84,11 @@ class MonicSequence:
     def __post_init__(self):  # by hand only: monic_sequence does not call it
         if len(self.polys) != len(self.norms_sq):
             raise DimensionMismatch(f"{len(self.polys)} members but {len(self.norms_sq)} norms")
-        for k, p in enumerate(self.polys):
+        for k, (p, d) in enumerate(zip(self.polys, self.norms_sq)):
             if p.coeffs[-1:] != (1,):
                 raise IdentityViolated(f"member {k} is not monic")
+            if not d:
+                raise SingularMatrix(f"zero norm at index {k}")
         rows = (tuple(clear_denominators(p.coeffs)[0]) for p in self.polys)
         object.__setattr__(self, "int_rows", tuple(rows))
 
@@ -151,24 +154,6 @@ def _times(q, s) -> list[int]:
     return out
 
 
-def _shift_symmetric(G, qc, m: int) -> bool:
-    """Whether multiplication by q, given by its integer coefficients qc,
-    is self-adjoint for the Gram G on degrees below m: whether
-    sum_t qc[t] G[a+t][b] == sum_t qc[t] G[a][b+t] for all a, b < m.
-    G need not be symmetric."""
-    ts = [t for t, v in enumerate(qc) if v]
-    if len(ts) == 1:
-        t = ts[0]
-        return all(G[a + t][:m] == G[a][t : t + m] for a in range(m))
-    for a in range(m):
-        diff = [0] * m  # sum_t qc[t] (G[a+t][b] - G[a][b+t]) for b < m
-        for t in ts:
-            diff = list(map(add, diff, map(mul, repeat(qc[t]), map(sub, G[a + t], G[a][t : t + m]))))
-        if any(diff):
-            return False
-    return True
-
-
 def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True) -> MonicSequence:
     """Generate s_0..s_{n_max} by the form's own banded recurrence.
 
@@ -188,11 +173,11 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     The result is certified in integers: G s_k must vanish on every row
     i < k, that is s_k is orthogonal to every monomial of lower degree,
     else IdentityViolated names the first such i. The symmetry above is
-    not assumed but checked once, on the Gram: sum_t q_t G[a+t][b] ==
-    sum_t q_t G[a][b+t] for all a, b <= n_max - r, O(n_max^2 r). When it
-    holds, G s_k is formed only on rows k-2r .. k+2r and checked on rows
-    k-2r .. k-1, because the rows below vanish: for i < k - 2r, by
-    induction on k,
+    not assumed but checked once on the Gram by measures.symmetry_check,
+    sum_t q_t G[a+t][b] == sum_t q_t G[a][b+t] for all a, b <= n_max - r,
+    O(n_max^2 r). When it holds, G s_k is formed only on rows k-2r .. k+2r
+    and checked on rows k-2r .. k-1, because the rows below vanish: for
+    i < k - 2r, by induction on k,
 
         B(s_i, s_k) = B(s_i, q s_{k-r}) = B(q s_i, s_{k-r}) = 0,
 
@@ -211,13 +196,9 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     G, gden = form.gram(n_max)
-    if form.M is None or form.M.is_zero:
-        r, shift = 1, Poly.x()
-    else:
-        r = form.M.nrows
-        shift = Poly((-form.c, Fraction(1))) ** r
-    qc, _ = clear_denominators(shift.coeffs)
-    symmetric = _shift_symmetric(G, qc, n_max - r + 1)
+    r, c = (1, 0) if form.M is None or form.M.is_zero else (form.M.nrows, form.c)
+    qc, _ = shift_row(c, r)
+    symmetric = symmetry_check(form, r - 1, n_max - r, c).ok
     S: list[list[int]] = []  # s_j = S[j] / S[j][j]
     GS: list[list[int]] = []  # G S[j] on rows first[j] .. j + 2r, as far as n_max
     first: list[int] = []
@@ -495,11 +476,13 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     _band_rows of f_n = (x-c)^{N+1} s_n against seq itself, |n-k| <= N+1,
     each f_n formed once in integers. A row whose entry below the band is
     nonzero raises SymmetryViolated; one whose expansion fails without
-    such an entry raises IdentityViolated.
+    such an entry raises IdentityViolated. A negative N raises ValueError.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     c = as_fraction(c)
     w = N + 1
-    kc, kden = clear_denominators((Poly((-c, Fraction(1))) ** w).coeffs)
+    kc, kden = shift_row(c, w)
     rows = [(_times(kc, s), s[-1] * kden) for s in seq.int_rows]  # (x-c)^{N+1} s_n
     raw_rows, monic_rows = _band_rows(rows, seq, w, w, (
         SymmetryViolated,
@@ -548,8 +531,10 @@ def connection_matrix(
     own form, n-(N+1) <= j <= n. A member s_n not of degree n raises
     IdentityViolated; a row whose entry below the band is nonzero raises
     BandViolation, and one whose expansion fails without such an entry
-    IdentityViolated.
+    IdentityViolated. A negative N raises ValueError.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
     rows = [(s, s[-1]) for s in seq_from.int_rows[: len(seq_to)]]
     _, T_rows = _band_rows(rows, seq_to, N + 1, 0, (
         BandViolation,

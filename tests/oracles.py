@@ -486,20 +486,20 @@ def pairwise_gram(form, n: int) -> list[list[Fraction]]:
 
 
 def pairwise_symmetry_check(form, N: int, degree: int, c):
-    """(ok, counterexample, lhs, rhs) of the symmetry scan, pair by pair."""
-    if 2 * degree + N + 2 > 2 * form.max_degree:
-        raise InsufficientMoments(2 * degree + N + 2, 2 * form.max_degree)
+    """(ok, counterexample, lhs, rhs) of the symmetry scan, pair by pair:
+    B(K x^a, x^b) against B(x^a, K x^b), K = (x-c)^{N+1}, for a, b <= degree.
+    The moment budget, degree + N + 1 on either side, is checked first."""
+    if degree + N + 1 > form.max_degree:
+        raise InsufficientMoments(2 * (degree + N + 1), 2 * form.max_degree)
     pair = pairwise_form(form)
-    lin = Poly((-c, Fraction(1)))
-    high = lin ** (N + 1)
-    for i in range(degree + 1):
-        xi = Poly.monomial(i)
-        for j in range(degree + 1):
-            xj = Poly.monomial(j)
-            lhs = pair(high * xi, lin * xj)
-            rhs = pair(lin * xi, high * xj)
+    K = Poly((-c, Fraction(1))) ** (N + 1)
+    for a in range(degree + 1):
+        xa = Poly.monomial(a)
+        for b in range(degree + 1):
+            xb = Poly.monomial(b)
+            lhs, rhs = pair(K * xa, xb), pair(xa, K * xb)
             if lhs != rhs:
-                return False, (i, j), lhs, rhs
+                return False, (a, b), lhs, rhs
     return True, None, None, None
 
 

@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 import opfold as op
 import oracles
-from opfold import orthopoly
-from opfold.linalg import clear_denominators
 
 BASES = {
     "laguerre0": lambda count: op.laguerre_moments(0, count),
@@ -167,11 +165,10 @@ class _PerturbedForm(op.BilinearForm):
 
 
 def _shift(form):
-    """(r, integer coefficients of q): q = (x-c)^r, or x and r = 1."""
+    """(r, c) of monic_sequence's shift q = (x-c)^r: x, r = 1, without a mass."""
     if form.M is None or form.M.is_zero:
-        return 1, [0, 1]
-    r = form.M.nrows
-    return r, clear_denominators((op.Poly((-form.c, Fraction(1))) ** r).coeffs)[0]
+        return 1, Fraction(0)
+    return form.M.nrows, form.c
 
 
 @st.composite
@@ -256,9 +253,8 @@ def test_the_shift_symmetry_check_reads_the_square_it_names():
         (_shifted("laguerre0", -2, 3, 8)[0], 8, True),
         (_DenseGramForm(op.laguerre_moments(0, 11)), 4, False),
     ]:
-        r, qc = _shift(form)
-        G, _ = form.gram(n_max)
-        assert orthopoly._shift_symmetric(G, qc, n_max - r + 1) is symmetric
+        r, c = _shift(form)
+        assert op.symmetry_check(form, r - 1, n_max - r, c).ok is symmetric
 
 
 def test_a_negative_degree_is_refused():

@@ -161,14 +161,15 @@ def test_one_moment_too_few_raises_the_pairwise_budget(N):
     assert (gram.needed, gram.available) == (pairwise.needed, pairwise.available)
     assert (gram.needed, gram.available) == (2 * deg, 2 * deg - 2)
 
-    # the symmetry scan: the upfront bound lets these through for N < 2,
-    # and the first shifted monomial past the budget raises mid-scan
+    # the symmetry scan pairs (x-c)^{N+1} x^deg with x^0: the Gram must
+    # reach deg + N + 1, and falling short raises before the scan
     form = op.sobolev_form(
         op.SobolevSpec(op.laguerre_moments(0, 2 * deg + N + 2), Fraction(0), N, mass)
     )
     gram = _raised(lambda: op.symmetry_check(form, N, deg, Fraction(0)))
     pairwise = _raised(lambda: oracles.pairwise_symmetry_check(form, N, deg, Fraction(0)))
     assert (gram.needed, gram.available) == (pairwise.needed, pairwise.available)
+    assert (gram.needed, gram.available) == (2 * (deg + N + 1), 2 * form.max_degree)
     gram = _raised(lambda: op.gram_matrix(form, form.max_degree + 1))
     pairwise = _raised(lambda: oracles.pairwise_gram(form, form.max_degree + 1))
     assert (gram.needed, gram.available) == (pairwise.needed, pairwise.available)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import opfold as op
 import oracles
-from opfold.linalg import ldlt
+from opfold.linalg import clear_denominators, ldlt
+from opfold.measures import shift_row
 
 small_poly = st.lists(
     st.fractions(min_value=-8, max_value=8, max_denominator=6),
@@ -250,6 +251,20 @@ def test_hankel_positivity_matches_determinant_oracle():
     minors = [oracles.hankel_minor(list(shifted.moments), n) for n in range(7)]
     first_bad = next(n for n, d in enumerate(minors) if d <= 0)
     assert flagged == first_bad
+
+
+@given(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]),
+    st.integers(0, 4),
+)
+@example(Fraction(0), 0)
+def test_the_shift_row_is_the_expanded_power(c, m):
+    assert shift_row(c, m) == clear_denominators((op.Poly((-c, 1)) ** m).coeffs)
+
+
+def test_a_negative_shift_power_is_refused():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        shift_row(Fraction(1), -1)
 
 
 def test_multiplication_symmetry_holds_with_mass_at_shift_point():

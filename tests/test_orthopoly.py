@@ -210,3 +210,37 @@ def test_member_indices_outside_the_sequence_are_refused(canon):
         with pytest.raises(op.InsufficientSequence, match=f"row {i} requested, only 2 built"):
             fold.row_scalar(0, i)
     assert "mats" not in vars(fold)
+
+
+def test_a_hand_built_zero_norm_is_refused(canon):
+    # a zero norm used to pass and surface as a ZeroDivisionError in the tables
+    seq = op.monic_sequence(canon["form"], 10)
+    norms = list(seq.norms_sq)
+    norms[3] = Fraction(0)
+    with pytest.raises(op.SingularMatrix, match="zero norm at index 3"):
+        op.MonicSequence(seq.polys, tuple(norms), seq.form)
+
+
+@pytest.mark.parametrize("N", [-1, -2, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cn, N: op.banded_recurrence(cn["seq"], 0, N),
+        lambda cn, N: op.connection_matrix(cn["seq"], cn["shifted"], N),
+        lambda cn, N: op.verify_ul_identity(
+            op.jacobi_matrix(cn["shifted"]), 0, N, op.connection_matrix(cn["seq"], cn["shifted"], 1)
+        ),
+        lambda cn, N: op.build_matrix_sequence(cn["seq"], N),
+        lambda cn, N: op.symmetry_check(cn["form"], N, 5),
+    ],
+    ids=[
+        "banded_recurrence",
+        "connection_matrix",
+        "verify_ul_identity",
+        "build_matrix_sequence",
+        "symmetry_check",
+    ],
+)
+def test_a_negative_band_order_is_refused(canon, call, N):
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        call(canon, N)
