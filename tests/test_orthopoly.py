@@ -213,7 +213,7 @@ def test_member_indices_outside_the_sequence_are_refused(canon):
 
 
 def test_a_hand_built_zero_norm_is_refused(canon):
-    # a zero norm used to pass and surface as a ZeroDivisionError in the tables
+    # the tables divide by every norm, so a zero one is refused where it is built
     seq = op.monic_sequence(canon["form"], 10)
     norms = list(seq.norms_sq)
     norms[3] = Fraction(0)
