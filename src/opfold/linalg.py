@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -375,16 +376,6 @@ def _mod_rref(tails: dict, ncols: int, p: int):
     return tuple(sorted(tails)), free, vector
 
 
-def _mod_nullspace(int_rows, ncols: int, p: int):
-    """RREF nullspace over GF(p): returns (pivot_cols, free_cols, basis).
-    The RREF mod p is canonical: the result does not depend on row order."""
-    tails: dict[int, list[tuple[int, int]]] = {}
-    for raw in int_rows:
-        _mod_reduce(tails, raw, ncols, p)
-    piv, free, vector = _mod_rref(tails, ncols, p)
-    return piv, free, [vector(f) for f in free]
-
-
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     """Wang reconstruction: p/q = a mod m with |p|, q <= sqrt(m/2)."""
     a %= m
@@ -445,9 +436,13 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     span the whole nullspace. A null vector whose last nonzero entry is
     at f proves that f is a free column over Q, so they are also the
     canonical RREF basis: the same basis as from all rows. The attempt
-    reconstructs and verifies the first free column's vector before it
-    builds the others. If no attempt succeeds, that prime's elimination
-    goes on to the last row.
+    first tests the first free column's vector mod p against the row
+    after the prefix, and is dropped before any reconstruction when that
+    row does not annihilate it: a verified basis vector is null for every
+    row, so its residues are null mod p for that row, and the test never
+    drops an attempt that would succeed. Otherwise it reconstructs and
+    verifies that vector before it builds the others. If no attempt
+    succeeds, that prime's elimination goes on to the last row.
 
     From there on the structure with the fewest free columns, then the
     smallest pivot columns, wins; only primes that agree on it are
@@ -466,13 +461,15 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     for p in _primes():
         tails: dict[int, list[tuple[int, int]]] = {}
         run = longest = 0
-        for raw in rows:
+        for i, raw in enumerate(rows):
             if _mod_reduce(tails, raw, ncols, p):
                 longest, run = max(longest, run), 0
                 continue
             run += 1
             if key is None and run == max(1, 2 * longest):
                 _, free, vector = _mod_rref(tails, ncols, p)
+                if free and i + 1 < len(rows) and sum(map(mul, rows[i + 1], vector(free[0]))) % p:
+                    continue
                 candidate = _reconstruct_basis(map(vector, free), p, rows)
                 if candidate is not None:
                     return candidate

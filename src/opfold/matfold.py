@@ -6,7 +6,10 @@ members gives an (N+1)x(N+1) matrix polynomial in y = (x-c)^{N+1}, the
 multiplication that is symmetric for the form. All matrix inner products
 reduce to scalar form evaluations of the underlying polynomials, which
 keeps every identity in rational arithmetic. Orthonormal block data is exposed
-as squared rationals with signs.
+as squared rationals with signs. The block three-term recurrence of a fold
+built here from a monic_sequence output is proven by that sequence's
+shift-symmetry certificate (proof in matrix_ttrr); any other fold has each
+step's residual checked over integer coefficient rows.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .errors import (
 )
 from .linalg import Matrix, clear_denominators, inverse
 from .orthopoly import (
-    BandedRecurrence, MonicSequence, checked_index, coeff_at, int_block, three_term_steps
+    BandedRecurrence, MonicSequence, _shift_proven, checked_index, coeff_at, int_block, three_term_steps
 )
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
@@ -81,7 +84,9 @@ class MatrixPolySequence:
     int_blocks[n] is block n as (rows, den) in the form of
     orthopoly.int_block. build_matrix_sequence and monic_normalize carry
     them, and mats is built from them on first read (==, hash and repr
-    too); a sequence built by hand reads them off mats.
+    too); a sequence built by hand reads them off mats. The builders also
+    mark, in a private _folded, whether the blocks are the fold of
+    scalars (or its monic normalization).
     """
 
     mats: tuple[Matrix, ...]
@@ -128,9 +133,9 @@ class MatrixPolySequence:
         return FoldDecomposition(parts, self.c).reassemble()
 
 
-def _carrying(blocks, N: int, monic: bool, scalars, c) -> MatrixPolySequence:
+def _carrying(blocks, N: int, monic: bool, scalars, c, folded: bool) -> MatrixPolySequence:
     seq = object.__new__(MatrixPolySequence)  # mats is left to the view
-    vars(seq).update(N=N, monic=monic, scalars=scalars, c=c, int_blocks=tuple(blocks))
+    vars(seq).update(N=N, monic=monic, scalars=scalars, c=c, int_blocks=tuple(blocks), _folded=folded)
     return seq
 
 
@@ -193,7 +198,7 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
                         f"fold degree bound violated at block {n} entry ({i},{j})"
                     )
         blocks.append(block)
-    return _carrying(blocks, N, False, seq, c)
+    return _carrying(blocks, N, False, seq, c, True)
 
 
 def matrix_gram(R: MatrixPolySequence, n: int, m: int) -> Matrix:
@@ -272,7 +277,7 @@ def monic_normalize(R: MatrixPolySequence) -> MonicNormalization:
             raise IdentityViolated(f"block {n} failed to become monic")
         blocks.append(block)
         leadings.append(lead)
-    seq = _carrying(blocks, R.N, True, R.scalars, R.c)
+    seq = _carrying(blocks, R.N, True, R.scalars, R.c, vars(R).get("_folded", False))
     return MonicNormalization(seq, tuple(leadings))
 
 
@@ -288,17 +293,32 @@ class BlockTTRRCoeffs:
 def matrix_ttrr(R: MatrixPolySequence) -> BlockTTRRCoeffs:
     """Extract the block recurrence y P_n = P_{n+1} + D_n P_n + C_n P_{n-1}.
 
-    The extraction and its exact residual check over integer coefficient
-    rows are orthopoly.three_term_steps on the monic blocks, of which
-    jacobi_matrix is the 1x1 case; a nonzero residual raises
+    The extraction is orthopoly.three_term_steps on the monic blocks, of
+    which jacobi_matrix is the 1x1 case; a nonzero residual raises
     IdentityViolated. Needs at least two blocks.
+
+    The residual is proven zero, not checked, when R is the monic
+    normalization of a fold built here from a monic_sequence output whose
+    form has y = (x-c)^{N+1} self-adjoint on degree len(scalars) - N - 2,
+    for the fold's own c and N (orthopoly._shift_proven). Then each
+    scalar row m of block n <= len(R) - 2 has its band expansion
+    y s_m = sum_{|k-m| <= N+1} H_mk s_k (proof in banded_recurrence), its
+    members in blocks n-1 .. n+1, and since the fold of a polynomial is
+    unique, the raw blocks satisfy
+    y R_n = A_n R_{n+1} + B_n R_n + C_n R_{n-1} with constant A_n, B_n,
+    C_n. With P_n = L_n^{-1} R_n monic of degree n, comparing the
+    coefficients of y^{n+1} forces the coefficient of P_{n+1} to be I, and
+    those of y^n and y^{n-1} then give D_n and C_n, the ones read off: the
+    residual vanishes. Any other R has each residual checked over integer
+    coefficient rows.
     """
     if not R.monic:
         raise IdentityViolated("block recurrence extraction expects monic blocks")
     if len(R) < 2:
         raise InsufficientSequence("need at least two blocks for a recurrence step")
     blocks = [R.int_block(n) for n in range(len(R))]
-    steps = list(three_term_steps(blocks, "block recurrence"))
+    proven = vars(R).get("_folded", False) and _shift_proven(R.scalars, R.c, R.N)
+    steps = list(three_term_steps(blocks, "block recurrence", proven))
     diag = tuple(D for _, D, _ in steps)
     sub = tuple(C for _, _, C in steps[1:])
     return BlockTTRRCoeffs(BlockTridiagonal(diag, sub, (Matrix.identity(R.block_size),) * len(sub)))

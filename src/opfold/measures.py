@@ -10,9 +10,10 @@ only the rows where some v_a[i] is nonzero, at c = 0 the first r. It is built
 on first use, cached on the form as integer rows over one common
 denominator, and every inner product, Gram slice and table downstream is
 an exact integer matrix product against it. The shift (x-c)^m lives here
-too: its integer row (shift_row) and the check on the Gram that it is
-self-adjoint for the form (symmetry_check). Nothing here touches
-quadrature or floating point.
+too: its integer row (shift_row), the check on the Gram that it is
+self-adjoint for the form (symmetry_check), and the check on two Grams
+that one form is the other's Christoffel transform under it
+(christoffel_check). Nothing here touches quadrature or floating point.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ __all__ = [
     "measure_form",
     "gram_matrix",
     "symmetry_check",
+    "christoffel_check",
 ]
 
 
@@ -180,8 +182,10 @@ class BilinearForm:
         """(rows, den) with B(x^i, x^j) = rows[i][j] / den for i, j <= n.
 
         The rows are the cached ones and may extend past n; callers index,
-        they do not copy or mutate.
+        they do not copy or mutate. A negative n raises ValueError.
         """
+        if n < 0:
+            raise ValueError("degree must be >= 0")
         if n > self.max_degree:
             raise InsufficientMoments(2 * n, 2 * self.max_degree)
         if self._gram is None or len(self._gram[0]) <= n:
@@ -257,7 +261,7 @@ def sobolev_form(spec: SobolevSpec) -> BilinearForm:
 
 def gram_matrix(form: BilinearForm, n: int) -> Matrix:
     """Moment-basis Gram: (n+1)x(n+1) matrix of form(x^i, x^j), sliced
-    from the form's cached Gram."""
+    from the form's cached Gram; a negative n raises ValueError."""
     rows, den = form.gram(n)
     return Matrix(tuple(Fraction(v, den) for v in r[: n + 1]) for r in rows[: n + 1])
 
@@ -297,4 +301,36 @@ def symmetry_check(form: BilinearForm, N: int, degree: int, c=0) -> SymmetryRepo
             lhs = Fraction(sum(k[t] * G[a + t][b] for t in ts), den * kden)
             rhs = Fraction(sum(k[t] * G[a][b + t] for t in ts), den * kden)
             return SymmetryReport(False, (a, b), lhs, rhs)
+    return SymmetryReport(True, None)
+
+
+def christoffel_check(
+    form_from: BilinearForm, form_to: BilinearForm, c, m: int, rows: int, cols: int
+) -> SymmetryReport:
+    """Test the Christoffel relation B_to(f, g) = B_from(f, K g) for
+    K = (x-c)^m on monomials: B_to(x^i, x^j) = B_from(x^i, K x^j) for
+    i <= rows and j <= cols, that is
+    G_to[i][j] den_from kden == sum_t k_t G_from[i][j+t] den_to on the
+    integer Grams, k = shift_row(c, m) over kden. One pass per row i over
+    its first cols + 1 entries, a slice comparison when both sides are
+    one term with one scale; the first failing pair in row-major order is
+    returned with both sides. The Grams must reach degrees max(rows, cols)
+    and max(rows, cols + m), else InsufficientMoments is raised before the
+    scan; a negative m raises ValueError.
+    """
+    k, kden = shift_row(c, m)
+    T, tden = form_to.gram(max(rows, cols, 0))
+    F, fden = form_from.gram(max(rows, cols + m, 0))
+    ts = [(t, v * tden) for t, v in enumerate(k) if v]
+    scale, width = fden * kden, cols + 1
+    for i in range(rows + 1):
+        if len(ts) == 1 and ts[0][1] == scale and T[i][:width] == F[i][ts[0][0] : ts[0][0] + width]:
+            continue
+        lhs = [v * scale for v in T[i][:width]]
+        rhs = [0] * width
+        for t, v in ts:
+            rhs = list(map(add, rhs, map(mul, repeat(v), F[i][t : t + width])))
+        j = next((j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+        if j is not None:
+            return SymmetryReport(False, (i, j), Fraction(T[i][j], tden), Fraction(rhs[j], tden * scale))
     return SymmetryReport(True, None)

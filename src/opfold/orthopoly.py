@@ -15,12 +15,18 @@ which it certifies by the same integer check the first time a table
 needs them orthogonal. The recurrence table H, for f_n = (x-c)^{N+1} s_n,
 and the connection T, for f_n = s_n, are one table B(f_n, p_k) on a band,
 built by one kernel (_band_rows): each entry an integer dot product with
-a few rows of G p_k, and each row checked as the expansion it claims,
-which makes the entries off the band vanish; a row that fails is read
-whole, that row only, to name its first nonzero entry off the band.
-Every polynomial identity is checked over integer coefficient rows
-(recurrence_holds); three_term_steps extracts monic three-term
-recurrences, scalar (jacobi_matrix) and block (matfold.matrix_ttrr).
+a few rows of G p_k. Each row is the expansion it claims, which makes the
+entries off the band vanish, and three_term_steps extracts monic
+three-term recurrences, scalar (jacobi_matrix) and block
+(matfold.matrix_ttrr). Each of these identities is proved by a Gram
+certificate when its sequences came from monic_sequence on a symmetric
+Gram (proofs in the table docstrings): H and both three-term tables by
+the shift symmetry measures.symmetry_check, which monic_sequence records
+for its own shift and any other shift is checked for once (_shift_proven),
+and T by the Christoffel relation measures.christoffel_check. Any other
+input has each row checked over integer coefficient rows
+(recurrence_holds); a band row that fails is read whole, that row only,
+to name its first nonzero entry off the band.
 Square roots never appear: orthonormal data is exposed as squared
 rationals plus signs, and every operator identity has a monic-conjugated
 form that stays in Fraction arithmetic.
@@ -46,7 +52,7 @@ from .errors import (
     SymmetryViolated,
 )
 from .linalg import Matrix, clear_denominators
-from .measures import BilinearForm, shift_row, symmetry_check
+from .measures import BilinearForm, christoffel_check, shift_row, symmetry_check
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -192,6 +198,10 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
     nonpositive pivot raises NotPositiveDefinite(k, d); without it, only a
     zero pivot (loss of quasi-definiteness) raises SingularMatrix. A
     negative n_max raises ValueError.
+
+    When the Gram is symmetric (M None or symmetric), the sequence records
+    the symmetry check's verdict for (c, r-1) in a private _verdicts, which
+    the tables read as a certificate (_shift_proven).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -236,7 +246,24 @@ def monic_sequence(form: BilinearForm, n_max: int, require_positive: bool = True
         norms.append(d)
     seq = object.__new__(MonicSequence)  # polys is left to the view
     vars(seq).update(norms_sq=tuple(norms), form=form, int_rows=tuple(map(tuple, S)), _certified=True)
+    if form.M is None or form.M == form.M.transpose():
+        vars(seq)["_verdicts"] = {(c, r - 1): symmetric}
     return seq
+
+
+def _shift_proven(seq: MonicSequence, c, N: int) -> bool:
+    """Whether seq came from monic_sequence on a symmetric Gram, so its
+    members are orthogonal on both sides and its norms are theirs, and
+    multiplication by (x-c)^{N+1} is self-adjoint for its form on degree
+    len(seq) - N - 2 (measures.symmetry_check). monic_sequence recorded
+    the verdict for its own shift; any other is checked once and recorded.
+    A sequence built by hand is never proved."""
+    verdicts = vars(seq).get("_verdicts")
+    if verdicts is None:
+        return False
+    if (c, N) not in verdicts:
+        verdicts[c, N] = symmetry_check(seq.form, N, len(seq) - N - 2, c).ok
+    return verdicts[c, N]
 
 
 def int_block(mat: Matrix):
@@ -298,7 +325,7 @@ def recurrence_holds(cur, nxt, terms, mult=(0, 1)) -> bool:
     return True
 
 
-def three_term_steps(blocks: Sequence, label: str):
+def three_term_steps(blocks: Sequence, label: str, proven: bool = False):
     """Yield (n, D_n, C_n) of z P_n = P_{n+1} + D_n P_n + C_n P_{n-1} for
     n = 0 .. len(blocks) - 2, with C_0 None.
 
@@ -306,10 +333,10 @@ def three_term_steps(blocks: Sequence, label: str):
     each as (rows, den) from int_block; a scalar sequence is the 1x1 case.
     Blocks multiply on the left. D_n and C_n are read in integers from
     the coefficients of z P_n - P_{n+1} at z^n and z^{n-1} (the latter
-    after removing D_n P_n). The residual must then vanish as an exact
-    polynomial identity over the integer coefficient rows
-    (recurrence_holds) before step n is yielded; otherwise
-    IdentityViolated names the label and n.
+    after removing D_n P_n). Unless the caller has proven the recurrence,
+    the residual must then vanish as an exact polynomial identity over
+    the integer coefficient rows (recurrence_holds) before step n is
+    yielded; otherwise IdentityViolated names the label and n.
     """
 
     def coeff(n: int, t: int) -> list:
@@ -332,7 +359,7 @@ def three_term_steps(blocks: Sequence, label: str):
             ]
             C = Matrix([[Fraction(v, a * a * b) for v in row] for row in c])
             terms.append((C.rows, blocks[n - 1]))
-        if not recurrence_holds(blocks[n], blocks[n + 1], terms):
+        if not (proven or recurrence_holds(blocks[n], blocks[n + 1], terms)):
             raise IdentityViolated(f"{label} residual nonzero at n={n}")
         yield n, D, C
 
@@ -356,15 +383,28 @@ def jacobi_matrix(seq: MonicSequence) -> JacobiMatrix:
     """Extract the monic TTRR exactly, with two independent consistency checks.
 
     The sequence is its own 1x1 fold, so the extraction is three_term_steps
-    on 1x1 blocks: the residual must vanish over integer coefficient rows,
-    and the product coefficient must equal the norm ratio
-    lam_n = ||s_n||^2 / ||s_{n-1}||^2.
+    on 1x1 blocks: the residual must vanish, and the product coefficient
+    must equal the norm ratio lam_n = ||s_n||^2 / ||s_{n-1}||^2.
+
+    The residual R_n = x s_n - s_{n+1} - b_n s_n - lam_n s_{n-1} is proven
+    zero, not checked, when multiplication by x is self-adjoint for the
+    form on degree <= len - 2 (_shift_proven with c = 0, N = 0). The reads
+    of b_n and lam_n leave R_n of degree <= n - 2, and for i <= n - 2
+
+        B(x^i, R_n) = B(x^i, x s_n) = B(x^{i+1}, s_n) = 0,
+
+    the members dropping since s_j is orthogonal to every polynomial of
+    degree below j, and the last step since i + 1 < n. So the Gram's
+    leading (n-1)x(n-1) block, whose LDL^T pivots are the nonzero norms,
+    maps the coefficients of R_n to zero: R_n = 0. Otherwise each residual
+    is checked over integer coefficient rows.
     """
     if len(seq) < 2:
         raise InsufficientSequence("need at least two polynomials")
     b: list[Fraction] = []
     lam: list[Fraction] = []
-    for n, D, C in three_term_steps([([[r]], r[-1]) for r in seq.int_rows], "three-term"):
+    blocks = [([[r]], r[-1]) for r in seq.int_rows]
+    for n, D, C in three_term_steps(blocks, "three-term", _shift_proven(seq, 0, 0)):
         b.append(D[0, 0])
         if C is not None:
             if C[0, 0] != seq.norm_sq(n) / seq.norm_sq(n - 1):
@@ -418,7 +458,7 @@ def _first_below(G, ks, rows, lo: int):
     return None
 
 
-def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation):
+def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation, proven: bool):
     """(raw, monic), row by row over the band: raw[n][k] = B(f_n, p_k) and
     monic[n][k] = raw[n][k] / d_k for n-lower <= k <= n+upper, B and the
     p_k the form and members of seq_to, rows[n] = (f, den) the integer
@@ -426,9 +466,10 @@ def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation):
 
     Entry (n, k) is f from column k dotted with G p_k, formed once on rows
     k .. k+lower+upper (G p_k vanishes above row k). Row n is checked
-    before row n+1 is read: f_n = sum_k monic[n][k] p_k over integer rows
-    (recurrence_holds) where the truncation fits, n < len(rows) - upper,
-    and f^T G vanishes below the band on the last upper rows. With
+    before row n+1 is read: where the truncation fits, n < len(rows) -
+    upper, f_n = sum_k monic[n][k] p_k over integer rows (recurrence_holds)
+    unless the caller has proven it, and on the last upper rows f^T G
+    vanishes below the band. With
     violation = (error, below, expansion), a failed row's first nonzero
     entry below the band raises error(below) formatted with n, k, raw,
     monic and lower; without one, IdentityViolated(expansion) with n.
@@ -456,7 +497,7 @@ def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation):
         monic = [e / seq_to.norm_sq(k) for e, k in zip(raw, band)]
         terms = [([[e]], ([[P[k]]], P[k][-1])) for e, k in zip(monic, band)]
         fits = n < size - upper
-        if not fits or not recurrence_holds(([[f]], den), _ZERO_BLOCK, terms, (1,)):
+        if not fits or not (proven or recurrence_holds(([[f]], den), _ZERO_BLOCK, terms, (1,))):
             # f^T G p_k = 0 for all k < n-lower if and only if f^T G x^j = 0
             # for all j < n-lower, the p_k being triangular
             hit = _first_below(G, f, P, n - lower)
@@ -477,6 +518,18 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     each f_n formed once in integers. A row whose entry below the band is
     nonzero raises SymmetryViolated; one whose expansion fails without
     such an entry raises IdentityViolated. A negative N raises ValueError.
+
+    The expansion of the rows that fit, n <= len - N - 2, is proven, not
+    checked, when K = (x-c)^{N+1} is self-adjoint for the form on degree
+    len - N - 2 (_shift_proven; monic_sequence's own verdict when c and N
+    are its own). With d_k = B(s_k, s_k) nonzero and the members
+    orthogonal on both sides, f_n = K s_n = sum_k B(f_n, s_k)/d_k s_k over
+    k <= n + N + 1, and for k < n - N - 1
+
+        B(K s_n, s_k) = B(s_n, K s_k) = 0,
+
+    since deg(K s_k) = k + N + 1 < n. So f_n is its band expansion. The
+    last N+1 rows keep their Gram test below the band.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -489,7 +542,7 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
         "entry ({n},{k}) = {raw} outside band {lower}; "
         "multiplication by the shift is not symmetric for this form",
         "banded expansion failed at row {n}",
-    ))
+    ), _shift_proven(seq, c, N))
     raw = BandedOperator.from_fn(len(seq), w, w, lambda n, k: raw_rows[n][k - max(0, n - w)])
     monic = BandedOperator.from_fn(len(seq), w, w, lambda n, k: monic_rows[n][k - max(0, n - w)])
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
@@ -532,14 +585,34 @@ def connection_matrix(
     IdentityViolated; a row whose entry below the band is nonzero raises
     BandViolation, and one whose expansion fails without such an entry
     IdentityViolated. A negative N raises ValueError.
+
+    The expansions are proven, not checked, when both sequences came from
+    monic_sequence on symmetric Grams and the forms satisfy the Christoffel
+    relation B_to(f, g) = B_from(f, K g), K = (x-c)^{N+1} with c the
+    centre of seq_from's form, on the monomials the table reads:
+    x^i against x^j for i < size and j < size - N - 2
+    (measures.christoffel_check). Then for k < n - N - 1
+
+        B_to(s_n, p_k) = B_from(s_n, K p_k) = 0,
+
+    since deg(K p_k) = k + N + 1 < n, and the p_k being orthogonal on both
+    sides with nonzero norms, s_n is its band expansion. A Sobolev source
+    at the Christoffel point satisfies the relation, every derivative of
+    order <= N of K g vanishing at c; a plain-measure source, whose form
+    has centre 0, satisfies it only at c = 0, and has its rows checked
+    otherwise.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     rows = [(s, s[-1]) for s in seq_from.int_rows[: len(seq_to)]]
+    size = len(rows)
+    proven = all("_verdicts" in vars(s) for s in (seq_from, seq_to)) and christoffel_check(
+        seq_from.form, seq_to.form, seq_from.form.c, N + 1, size - 1, size - N - 3
+    ).ok
     _, T_rows = _band_rows(rows, seq_to, N + 1, 0, (
         BandViolation,
         "connection entry ({n},{k}) = {monic} below band {lower}",
         "basis expansion disagrees with inner products at row {n}",
-    ))
+    ), proven)
     T = BandedOperator.from_fn(len(rows), N + 1, 0, lambda n, j: T_rows[n][j - max(0, n - N - 1)])
     return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)

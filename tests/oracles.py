@@ -35,7 +35,8 @@ evaluated discovery's integer equations; section_min_order, which
 takes one nullspace per order for the sections of min_order_check, as
 the library did before it read them off one RREF basis;
 all_rows_nullspace, exact_nullspace with every prime eliminating all
-rows, as it did before it certified from the rows that reach full rank;
+rows through mod_nullspace, as it did before it certified from the rows
+that reach full rank;
 and scan_eigen_rows, which scans every (k, l, d) for each power, as
 _eigen_rows did before it made one pass over the nonzero coefficients.
 """
@@ -69,7 +70,8 @@ from opfold.bispec import EigenReport
 from opfold.linalg import (
     Matrix,
     _int_rows,
-    _mod_nullspace,
+    _mod_reduce,
+    _mod_rref,
     _primes,
     _reconstruct_basis,
     clear_denominators,
@@ -404,6 +406,18 @@ def dense_mod_nullspace(int_rows, ncols: int, p: int):
     return tuple(sorted(piv_cols)), free, basis
 
 
+def mod_nullspace(int_rows, ncols: int, p: int):
+    """RREF nullspace over GF(p) of all rows: (pivot_cols, free_cols,
+    basis), from the library's sparse kernels (_mod_reduce on every row,
+    then _mod_rref). The RREF mod p is canonical: the result does not
+    depend on row order."""
+    tails: dict[int, list[tuple[int, int]]] = {}
+    for raw in int_rows:
+        _mod_reduce(tails, raw, ncols, p)
+    piv, free, vector = _mod_rref(tails, ncols, p)
+    return piv, free, [vector(f) for f in free]
+
+
 def all_rows_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     """exact_nullspace as it was before it certified from a prefix of the
     rows: every prime, the first one too, eliminates all rows before a
@@ -414,7 +428,7 @@ def all_rows_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
         return [[Fraction(int(c == f)) for c in range(ncols)] for f in range(ncols)]
     key = residues = modulus = limit = None
     for p in _primes():
-        piv, free, basis = _mod_nullspace(rows, ncols, p)
+        piv, free, basis = mod_nullspace(rows, ncols, p)
         structure = (len(free), piv)
         if key is None or structure < key:
             key, residues, modulus = structure, basis, p
@@ -500,6 +514,27 @@ def pairwise_symmetry_check(form, N: int, degree: int, c):
             lhs, rhs = pair(K * xa, xb), pair(xa, K * xb)
             if lhs != rhs:
                 return False, (a, b), lhs, rhs
+    return True, None, None, None
+
+
+def pairwise_christoffel_check(form_from, form_to, c, m: int, rows: int, cols: int):
+    """(ok, counterexample, lhs, rhs) of the Christoffel scan, pair by
+    pair: B_to(x^i, x^j) against B_from(x^i, K x^j), K = (x-c)^m, for
+    i <= rows and j <= cols. The moment budgets, max(rows, cols) under
+    form_to and then max(rows, cols + m) under form_from, are checked
+    first."""
+    for form, top in ((form_to, max(rows, cols, 0)), (form_from, max(rows, cols + m, 0))):
+        if top > form.max_degree:
+            raise InsufficientMoments(2 * top, 2 * form.max_degree)
+    pair_to, pair_from = pairwise_form(form_to), pairwise_form(form_from)
+    K = Poly((-as_fraction(c), Fraction(1))) ** m
+    for i in range(rows + 1):
+        xi = Poly.monomial(i)
+        for j in range(cols + 1):
+            xj = Poly.monomial(j)
+            lhs, rhs = pair_to(xi, xj), pair_from(xi, K * xj)
+            if lhs != rhs:
+                return False, (i, j), lhs, rhs
     return True, None, None, None
 
 

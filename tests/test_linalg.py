@@ -18,7 +18,7 @@ from opfold import (
     solve_linear,
 )
 from opfold import linalg
-from opfold.linalg import _mod_nullspace, _primes, exact_nullspace, ldlt
+from opfold.linalg import _primes, exact_nullspace, ldlt
 
 import oracles
 
@@ -178,15 +178,15 @@ KERNEL_PRIMES = (next(_primes()), 7, 101)
 @settings(max_examples=150, deadline=None)
 def test_sparse_mod_nullspace_matches_the_dense_oracle(system, p):
     rows, ncols = system
-    assert _mod_nullspace(rows, ncols, p) == oracles.dense_mod_nullspace(rows, ncols, p)
+    assert oracles.mod_nullspace(rows, ncols, p) == oracles.dense_mod_nullspace(rows, ncols, p)
 
 
 def test_sparse_mod_nullspace_with_a_zero_pivot_mod_p():
     # mod 7 the first column vanishes in row 0 and the rows become dependent
     rows = [[7, 1, 2], [14, 2, 4], [1, 0, 0]]
     for p in KERNEL_PRIMES:
-        assert _mod_nullspace(rows, 3, p) == oracles.dense_mod_nullspace(rows, 3, p)
-    assert _mod_nullspace(rows, 3, 7)[:2] == ((0, 1), [2])
+        assert oracles.mod_nullspace(rows, 3, p) == oracles.dense_mod_nullspace(rows, 3, p)
+    assert oracles.mod_nullspace(rows, 3, 7)[:2] == ((0, 1), [2])
 
 
 @st.composite
@@ -223,21 +223,30 @@ def test_exact_nullspace_matches_the_all_rows_route(system):
 
 def test_a_prefix_candidate_that_a_later_row_refutes_is_not_returned(monkeypatch):
     # row 1 repeats row 0, so the rows so far are tried; their vector
-    # (1, 1, 0) solves both of them but not row 2, which raises the rank
+    # (1, 1, 0) solves both of them but not row 2, which raises the rank:
+    # the attempt is dropped mod p against row 2 before any
+    # reconstruction, and the one reconstruction is of all three rows
     rows = [[1, -1, 0], [2, -2, 0], [0, 1, -1]]
-    tried = []
-    reconstruct = linalg._reconstruct_basis
+    tried, prefixes = [], []
+    reconstruct, rref = linalg._reconstruct_basis, linalg._mod_rref
 
     def spy(residues, modulus, int_rows):
         residues = list(residues)
         tried.append(residues)
         return reconstruct(residues, modulus, int_rows)
 
+    def spy_rref(tails, ncols, p):
+        piv, free, vector = rref(tails, ncols, p)
+        prefixes.append([vector(f) for f in free])
+        return piv, free, vector
+
     monkeypatch.setattr(linalg, "_reconstruct_basis", spy)
+    monkeypatch.setattr(linalg, "_mod_rref", spy_rref)
     assert exact_nullspace(rows, 3) == [[1, 1, 1]] == oracles.all_rows_nullspace(rows, 3)
-    first = tried[0][0]
+    first = prefixes[0][0]
     assert first == [1, 1, 0]
     assert [sum(a * x for a, x in zip(r, first)) for r in rows] == [0, 0, 1]
+    assert tried == [[[1, 1, 1]]]
 
 
 def test_ldlt_pivot_policies():
