@@ -408,7 +408,7 @@ def _task_orthopoly(ctx: _Context) -> tuple[str, dict]:
     return "PASS", {
         "count": count,
         "norms_sq": [rat_str(seq.norm_sq(n)) for n in range(count)],
-        "polys": [_poly_json(seq.poly(n)) for n in range(count)],
+        "polys": [[rat_str(Fraction(a, r[-1])) for a in r] for r in seq.int_rows[:count]],
         "positive": seq.is_positive,
     }
 

@@ -66,7 +66,8 @@ def band_symmetric_factorize(
     Factoring a leading principal submatrix gives the leading principal
     part of the semi-infinite factorization, so every returned row is
     trusted. With require_positive a nonpositive pivot raises
-    NotPositiveDefinite; otherwise only a zero pivot is fatal.
+    NotPositiveDefinite; otherwise only a zero pivot is fatal. A negative
+    bandwidth raises ValueError (from ldlt).
     """
     if not H_raw.is_symmetric:
         raise IdentityViolated("factorization input is not symmetric")

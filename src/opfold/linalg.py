@@ -233,9 +233,13 @@ def ldlt(g: Matrix, bandwidth: Optional[int] = None, pivots: str = "nonzero"):
     - "psd": a negative pivot, or a zero pivot whose remaining column is
       not all zero, raises NotPositiveDefinite; a zero pivot over a zero
       column is skipped, so the call decides positive semidefiniteness.
+
+    A negative bandwidth raises ValueError.
     """
     if pivots not in _PIVOT_POLICIES:
         raise ValueError(f"pivot policy must be one of {_PIVOT_POLICIES}")
+    if bandwidth is not None and bandwidth < 0:
+        raise ValueError("bandwidth must be >= 0")
     n = g.nrows
     w = n if bandwidth is None else bandwidth
     a = g.rows

@@ -68,7 +68,10 @@ class FoldDecomposition:
 
 
 def fold_decompose(s: Poly, N: int, c=0) -> FoldDecomposition:
-    """Split the Taylor coefficients of s at c by exponent residue mod N+1."""
+    """Split the Taylor coefficients of s at c by exponent residue mod N+1;
+    a negative N raises ValueError."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
     c = as_fraction(c)
     taylor = s.shift(c).coeffs
     return FoldDecomposition(tuple(Poly(taylor[r :: N + 1]) for r in range(N + 1)), c)

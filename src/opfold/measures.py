@@ -10,14 +10,14 @@ only the rows where some v_a[i] is nonzero, at c = 0 the first r. It is built
 on first use, cached on the form as integer rows over one common
 denominator, and every inner product, Gram slice and table downstream is
 an exact integer matrix product against it. The shift (x-c)^m lives here
-too: its integer row (shift_row), the check on the Gram that it is
-self-adjoint for the form (symmetry_check), and the check on two Grams
-that one form is the other's Christoffel transform under it
-(christoffel_check). Nothing here touches quadrature or floating point.
+too: its integer row (shift_row), the Christoffel transform of a moment
+sequence under it (christoffel_shift, which records what it shifted by),
+and the check on the Gram that it is self-adjoint for the form
+(symmetry_check). Nothing here touches quadrature or floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, gcd, lcm, perm
@@ -42,16 +42,19 @@ __all__ = [
     "measure_form",
     "gram_matrix",
     "symmetry_check",
-    "christoffel_check",
 ]
 
 
 @dataclass(frozen=True)
 class MomentFunctional:
-    """Linear functional on polynomials given by its moment table m_0, m_1, ..."""
+    """Linear functional on polynomials given by its moment table m_0, m_1, ...
+
+    _shift is the (mu, c, m) that christoffel_shift built it from as
+    (x - c)^m dmu, else None; no constructor argument sets it."""
 
     moments: tuple[Fraction, ...]
     label: str = "moments"
+    _shift: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moments", tuple(as_fraction(m) for m in self.moments))
@@ -109,7 +112,7 @@ def shift_row(c, m: int) -> tuple[list[int], int]:
 def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
     """Moments of (x - c)^power dmu via exact binomial expansion: an
     integer dot product of the shift's row (shift_row) with the moments
-    over one denominator."""
+    over one denominator. The result records (mu, c, power) in _shift."""
     if power < 1:
         raise ValueError("power must be >= 1")
     c = as_fraction(c)
@@ -121,7 +124,9 @@ def christoffel_shift(mu: MomentFunctional, c, power: int) -> MomentFunctional:
         Fraction(sum(map(mul, weights, ints[k : k + power + 1])), den * wden)
         for k in range(mu.count - power)
     )
-    return MomentFunctional(vals, label=f"({mu.label})*(x-{c})^{power}")
+    out = MomentFunctional(vals, label=f"({mu.label})*(x-{c})^{power}")
+    object.__setattr__(out, "_shift", (mu, c, power))
+    return out
 
 
 def mass_matrix(rows, N: int) -> Matrix:
@@ -303,34 +308,3 @@ def symmetry_check(form: BilinearForm, N: int, degree: int, c=0) -> SymmetryRepo
             return SymmetryReport(False, (a, b), lhs, rhs)
     return SymmetryReport(True, None)
 
-
-def christoffel_check(
-    form_from: BilinearForm, form_to: BilinearForm, c, m: int, rows: int, cols: int
-) -> SymmetryReport:
-    """Test the Christoffel relation B_to(f, g) = B_from(f, K g) for
-    K = (x-c)^m on monomials: B_to(x^i, x^j) = B_from(x^i, K x^j) for
-    i <= rows and j <= cols, that is
-    G_to[i][j] den_from kden == sum_t k_t G_from[i][j+t] den_to on the
-    integer Grams, k = shift_row(c, m) over kden. One pass per row i over
-    its first cols + 1 entries, a slice comparison when both sides are
-    one term with one scale; the first failing pair in row-major order is
-    returned with both sides. The Grams must reach degrees max(rows, cols)
-    and max(rows, cols + m), else InsufficientMoments is raised before the
-    scan; a negative m raises ValueError.
-    """
-    k, kden = shift_row(c, m)
-    T, tden = form_to.gram(max(rows, cols, 0))
-    F, fden = form_from.gram(max(rows, cols + m, 0))
-    ts = [(t, v * tden) for t, v in enumerate(k) if v]
-    scale, width = fden * kden, cols + 1
-    for i in range(rows + 1):
-        if len(ts) == 1 and ts[0][1] == scale and T[i][:width] == F[i][ts[0][0] : ts[0][0] + width]:
-            continue
-        lhs = [v * scale for v in T[i][:width]]
-        rhs = [0] * width
-        for t, v in ts:
-            rhs = list(map(add, rhs, map(mul, repeat(v), F[i][t : t + width])))
-        j = next((j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
-        if j is not None:
-            return SymmetryReport(False, (i, j), Fraction(T[i][j], tden), Fraction(rhs[j], tden * scale))
-    return SymmetryReport(True, None)

@@ -23,10 +23,10 @@ certificate when its sequences came from monic_sequence on a symmetric
 Gram (proofs in the table docstrings): H and both three-term tables by
 the shift symmetry measures.symmetry_check, which monic_sequence records
 for its own shift and any other shift is checked for once (_shift_proven),
-and T by the Christoffel relation measures.christoffel_check. Any other
-input has each row checked over integer coefficient rows
-(recurrence_holds); a band row that fails is read whole, that row only,
-to name its first nonzero entry off the band.
+and T by the Christoffel shift that built its target's moments
+(_christoffel_proven). Any other input has each row checked over integer
+coefficient rows (recurrence_holds); a band row that fails is read whole,
+that row only, to name its first nonzero entry off the band.
 Square roots never appear: orthonormal data is exposed as squared
 rationals plus signs, and every operator identity has a monic-conjugated
 form that stays in Fraction arithmetic.
@@ -52,7 +52,7 @@ from .errors import (
     SymmetryViolated,
 )
 from .linalg import Matrix, clear_denominators
-from .measures import BilinearForm, christoffel_check, shift_row, symmetry_check
+from .measures import BilinearForm, shift_row, symmetry_check
 from .poly import Poly
 from .rationals import SignedSquare, as_fraction
 
@@ -548,6 +548,16 @@ def banded_recurrence(seq: MonicSequence, c, N: int) -> BandedRecurrence:
     return BandedRecurrence(raw, monic, seq.norms_sq, c, N)
 
 
+def _christoffel_proven(seq_from: MonicSequence, seq_to: MonicSequence, N: int) -> bool:
+    """Whether connection_matrix's proof holds for these sequences."""
+    src, dst = seq_from.form, seq_to.form
+    if not (type(src) is type(dst) is BilinearForm and dst.mu._shift and (dst.M is None or dst.M.is_zero)):
+        return False
+    mu, c, m = dst.mu._shift
+    mass_ok = src.M is None or src.M.is_zero or src.c == c and src.M.nrows <= N + 1
+    return m == N + 1 and mu == src.mu and mass_ok and all("_verdicts" in vars(s) for s in (seq_from, seq_to))
+
+
 @dataclass(frozen=True)
 class ConnectionMatrix:
     """Banded change of basis: s_n = sum_j T_monic[n][j] p_j.
@@ -586,33 +596,34 @@ def connection_matrix(
     BandViolation, and one whose expansion fails without such an entry
     IdentityViolated. A negative N raises ValueError.
 
-    The expansions are proven, not checked, when both sequences came from
-    monic_sequence on symmetric Grams and the forms satisfy the Christoffel
-    relation B_to(f, g) = B_from(f, K g), K = (x-c)^{N+1} with c the
-    centre of seq_from's form, on the monomials the table reads:
-    x^i against x^j for i < size and j < size - N - 2
-    (measures.christoffel_check). Then for k < n - N - 1
+    The expansions are proven, not checked, when seq_to's form is the
+    Christoffel transform of seq_from's by construction (_christoffel_proven):
+    both sequences came from monic_sequence on symmetric Grams, both forms
+    are BilinearForm itself (a subclass may override gram), seq_to's form
+    has no point mass and its moments are christoffel_shift(mu, c, N+1) of
+    seq_from's moments mu, and seq_from's form has no point mass or one of
+    at most N+1 rows at c. With K = (x-c)^{N+1} = sum_t k_t x^t, and m_l
+    and m'_l = sum_t k_t m_{l+t} the moments of the two forms,
+
+        B_to(x^i, x^j) = m'_{i+j} = sum_t k_t m_{i+j+t} = B_from(x^i, K x^j),
+
+    the point part of B_from dropping out because every derivative of
+    order <= N of K x^j vanishes at c. So B_to(f, g) = B_from(f, K g), and
+    for k < n - N - 1
 
         B_to(s_n, p_k) = B_from(s_n, K p_k) = 0,
 
-    since deg(K p_k) = k + N + 1 < n, and the p_k being orthogonal on both
-    sides with nonzero norms, s_n is its band expansion. A Sobolev source
-    at the Christoffel point satisfies the relation, every derivative of
-    order <= N of K g vanishing at c; a plain-measure source, whose form
-    has centre 0, satisfies it only at c = 0, and has its rows checked
-    otherwise.
+    since deg(K p_k) = k + N + 1 < n. The p_k being orthogonal on both
+    sides with nonzero norms, s_n is its band expansion. Any other input,
+    hand-typed target moments among them, has its rows checked.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     rows = [(s, s[-1]) for s in seq_from.int_rows[: len(seq_to)]]
-    size = len(rows)
-    proven = all("_verdicts" in vars(s) for s in (seq_from, seq_to)) and christoffel_check(
-        seq_from.form, seq_to.form, seq_from.form.c, N + 1, size - 1, size - N - 3
-    ).ok
     _, T_rows = _band_rows(rows, seq_to, N + 1, 0, (
         BandViolation,
         "connection entry ({n},{k}) = {monic} below band {lower}",
         "basis expansion disagrees with inner products at row {n}",
-    ), proven)
+    ), _christoffel_proven(seq_from, seq_to, N))
     T = BandedOperator.from_fn(len(rows), N + 1, 0, lambda n, j: T_rows[n][j - max(0, n - N - 1)])
     return ConnectionMatrix(T, seq_from.norms_sq, seq_to.norms_sq, N)

@@ -517,27 +517,6 @@ def pairwise_symmetry_check(form, N: int, degree: int, c):
     return True, None, None, None
 
 
-def pairwise_christoffel_check(form_from, form_to, c, m: int, rows: int, cols: int):
-    """(ok, counterexample, lhs, rhs) of the Christoffel scan, pair by
-    pair: B_to(x^i, x^j) against B_from(x^i, K x^j), K = (x-c)^m, for
-    i <= rows and j <= cols. The moment budgets, max(rows, cols) under
-    form_to and then max(rows, cols + m) under form_from, are checked
-    first."""
-    for form, top in ((form_to, max(rows, cols, 0)), (form_from, max(rows, cols + m, 0))):
-        if top > form.max_degree:
-            raise InsufficientMoments(2 * top, 2 * form.max_degree)
-    pair_to, pair_from = pairwise_form(form_to), pairwise_form(form_from)
-    K = Poly((-as_fraction(c), Fraction(1))) ** m
-    for i in range(rows + 1):
-        xi = Poly.monomial(i)
-        for j in range(cols + 1):
-            xj = Poly.monomial(j)
-            lhs, rhs = pair_to(xi, xj), pair_from(xi, K * xj)
-            if lhs != rhs:
-                return False, (i, j), lhs, rhs
-    return True, None, None, None
-
-
 def pairwise_recurrence_raw(seq, c, N: int) -> list[list[Fraction]]:
     """raw[n][k] = B((x-c)^{N+1} s_n, s_k) inside the band, one pairing per
     entry; a nonzero entry outside it raises SymmetryViolated."""

@@ -3,11 +3,11 @@
 banded_recurrence, jacobi_matrix and matrix_ttrr take their identities
 from the shift-symmetry certificate of a monic_sequence output
 (orthopoly._shift_proven), and connection_matrix from the Christoffel
-relation between its two forms (measures.christoffel_check); every other
-input keeps its rows checked over integer coefficient rows by
+shift that built its target's moments (orthopoly._christoffel_proven);
+every other input keeps its rows checked over integer coefficient rows by
 recurrence_holds. Both routes must give the results and exceptions of the
-Poly routes in tests/oracles.py, every failed precondition must reach the
-checks, and christoffel_check must agree with its pairwise oracle.
+Poly routes in tests/oracles.py, and every failed precondition must reach
+the checks.
 """
 
 from fractions import Fraction
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import opfold as op
 import oracles
 from opfold import darboux, orthopoly
+from test_banded_generation import _PerturbedForm
 
 MEASURES = {
     "laguerre0": lambda count: op.laguerre_moments(0, count),
@@ -121,8 +122,8 @@ def test_the_certified_tables_match_the_poly_routes(fam):
         proven(lambda: op.jacobi_matrix(shifted), lambda: oracles.poly_jacobi_matrix(shifted))
         Q = _monic_fold(shifted, N, c)
         proven(lambda: op.matrix_ttrr(Q).monic, lambda: oracles.poly_matrix_ttrr(Q))
-        conn0 = _outcome(lambda: op.connection_matrix(base, shifted, N))
-        assert conn0 == _outcome(lambda: oracles.poly_connection_matrix(base, shifted, N))
+        proven(lambda: op.connection_matrix(base, shifted, N),
+               lambda: oracles.poly_connection_matrix(base, shifted, N))
     # a Sobolev form does not make x self-adjoint: the rows are checked
     assert _outcome(lambda: op.jacobi_matrix(seq)) == _outcome(lambda: oracles.poly_jacobi_matrix(seq))
 
@@ -147,26 +148,54 @@ def test_a_mismatched_c_or_n_takes_the_checked_route(canon, checks):
 
 
 def test_forms_that_fail_the_christoffel_relation_keep_their_row_checks(checks):
-    # the plain measure's form has centre 0, so at c = 1 the relation is
-    # tested about 0 and fails, and its connection is checked row by row;
-    # about the Sobolev form's own centre it holds
-    fam = _family("laguerre0", Fraction(1), 1, 9)
-    base, seq, shifted = fam["base"], fam["seq"], fam["shifted"]
-    size = len(shifted)
-    report = op.christoffel_check(base.form, shifted.form, base.form.c, 2, size - 1, size - 4)
-    assert not report.ok and report.counterexample == (0, 0)
-    assert op.christoffel_check(seq.form, shifted.form, seq.form.c, 2, size - 1, size - 4).ok
-    new = _outcome(lambda: op.connection_matrix(base, shifted, 1))
-    assert new[0] == "ok" and new == _outcome(lambda: oracles.poly_connection_matrix(base, shifted, 1))
-    assert len(checks) == size
-    # a target from another Christoffel point fails the relation too, and
-    # the rows name the same entry below the band as the Poly route
+    # a target from another Christoffel point fails the relation for the
+    # Sobolev form centred at 1, and the rows name the same entry below the
+    # band as the Poly route
+    seq = _family("laguerre0", Fraction(1), 1, 9)["seq"]
     other = _family("laguerre0", Fraction(0), 1, 9)["shifted"]
-    assert not op.christoffel_check(seq.form, other.form, 1, 2, size - 1, size - 4).ok
-    del checks[:]
     new = _outcome(lambda: op.connection_matrix(seq, other, 1))
     assert new == _outcome(lambda: oracles.poly_connection_matrix(seq, other, 1))
     assert new[0] == "BandViolation" and checks
+
+
+def test_each_failed_christoffel_precondition_keeps_the_row_checks(checks):
+    # the worked family at c = 1: the shifted target is proved from both
+    # sources; every input that misses one precondition of the proof has
+    # its rows checked, with the Poly route's outcome, however exact
+    c, N, deg = Fraction(1), 1, 9
+    fam = _family("laguerre0", c, N, deg)
+    base, seq, shifted = fam["base"], fam["seq"], fam["shifted"]
+    mu = base.form.mu
+    for source in (seq, base):
+        del checks[:]
+        assert _outcome(lambda: op.connection_matrix(source, shifted, N))[0] == "ok" and not checks
+
+    def target(moments):
+        return op.monic_sequence(op.measure_form(moments), deg, require_positive=False)
+
+    heavy = op.sobolev_form(op.SobolevSpec(mu, c, N + 1, _mass(N + 1)))
+    # the subclass moves a Gram entry past the degrees the tables read, so
+    # its Gram is the plain one where read, as the Poly route's pairing is
+    cases = {
+        "hand-typed": (seq, target(op.MomentFunctional(shifted.form.mu.moments, shifted.form.mu.label))),
+        "another point": (seq, target(op.christoffel_shift(mu, c + 1, N + 1))),
+        "another power": (base, target(op.christoffel_shift(mu, c, N + 2))),
+        "another measure": (base, target(op.christoffel_shift(MEASURES["laguerre1"](mu.count), c, N + 1))),
+        "target mass": (base, op.monic_sequence(
+            op.sobolev_form(op.SobolevSpec(shifted.form.mu, c, N, _mass(N))), deg
+        )),
+        "mass of N+2 rows": (op.monic_sequence(heavy, deg), shifted),
+        "subclass": (seq, op.monic_sequence(
+            _PerturbedForm(shifted.form, (deg + 1, deg + 1), 1), deg, require_positive=False
+        )),
+        "hand-built": (seq, op.MonicSequence(shifted.polys, shifted.norms_sq, shifted.form)),
+    }
+    for name, (source, to) in cases.items():
+        assert not orthopoly._christoffel_proven(source, to, N), name
+        del checks[:]
+        new = _outcome(lambda: op.connection_matrix(source, to, N))
+        assert new == _outcome(lambda: oracles.poly_connection_matrix(source, to, N)), name
+        assert checks, name
 
 
 def test_hand_built_sequences_are_checked_however_exact(canon, checks):
@@ -223,7 +252,7 @@ def test_hand_built_folds_are_checked_even_with_their_scalars(canon, checks):
 def test_the_deep_chain_checks_rows_only_where_no_certificate_holds(c, checks):
     # the worked family at degree 40 through every table of the benchmark's
     # deep pass, the folds about c: only w_interlace_check (which runs at
-    # c = 0) and, at c = 1, the plain-measure connection call recurrence_holds
+    # c = 0) calls recurrence_holds
     deg, N = 40, 1
     mu = op.laguerre_moments(0, 2 * (deg + N + 2) + 2)
     seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, N, _mass(N))), deg)
@@ -237,46 +266,13 @@ def test_the_deep_chain_checks_rows_only_where_no_certificate_holds(c, checks):
     P, Q = _monic_fold(seq, N, c), _monic_fold(shifted, N, c)
     blockJ = op.matrix_ttrr(P).monic
     op.matrix_ttrr(Q)
-    assert not checks
     op.connection_matrix(base, shifted, N)
-    assert checks == (["opfold.orthopoly"] * len(seq) if c else [])
+    assert not checks
     if not c:
         lu = op.block_lu(blockJ)
         count = 2 * len(P) - 2
         assert len(op.w_interlace_check(list(P.mats), list(Q.mats), lu.zetas, count)) == count
         assert checks and set(checks) == {"opfold.darboux"}
-
-
-@st.composite
-def christoffel_cases(draw):
-    measure = draw(st.sampled_from(sorted(MEASURES)))
-    N = draw(st.integers(0, 2))
-    c = draw(st.sampled_from(CENTRES))
-    m = draw(st.integers(1, 3))
-    mu = MEASURES[measure](draw(st.integers(4, 16)))
-    sobolev = draw(st.booleans())
-    source = (
-        op.sobolev_form(op.SobolevSpec(mu, c, N, _mass(N))) if sobolev else op.measure_form(mu)
-    )
-    shift_c = draw(st.sampled_from([c, c + Fraction(1, 2)]))
-    count = mu.count - m if mu.count > m else 1
-    target = op.measure_form(op.christoffel_shift(mu, shift_c, m)) if mu.count > m else source
-    check_c = draw(st.sampled_from([c, shift_c, Fraction(0)]))
-    return source, target, check_c, m, draw(st.integers(-1, count)), draw(st.integers(-1, count))
-
-
-@given(christoffel_cases())
-@example((op.measure_form(op.laguerre_moments(0, 12)),
-          op.measure_form(op.christoffel_shift(op.laguerre_moments(0, 12), 1, 2)), Fraction(1), 2, 3, 2))
-@settings(max_examples=80, deadline=None)
-def test_christoffel_check_matches_the_pairwise_scan(case):
-    source, target, c, m, rows, cols = case
-    new = _outcome(lambda: op.christoffel_check(source, target, c, m, rows, cols))
-    old = _outcome(lambda: oracles.pairwise_christoffel_check(source, target, c, m, rows, cols))
-    if new[0] == "ok":
-        rep = new[1]
-        new = "ok", (rep.ok, rep.counterexample, rep.lhs, rep.rhs)
-    assert new == old
 
 
 def test_a_negative_gram_degree_is_refused_and_not_cached():

@@ -333,6 +333,17 @@ def test_explicit_moments_measure(tmp_path, capsys):
     assert rep["tasks"]["orthopoly"]["positive"] is True
 
 
+def test_the_orthopoly_task_leaves_the_member_view_unbuilt(tmp_path):
+    # members 0..n_max are printed from the integer rows: the Poly view
+    # would build every member of the sequence, past n_max too
+    cfg = _write_config(tmp_path / "cfg.json", c="1", tasks=["darboux"])
+    ctx = opfold.cli._Context(RunConfig.from_dict(json.loads(Path(cfg).read_text())))
+    status, payload = opfold.cli._task_orthopoly(ctx)
+    seq = ctx.seq()
+    assert status == "PASS" and "polys" not in vars(seq) and payload["count"] < len(seq)
+    assert payload["polys"] == [opfold.cli._poly_json(seq.poly(n)) for n in range(payload["count"])]
+
+
 def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):
     # the count depends on the resolved tasks: 16 moments cover a scalar
     # run at n_max=3, but "all" folds 8 members and needs 24

@@ -210,3 +210,17 @@ def test_float_cross_checks_keep_their_bits(alpha, cnum, N, deg):
     ]
     got = [(r.float_max_rel, r.worst_entry) for r in reports]
     assert got == [(float.fromhex(h), w) for h, w in _FLOAT_PINS[alpha, cnum, N, deg]]
+
+
+def test_a_negative_band_width_is_refused(canon):
+    with pytest.raises(ValueError, match="bandwidth must be >= 0"):
+        op.band_symmetric_factorize(canon["rec"].raw, -1)
+
+
+def test_a_singular_first_odd_zeta_is_a_singular_pivot_block():
+    # zeta_1 = diag_0 - zeta_0 = diag_0, which cannot divide sub_0
+    one = op.Matrix.identity(2)
+    blockJ = op.BlockTridiagonal((op.Matrix.rational([[1, 0], [0, 0]]), one), (one,), (one,))
+    with pytest.raises(op.SingularPivotBlock) as info:
+        op.block_lu(blockJ)
+    assert info.value.index == 1

@@ -288,3 +288,8 @@ def test_banded_ldlt_matches_dense_on_a_banded_matrix(a):
     assert (L, D) == dense
     lm = Matrix(L)
     assert lm @ Matrix.from_fn(4, 4, lambda i, j: D[i] if i == j else Fraction(0)) @ lm.transpose() == band
+
+
+def test_ldlt_refuses_a_negative_bandwidth():
+    with pytest.raises(ValueError, match="bandwidth must be >= 0"):
+        linalg.ldlt(Matrix.rational([[2, 1], [1, 2]]), -1)

@@ -201,3 +201,8 @@ def test_leading_entries_are_taylor_coefficients_at_the_fold_centre():
     assert op.leading_orthonormal_sq(fold, 2)[1, 0].sq == Fraction(388129, 16984448)
     with pytest.raises(op.DimensionMismatch):
         op.leading_orthonormal_sq(op.monic_normalize(fold).sequence, 2)
+
+
+def test_fold_decompose_refuses_a_negative_n():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        op.fold_decompose(op.Poly.monomial(3), -1)

@@ -101,6 +101,25 @@ def test_shifted_functional_needs_enough_moments():
         op.christoffel_shift(mu, 0, 3)
 
 
+def test_moment_builders_refuse_sizes_out_of_range():
+    for build in (
+        lambda: op.laguerre_moments(-1, 4),
+        lambda: op.laguerre_moments(0, 0),
+        lambda: op.hermite_moments(0),
+        lambda: op.christoffel_shift(op.laguerre_moments(0, 6), 1, 0),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(op.ConfigError, match="derivative order N must be >= 0"):
+        op.SobolevSpec(op.laguerre_moments(0, 6), 0, -1, op.Matrix.rational([[1]]))
+
+
+def test_a_pairing_past_the_moments_raises_insufficient_moments():
+    form = op.measure_form(op.laguerre_moments(0, 7))  # max_degree 3
+    with pytest.raises(op.InsufficientMoments):
+        form(op.Poly.monomial(4), op.Poly.monomial(0))
+
+
 @given(small_poly, small_poly)
 @settings(max_examples=30)
 def test_plain_measure_pairing_matches_oracle(a, b):
