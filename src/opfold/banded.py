@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import BandViolation, DimensionMismatch
+from .errors import BandViolation, DimensionMismatch, InsufficientSequence
 from .linalg import Matrix
 from .rationals import as_fraction
 
@@ -109,7 +109,13 @@ class BlockTridiagonal:
         return self.diag[0].nrows if self.diag else 0
 
     def agree_through(self, other: "BlockTridiagonal", nblocks: int) -> bool:
-        """Exact equality of the leading nblocks-sized triangles of both operators."""
+        """Exact equality of the leading nblocks-sized triangles of both
+        operators; InsufficientSequence unless both have nblocks blocks."""
+        built = min(self.nblocks, other.nblocks)
+        if not 0 <= nblocks <= built:
+            raise InsufficientSequence(
+                f"agreement through {nblocks} blocks requested, only {built} built"
+            )
         if self.block_size != other.block_size:
             return False
         for n in range(nblocks):

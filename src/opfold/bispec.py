@@ -247,15 +247,20 @@ def _solution(basis: list[list[Fraction]], nuk: int, infeasible: str) -> list[Fr
     """The solution of an augmented system [A | -b] from the nullspace
     basis of its nuk+1 columns, scaled to last coordinate 1. Raises
     Infeasible when no basis vector has that coordinate nonzero, and
-    Underdetermined, carrying the basis, when there are several."""
+    Underdetermined when there are several."""
     if all(v[nuk] == 0 for v in basis):
         raise Infeasible(infeasible)
     if len(basis) > 1:
-        exc = Underdetermined(len(basis) - 1)
-        exc.basis = basis
-        raise exc
+        raise Underdetermined(len(basis) - 1)
     (v,) = basis
     return [x / v[nuk] for x in v[:nuk]]
+
+
+def _require_sizes(**sizes: int) -> None:
+    """ValueError naming the first negative size, before any row is built."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 def _discover(
@@ -324,8 +329,10 @@ def discover_operator(
     nullspace vector with nonzero last coordinate is a solution, and the
     vectors with zero last coordinate are homogeneous solutions. Any of
     them raises Underdetermined, so a returned operator is unique at this
-    order and degree bound (hom_dim 0).
+    order and degree bound (hom_dim 0). A negative order, degree_bound
+    or n_fit raises ValueError.
     """
+    _require_sizes(order=order, degree_bound=degree_bound, n_fit=n_fit)
     size = R.block_size
     message = f"no operator of order {order}, degree {degree_bound} fits column {{j}}"
     sols = _discover(R, ladder, [degree_bound] * (order + 1), n_fit, message)
@@ -343,7 +350,9 @@ def min_order_size(R: MatrixPolySequence, max_order: int, degree_bound: int, n_f
     """(rows, unknowns) of min_order_check's system over blocks 0..n_fit,
     zero rows included: row i of block n has degree n, so it gives
     size * (n + degree_bound + 1) equations, one of which eliminates
-    lambda_{n,i}."""
+    lambda_{n,i}. A negative max_order, degree_bound or n_fit raises
+    ValueError."""
+    _require_sizes(max_order=max_order, degree_bound=degree_bound, n_fit=n_fit)
     size = R.block_size
     rows = sum(size * (size * (n + degree_bound + 1) - 1) for n in range(n_fit + 1))
     return rows, (max_order + 1) * size * size * (degree_bound + 1)
@@ -388,6 +397,7 @@ def min_order_check(
     infeasibility certificate needs the fitted window to overdetermine
     the coefficient unknowns; with too few blocks every order looks
     feasible and the reconstruction of an enormous nullspace may fail.
+    A negative size raises ValueError, as in min_order_size.
     """
     size = R.block_size
     _, nuk = min_order_size(R, max_order, degree_bound, n_fit)
@@ -495,8 +505,10 @@ def discover_scalar(
     """Exact scalar operator discovery with triangular degree profile.
 
     Discovery on the sequence's own 1x1 fold, members 0..n_fit, with
-    deg c_k <= k, which keeps the operator degree-preserving.
+    deg c_k <= k, which keeps the operator degree-preserving. A negative
+    order or n_fit raises ValueError.
     """
+    _require_sizes(order=order, n_fit=n_fit)
     fold = build_matrix_sequence(seq, 0)
     message = f"no scalar operator of order {order} fits"
     (sol,) = _discover(fold, lambda m: Matrix([[ladder(m)]]), range(order + 1), n_fit, message)

@@ -261,7 +261,7 @@ def _poly_json(p) -> list:
 
 
 class _DependencyFailed(Exception):
-    """A task needs a shared builder that already failed in this run."""
+    """A task needs a shared artifact whose build already failed in this run."""
 
     def __init__(self, builder: str):
         self.builder = builder
@@ -271,24 +271,24 @@ class _DependencyFailed(Exception):
 class _Context:
     """Shared artifacts across tasks, built lazily but deterministically.
 
-    A builder that raises is not run again: the task that first hit it
-    reports the error, and a later task that needs it (directly or through
-    another builder) raises _DependencyFailed naming the builder whose own
-    code raised.
+    Each artifact is built once, from its _ARTIFACTS entry. A build that
+    raises is not run again: the task that first hit it reports the error,
+    and a later task that needs it (directly or through another artifact)
+    raises _DependencyFailed naming the artifact whose own code raised.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.cache: dict[str, object] = {}
-        # builder -> (the exception its build raised, the builder that raised it)
+        # artifact -> (the exception its build raised, the artifact that raised it)
         self.failed: dict[str, tuple[Exception, str]] = {}
 
-    def get(self, key: str, build: Callable[[], object]):
+    def get(self, key: str):
         if key in self.failed:
             raise _DependencyFailed(self.failed[key][1])
         if key not in self.cache:
             try:
-                self.cache[key] = build()
+                self.cache[key] = _ARTIFACTS[key](self, self.cfg)
             except _DependencyFailed as exc:
                 self.failed[key] = (exc, exc.builder)
                 raise
@@ -298,91 +298,12 @@ class _Context:
                 raise
         return self.cache[key]
 
-    # ----- shared builders -----
-    def moments(self) -> MomentFunctional:
-        cfg = self.cfg
-        count = cfg.moment_count()
-
-        def build():
-            if cfg.measure_type == "laguerre":
-                return laguerre_moments(cfg.alpha, count)
-            if cfg.measure_type == "hermite":
-                return hermite_moments(count)
-            # RunConfig.from_dict has checked that there are enough
-            return MomentFunctional(cfg.moments[:count])
-
-        return self.get("moments", build)
-
-    def form(self):
-        cfg = self.cfg
-        return self.get(
-            "form",
-            lambda: sobolev_form(SobolevSpec(self.moments(), cfg.c, cfg.N, cfg.M)),
-        )
-
-    def seq(self):
-        return self.get(
-            "seq", lambda: monic_sequence(self.form(), self.cfg.scalar_count() - 1)
-        )
-
-    def rec(self):
-        cfg = self.cfg
-        return self.get("rec", lambda: banded_recurrence(self.seq(), cfg.c, cfg.N))
-
-    def shifted_seq(self):
-        cfg = self.cfg
-        return self.get(
-            "shifted",
-            lambda: monic_sequence(
-                measure_form(christoffel_shift(self.moments(), cfg.c, cfg.N + 1)),
-                cfg.scalar_count() - 1,
-                require_positive=False,
-            ),
-        )
-
-    def base_seq(self):
-        """The plain measure's own monic sequence."""
-        return self.get(
-            "base",
-            lambda: monic_sequence(measure_form(self.moments()), self.cfg.scalar_count() - 1),
-        )
-
-    def fold(self):
-        cfg = self.cfg
-        return self.get("fold", lambda: build_matrix_sequence(self.seq(), cfg.N, cfg.c))
-
-    def monic_fold(self):
-        """The monic fold of the sequence."""
-        return self.get("P", lambda: monic_normalize(self.fold()).sequence)
-
-    def block_jacobi(self):
-        """The monic block Jacobi of P."""
-        return self.get("blockJ", lambda: matrix_ttrr(self.monic_fold()).monic)
-
-    def shifted_monic_fold(self):
-        """The monic fold of the shifted sequence."""
-        cfg = self.cfg
-        return self.get(
-            "Q",
-            lambda: monic_normalize(
-                build_matrix_sequence(self.shifted_seq(), cfg.N, cfg.c)
-            ).sequence,
-        )
-
-    def shifted_block_jacobi(self):
-        """The monic block Jacobi of Q."""
-        return self.get("qJ", lambda: matrix_ttrr(self.shifted_monic_fold()).monic)
-
-    def block_lu(self):
-        """The block LU of the monic block Jacobi of P."""
-        return self.get("LU", lambda: block_lu(self.block_jacobi()))
-
 
 # ----- task implementations ---------------------------------------------
 
 
 def _task_moments(ctx: _Context) -> tuple[str, dict]:
-    mom = ctx.moments()
+    mom = ctx.get("moments")
     count = 2 * ctx.cfg.n_max + 2
     return "PASS", {
         "count": count,
@@ -392,7 +313,7 @@ def _task_moments(ctx: _Context) -> tuple[str, dict]:
 
 def _task_gram(ctx: _Context) -> tuple[str, dict]:
     degree = min(ctx.cfg.n_max, 12)
-    g = gram_matrix(ctx.form(), degree)
+    g = gram_matrix(ctx.get("form"), degree)
     sym = g == g.transpose()
     status = "PASS" if sym else "FAIL"
     return status, {
@@ -403,7 +324,7 @@ def _task_gram(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_orthopoly(ctx: _Context) -> tuple[str, dict]:
-    seq = ctx.seq()
+    seq = ctx.get("seq")
     count = min(len(seq), ctx.cfg.n_max + 1)
     return "PASS", {
         "count": count,
@@ -415,7 +336,7 @@ def _task_orthopoly(ctx: _Context) -> tuple[str, dict]:
 
 def _task_recurrence(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    rec = ctx.rec()
+    rec = ctx.get("rec")
     count = max(0, rec.size - (cfg.N + 2))
     rows = []
     for n in range(count):
@@ -433,14 +354,14 @@ def _task_recurrence(ctx: _Context) -> tuple[str, dict]:
 
 def _task_connection(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    rec = ctx.rec()
+    rec = ctx.get("rec")
     fact = band_symmetric_factorize(rec.raw, cfg.N + 1, require_positive=False)
     hrep = verify_h_factorization(rec, fact)
-    shifted = ctx.shifted_seq()
-    conn = connection_matrix(ctx.seq(), shifted, cfg.N)
+    shifted = ctx.get("shifted")
+    conn = connection_matrix(ctx.get("seq"), shifted, cfg.N)
     jac = jacobi_matrix(shifted)
     ulrep = verify_ul_identity(jac, cfg.c, cfg.N, conn)
-    conn0 = connection_matrix(ctx.base_seq(), shifted, cfg.N)
+    conn0 = connection_matrix(ctx.get("base"), shifted, cfg.N)
     ulrep0 = verify_ul_identity(jac, cfg.c, cfg.N, conn0)
     same_t = fact.T_monic == conn.T_monic
     ok = hrep.exact_ok and same_t
@@ -457,17 +378,17 @@ def _task_connection(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_fold(ctx: _Context) -> tuple[str, dict]:
-    R = ctx.fold()
+    R = ctx.get("fold")
     return "PASS", {"blocks": len(R), "block_size": R.block_size}
 
 
 def _task_darboux(ctx: _Context) -> tuple[str, dict]:
-    P = ctx.monic_fold()
-    blockJ = ctx.block_jacobi()
-    lu = ctx.block_lu()
+    P = ctx.get("P")
+    blockJ = ctx.get("blockJ")
+    lu = ctx.get("LU")
     swap = darboux_swap(lu)
-    Q = ctx.shifted_monic_fold()
-    qJ = ctx.shifted_block_jacobi()
+    Q = ctx.get("Q")
+    qJ = ctx.get("qJ")
     m = swap.nblocks
     rows = []
     z = lu.zetas.zeta
@@ -494,7 +415,7 @@ def _task_darboux(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_ttrr(ctx: _Context) -> tuple[str, dict]:
-    blockJ = ctx.block_jacobi()
+    blockJ = ctx.get("blockJ")
     nblocks = blockJ.nblocks
     return "PASS", {
         "blocks": nblocks,
@@ -504,8 +425,8 @@ def _task_ttrr(ctx: _Context) -> tuple[str, dict]:
 
 def _task_bispec_verify(ctx: _Context) -> tuple[str, dict]:
     op, ladder = paper.reference_operator()
-    limit = min(len(ctx.fold()) - 1, 8)
-    rep = verify_eigen(ctx.fold(), op, ladder, range(limit + 1))
+    limit = min(len(ctx.get("fold")) - 1, 8)
+    rep = verify_eigen(ctx.get("fold"), op, ladder, range(limit + 1))
     return ("PASS" if rep.ok else "FAIL"), {
         "checked": [list(r) for r in rep.results],
         "exact": rep.ok,
@@ -514,8 +435,8 @@ def _task_bispec_verify(ctx: _Context) -> tuple[str, dict]:
 
 def _task_bispec_discover(ctx: _Context) -> tuple[str, dict]:
     ref, ladder = paper.reference_operator()
-    n_fit = min(len(ctx.fold()) - 1, 12)
-    res = discover_operator(ctx.fold(), ladder, 8, 6, n_fit)
+    n_fit = min(len(ctx.get("fold")) - 1, 12)
+    res = discover_operator(ctx.get("fold"), ladder, 8, 6, n_fit)
     matches = res.operator == ref
     return ("PASS" if matches and res.hom_dim == 0 else "FAIL"), {
         "n_fit": n_fit,
@@ -526,9 +447,9 @@ def _task_bispec_discover(ctx: _Context) -> tuple[str, dict]:
 
 
 def _task_min_order(ctx: _Context) -> tuple[str, dict]:
-    n_fit = min(len(ctx.fold()) - 1, 10)
+    n_fit = min(len(ctx.get("fold")) - 1, 10)
     max_order, deg = 8, 6
-    rows, unknowns = min_order_size(ctx.fold(), max_order, deg, n_fit)
+    rows, unknowns = min_order_size(ctx.get("fold"), max_order, deg, n_fit)
     if rows < unknowns:
         return "REPORT", {
             "note": "fitted window is underdetermined at this n_max; a "
@@ -537,7 +458,7 @@ def _task_min_order(ctx: _Context) -> tuple[str, dict]:
             "unknowns": unknowns,
         }
     try:
-        res = min_order_check(ctx.fold(), max_order, deg, n_fit)
+        res = min_order_check(ctx.get("fold"), max_order, deg, n_fit)
     except Infeasible as exc:
         return "REPORT", {"min_order": None, "n_fit": n_fit, "message": str(exc)}
     return "REPORT", {
@@ -550,11 +471,11 @@ def _task_min_order(ctx: _Context) -> tuple[str, dict]:
 
 def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
     cfg = ctx.cfg
-    seq = ctx.seq()
+    seq = ctx.get("seq")
     n_fit = min(len(seq) - 1, 16)
     D = discover_scalar(seq, paper.reference_scalar_ladder, 8, n_fit)
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(10)]
-    R = ctx.fold()
+    R = ctx.get("fold")
     n_limit = min(len(R) - 1, 6)
     worst = 0.0
     for n in range(n_limit + 1):
@@ -568,6 +489,46 @@ def _task_conjugation(ctx: _Context) -> tuple[str, dict]:
         "n_through": n_limit,
         "worst_deviation_float": worst,
     }
+
+
+def _build_moments(ctx: _Context, cfg: RunConfig) -> MomentFunctional:
+    count = cfg.moment_count()
+    if cfg.measure_type == "laguerre":
+        return laguerre_moments(cfg.alpha, count)
+    if cfg.measure_type == "hermite":
+        return hermite_moments(count)
+    # RunConfig.from_dict has checked that there are enough
+    return MomentFunctional(cfg.moments[:count])
+
+
+# Every shared artifact, under the name a SKIPPED report gives it, and the
+# code that builds it from the context and the config.
+_ARTIFACTS: dict[str, Callable[[_Context, RunConfig], object]] = {
+    "moments": _build_moments,
+    "form": lambda ctx, cfg: sobolev_form(SobolevSpec(ctx.get("moments"), cfg.c, cfg.N, cfg.M)),
+    "seq": lambda ctx, cfg: monic_sequence(ctx.get("form"), cfg.scalar_count() - 1),
+    "rec": lambda ctx, cfg: banded_recurrence(ctx.get("seq"), cfg.c, cfg.N),
+    # the sequence of the Christoffel-shifted measure
+    "shifted": lambda ctx, cfg: monic_sequence(
+        measure_form(christoffel_shift(ctx.get("moments"), cfg.c, cfg.N + 1)),
+        cfg.scalar_count() - 1,
+        require_positive=False,
+    ),
+    # the plain measure's own sequence
+    "base": lambda ctx, cfg: monic_sequence(
+        measure_form(ctx.get("moments")), cfg.scalar_count() - 1
+    ),
+    "fold": lambda ctx, cfg: build_matrix_sequence(ctx.get("seq"), cfg.N, cfg.c),
+    # the monic folds of the sequence and of the shifted one, and their
+    # monic block Jacobi matrices
+    "P": lambda ctx, cfg: monic_normalize(ctx.get("fold")).sequence,
+    "blockJ": lambda ctx, cfg: matrix_ttrr(ctx.get("P")).monic,
+    "Q": lambda ctx, cfg: monic_normalize(
+        build_matrix_sequence(ctx.get("shifted"), cfg.N, cfg.c)
+    ).sequence,
+    "qJ": lambda ctx, cfg: matrix_ttrr(ctx.get("Q")).monic,
+    "LU": lambda ctx, cfg: block_lu(ctx.get("blockJ")),
+}
 
 
 class _Task(NamedTuple):
@@ -586,18 +547,23 @@ _TASKS = {
     "gram": _Task(_task_gram, ("moments",), False),
     "orthopoly": _Task(_task_orthopoly, ("gram",), False),
     "recurrence": _Task(
-        _task_recurrence, ("orthopoly",), False, lambda ctx, p: paper.check_recurrence(p, ctx.rec())
+        _task_recurrence,
+        ("orthopoly",),
+        False,
+        lambda ctx, p: paper.check_recurrence(p, ctx.get("rec")),
     ),
     "connection": _Task(_task_connection, ("orthopoly",), False),
     "darboux": _Task(
         _task_darboux,
         ("recurrence", "fold"),
         True,
-        lambda ctx, p: paper.check_darboux(p, ctx.block_lu().zetas),
+        lambda ctx, p: paper.check_darboux(p, ctx.get("LU").zetas),
     ),
-    "fold": _Task(_task_fold, ("orthopoly",), True, lambda ctx, p: paper.check_fold(p, ctx.fold())),
+    "fold": _Task(
+        _task_fold, ("orthopoly",), True, lambda ctx, p: paper.check_fold(p, ctx.get("fold"))
+    ),
     "ttrr": _Task(
-        _task_ttrr, ("fold", "recurrence"), True, lambda ctx, p: paper.check_ttrr(p, ctx.rec())
+        _task_ttrr, ("fold", "recurrence"), True, lambda ctx, p: paper.check_ttrr(p, ctx.get("rec"))
     ),
     "bispec-verify": _Task(_task_bispec_verify, ("fold",), True),
     "bispec-discover": _Task(_task_bispec_discover, ("fold",), True),

@@ -26,7 +26,7 @@ from .linalg import Matrix, clear_denominators, ldlt, solve_linear
 from .orthopoly import (
     BandedRecurrence, ConnectionMatrix, JacobiMatrix, checked_index, int_block, recurrence_holds
 )
-from .rationals import as_fraction, ldexp2, split_csqrt, split_float
+from .rationals import as_fraction, ldexp2, rat_str, split_csqrt, split_float
 
 __all__ = [
     "BandFactorization",
@@ -134,7 +134,9 @@ def _band_gram(width: int, a: list, b: list, target: list, message: str, floats)
             acc = _dot(lo_a, x, lo_b, y)
             if t[j - lo] * aden * bden != tden * acc:
                 product, want = Fraction(acc, aden * bden), Fraction(t[j - lo], tden)
-                raise IdentityViolated(message.format(i=i, j=j, product=product, target=want))
+                raise IdentityViolated(
+                    message.format(i=i, j=j, product=rat_str(product), target=rat_str(want))
+                )
     lines, ftarget = floats()
     err, scale, worst = 0.0, 1.0, None
     for i in range(size):

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from .rationals import rat_str
 
 
 class OpfoldError(Exception):
@@ -26,7 +27,7 @@ class NotPositiveDefinite(OpfoldError):
         self.pivot = pivot
         msg = f"nonpositive pivot at degree {degree}"
         if pivot is not None:
-            msg += f" (pivot = {pivot})"
+            msg += f" (pivot = {rat_str(pivot)})"
         super().__init__(msg)
 
 

@@ -54,7 +54,8 @@ class Matrix:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "Matrix":
+    def identity(cls, n: int) -> "Matrix":
+        one, zero = Fraction(1), Fraction(0)
         return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
     @classmethod
@@ -456,11 +457,6 @@ def exact_nullspace(int_rows, ncols: int) -> list[list[Fraction]]:
     raises NumericalInstability.
     """
     rows = [r for r in int_rows if any(r)]
-    if not rows:
-        return [
-            [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
-            for f in range(ncols)
-        ]
     key = residues = modulus = limit = None
     for p in _primes():
         tails: dict[int, list[tuple[int, int]]] = {}

@@ -54,7 +54,7 @@ from .errors import (
 from .linalg import Matrix, clear_denominators
 from .measures import BilinearForm, shift_row, symmetry_check
 from .poly import Poly
-from .rationals import SignedSquare, as_fraction
+from .rationals import SignedSquare, as_fraction, rat_str
 
 __all__ = [
     "MonicSequence",
@@ -503,7 +503,8 @@ def _band_rows(rows, seq_to: MonicSequence, lower: int, upper: int, violation, p
             hit = _first_below(G, f, P, n - lower)
             if hit:
                 k, e = hit[0], entry(n, *hit)
-                raise error(below.format(n=n, k=k, raw=e, monic=e / seq_to.norm_sq(k), lower=lower))
+                m = rat_str(e / seq_to.norm_sq(k))
+                raise error(below.format(n=n, k=k, raw=rat_str(e), monic=m, lower=lower))
             if fits:
                 raise IdentityViolated(expansion.format(n=n))
         raw_rows.append(raw)

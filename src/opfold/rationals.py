@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = ["as_fraction", "rat_str", "SignedSquare", "split_float", "split_csqrt", "ldexp2"]
@@ -35,11 +36,16 @@ def as_fraction(value) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Canonical decimal-free rendering: 'p' for integers, 'p/q' otherwise."""
+    """Canonical decimal-free rendering: 'p' for integers, 'p/q' otherwise.
+
+    The digits come from Decimal's exact integer conversion, which has no
+    length limit; str(int) refuses integers past sys.get_int_max_str_digits().
+    """
     q = Fraction(q)
+    num = str(Decimal(q.numerator))
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return num
+    return f"{num}/{Decimal(q.denominator)}"
 
 
 def _csqrt(q: Fraction):

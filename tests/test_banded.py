@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from opfold import BandViolation, BandedOperator, BlockTridiagonal, DimensionMismatch, Matrix
+from opfold import (
+    BandViolation,
+    BandedOperator,
+    BlockTridiagonal,
+    DimensionMismatch,
+    InsufficientSequence,
+    Matrix,
+)
 
 
 def test_construction_rejects_entries_outside_band():
@@ -77,3 +84,15 @@ def test_block_container_validates_shapes():
             (Matrix.rational([[1, 0], [0, 1]]),),
             _blocks([[[3]]]),
         )
+
+
+def test_agreement_past_either_operator_is_insufficient_sequence():
+    three = BlockTridiagonal(
+        _blocks([[[1]], [[2]], [[3]]]), _blocks([[[4]], [[5]]]), _blocks([[[6]], [[7]]])
+    )
+    two = BlockTridiagonal(_blocks([[[1]], [[2]]]), _blocks([[[4]]]), _blocks([[[6]]]))
+    assert three.agree_through(two, 2) and two.agree_through(three, 2)
+    for a, b in ((three, two), (two, three)):
+        for nblocks in (3, 50, -1):
+            with pytest.raises(InsufficientSequence, match=f"{nblocks} blocks requested, only 2"):
+                a.agree_through(b, nblocks)

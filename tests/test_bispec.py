@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opfold as op
+import opfold.bispec
 from opfold.bispec import exact_nullspace
 from opfold.linalg import _int_rows
 
@@ -357,6 +358,37 @@ def test_discovery_flags_an_underdetermined_window(hermite):
     )
     with pytest.raises(op.Underdetermined):
         op.discover_operator(hermite["fold"], lad, 2, 1, 1)
+
+
+_SCALAR_LADDER = lambda m: Fraction(-2 * m)
+_NEGATIVE_SIZES = [
+    ("discover_operator", "fold", (_HERMITE_LADDER, -1, 1, 6), "order"),
+    ("discover_operator", "fold", (_HERMITE_LADDER, 2, -1, 6), "degree_bound"),
+    ("discover_operator", "fold", (_HERMITE_LADDER, 2, 1, -1), "n_fit"),
+    ("discover_scalar", "seq", (_SCALAR_LADDER, -1, 6), "order"),
+    ("discover_scalar", "seq", (_SCALAR_LADDER, 2, -1), "n_fit"),
+    ("min_order_check", "fold", (-1, 2, 6), "max_order"),
+    ("min_order_check", "fold", (4, -1, 6), "degree_bound"),
+    ("min_order_check", "fold", (4, 2, -1), "n_fit"),
+    ("min_order_size", "fold", (-1, 2, 6), "max_order"),
+    ("min_order_size", "fold", (4, -1, 6), "degree_bound"),
+    ("min_order_size", "fold", (4, 2, -1), "n_fit"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, member, sizes, name",
+    [pytest.param(*case, id=f"{case[0]}-{case[3]}") for case in _NEGATIVE_SIZES],
+)
+def test_a_negative_size_is_refused_before_any_row_is_built(
+    hermite, monkeypatch, fn, member, sizes, name
+):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(opfold.bispec, "_int_deriv_table", no_rows)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        getattr(opfold.bispec, fn)(hermite[member], *sizes)
 
 
 # -- minimal order ---------------------------------------------------------

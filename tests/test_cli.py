@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,9 +340,29 @@ def test_the_orthopoly_task_leaves_the_member_view_unbuilt(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", c="1", tasks=["darboux"])
     ctx = opfold.cli._Context(RunConfig.from_dict(json.loads(Path(cfg).read_text())))
     status, payload = opfold.cli._task_orthopoly(ctx)
-    seq = ctx.seq()
+    seq = ctx.get("seq")
     assert status == "PASS" and "polys" not in vars(seq) and payload["count"] < len(seq)
     assert payload["polys"] == [opfold.cli._poly_json(seq.poly(n)) for n in range(payload["count"])]
+
+
+def test_rationals_past_the_int_string_limit_are_reported(tmp_path, capsys):
+    # c = 1/77...7 (50 sevens) gives recurrence entries with more digits
+    # than str(int) converts by default (4,300)
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        c="1/" + "7" * 50,
+        M=[["1", "0"], ["0", "0"]],
+        n_max=20,
+        tasks=["recurrence"],
+    )
+    assert main(["run", "--config", cfg]) == 0
+    rows = json.loads(capsys.readouterr().out)["tasks"]["recurrence"]["rows"]
+    num, _, den = rows[-1]["diag"].partition("/")
+    assert len(num) + len(den) > 4300
+    rec = opfold.cli._Context(RunConfig.from_dict(json.loads(Path(cfg).read_text()))).get("rec")
+    n = rows[-1]["n"]
+    want = rec.raw.entry(n, n) / rec.norms_sq[n]
+    assert Fraction(int(Decimal(num)), int(Decimal(den or "1"))) == want
 
 
 def test_too_few_explicit_moments_fails_the_run(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact-scalar invariants: parsing, canonical rendering, signed squares."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opfold import SignedSquare, as_fraction, rat_str
+from opfold import NotPositiveDefinite, SignedSquare, as_fraction, rat_str
 
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
@@ -40,6 +41,16 @@ def test_render_is_decimal_free(q):
     assert "." not in text and "e" not in text.lower()
     parts = text.split("/")
     assert all(part.lstrip("-").isdigit() for part in parts)
+
+
+def test_rationals_past_the_int_string_limit_render_and_format_messages():
+    # 7**6000 has 5,071 digits, past str(int)'s default limit of 4,300
+    big = Fraction(-(7**6000), 3)
+    text = rat_str(big)
+    num, _, den = text.partition("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == big and len(num) > 5000
+    assert str(NotPositiveDefinite(3, big)) == f"nonpositive pivot at degree 3 (pivot = {text})"
+    assert str(NotPositiveDefinite(3, Fraction(-2))) == "nonpositive pivot at degree 3 (pivot = -2)"
 
 
 def test_parse_accepts_ints_strings_fractions():
