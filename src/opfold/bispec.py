@@ -10,12 +10,12 @@ heuristic. Scalar discovery is the 1x1 case, and eigen verification
 evaluates the same equations at a given operator.
 
 Minimal-order certification frees the eigenvalues: each diagonal entry of
-Lambda_n joins the unknowns and is eliminated through the monic leading
-coefficient of its row, leaving one homogeneous system over all operator
-coefficients. An order is feasible when the solutions supported on that
-order contain one whose eigenvalue ladder actually varies with n;
-constant-ladder solutions (scalar shifts act on any sequence whatsoever,
-and diagonal folds admit constant diagonal multipliers) certify nothing.
+Lambda_n joins the unknowns, pinned by the monic leading coefficient of its
+row, and the same kernel certifies them with the operator coefficients.
+An order is feasible when the solutions supported on that order contain
+one whose eigenvalue ladder actually varies with n; constant-ladder
+solutions (scalar shifts act on any sequence whatsoever, and diagonal
+folds admit constant diagonal multipliers) certify nothing.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .errors import (
     NumericalInstability,
     Underdetermined,
 )
-from .linalg import Matrix, clear_denominators, exact_nullspace
+from .linalg import Matrix, exact_nullspace
 from .matfold import MatrixPolySequence, build_matrix_sequence
 from .orthopoly import MonicSequence, checked_index, coeff_at, int_block
 from .poly import Poly
@@ -347,11 +347,12 @@ def discover_operator(
 
 
 def min_order_size(R: MatrixPolySequence, max_order: int, degree_bound: int, n_fit: int):
-    """(rows, unknowns) of min_order_check's system over blocks 0..n_fit,
-    zero rows included: row i of block n has degree n, so it gives
-    size * (n + degree_bound + 1) equations, one of which eliminates
-    lambda_{n,i}. A negative max_order, degree_bound or n_fit raises
-    ValueError."""
+    """(rows, unknowns) of min_order_check's system over blocks 0..n_fit
+    with each lambda_{n,i} and the row that pins it eliminated, zero rows
+    included: row i of block n has degree n, so it gives
+    size * (n + degree_bound + 1) equations, that row among them. The
+    kernel's system has the same rows less unknowns. A negative
+    max_order, degree_bound or n_fit raises ValueError."""
     _require_sizes(max_order=max_order, degree_bound=degree_bound, n_fit=n_fit)
     size = R.block_size
     rows = sum(size * (size * (n + degree_bound + 1) - 1) for n in range(n_fit + 1))
@@ -375,23 +376,32 @@ def min_order_check(
 ) -> MinOrderResult:
     """Least operator order with a genuinely n-dependent eigenvalue ladder.
 
-    Eigenvalues are free diagonal unknowns per block. Each lambda_{n,i} is
-    eliminated via the coefficient of y^n in entry (i,i) of block n, which
-    is 1 because the underlying scalars are monic; what remains is one
-    homogeneous system over all operator coefficients up to max_order.
+    One homogeneous system holds every equation of R_n D = Lambda_n R_n on
+    blocks 0..n_fit, over the operator coefficients up to max_order and
+    the eigenvalues before them, lambda_{n,i} at column n * size + i.
     Order m is feasible when the solutions with every coefficient of
     d^k/dy^k, k > m, equal to zero include one whose ladder varies with n.
     Solutions with ladders constant in n exist for any sequence (scalar
     shifts; constant diagonal multipliers when the fold is diagonal) and
     do not witness bispectrality, so they are excluded.
 
-    The unknowns are ordered with the order k most significant, and the
-    canonical RREF basis of the system's nullspace gives every vector a
-    different highest nonzero unknown (its own free one). A solution
-    free of d^k, k > m, is therefore a combination of the basis vectors
-    whose highest unknown has order <= m: those span section m, and a
-    ladder in it varies with n only if one of theirs does. The witness is
-    the first basis vector of least order whose ladder varies.
+    The coefficient of y^n in entry (i, i) of block n is 1, as the scalars
+    are monic (else IdentityViolated), so that equation pins lambda_{n,i}:
+    with the operator zero it forces lambda_{n,i} = 0. No null vector thus
+    ends at an eigenvalue, every eigenvalue column is a pivot, and the free
+    columns and operator parts of the canonical RREF basis are those of
+    the system with each lambda eliminated; the first size * (n_fit + 1)
+    entries of a basis vector are its ladder, verified by the kernel. The
+    pinning rows come first: a prefix of rows that has not reached block n
+    leaves lambda_n free, and the kernel's prefix certificate cannot fire.
+
+    The operator unknowns are ordered with the order k most significant,
+    and the canonical RREF basis gives every vector a different highest
+    nonzero unknown (its own free one). A solution free of d^k, k > m, is
+    therefore a combination of the basis vectors whose highest unknown has
+    order <= m: those span section m, and a ladder in it varies with n
+    only if one of theirs does. The witness is the first basis vector of
+    least order whose ladder varies.
 
     The verdict is a statement about blocks 0..n_fit. A meaningful
     infeasibility certificate needs the fitted window to overdetermine
@@ -402,62 +412,34 @@ def min_order_check(
     size = R.block_size
     _, nuk = min_order_size(R, max_order, degree_bound, n_fit)
     bounds = [degree_bound] * (max_order + 1)
+    nlam = size * (n_fit + 1)
 
     def uidx(k: int, l: int, j: int, d: int) -> int:
-        return ((k * size + l) * size + j) * (degree_bound + 1) + d
+        return nlam + ((k * size + l) * size + j) * (degree_bound + 1) + d
 
-    rows = []
-    # pivots[(n, i)]: the nonzero (unknown index, coefficient) terms of
-    # den_n lambda_{n,i}, read off the coefficient of y^n in entry (i, i);
-    # dens[n] is the common denominator of block n
-    pivots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    dens = []
+    pins, rows = [], []
     for n in range(n_fit + 1):
         table, den = _int_deriv_table(R.int_block(n), max_order)
-        dens.append(den)
         for i in range(size):
             if coeff_at(table[0][i][i], n) != den:
-                raise IdentityViolated(
-                    f"block {n} row {i} is not monic in its own column"
-                )
+                raise IdentityViolated(f"block {n} row {i} is not monic in its own column")
             eqs = _eigen_rows(table, i, bounds)
-            pivot = eqs[n][0]
-            pivots[(n, i)] = [(uidx(k, l, i, d), c) for k, l, d, c in pivot]
             for j in range(size):
                 for t, (terms, rhs) in enumerate(eqs):
-                    if j == i and t == n:
-                        continue
-                    # the row times den (den^2 when lambda is eliminated), in integers
-                    rj = rhs[j]
-                    scale = den if rj else 1
-                    row = [0] * nuk
+                    # the equation of entry (i, j) at y^t times den, in integers
+                    row = [0] * (nlam + nuk)
                     for k, l, d, c in terms:
-                        row[uidx(k, l, j, d)] = c * scale
-                    if rj:
-                        for k, l, d, c in pivot:
-                            row[uidx(k, l, i, d)] -= rj * c
+                        row[uidx(k, l, j, d)] = c
+                    row[n * size + i] = -rhs[j]
                     if any(row):
-                        rows.append(row)
-    V = exact_nullspace(rows, nuk)
+                        (pins if j == i and t == n else rows).append(row)
+    V = exact_nullspace(pins + rows, nlam + nuk)
     per_order = size * size * (degree_bound + 1)
-    orders = [max(c for c, x in enumerate(v) if x) // per_order for v in V]
-
-    def ladder_values(vec: Sequence[Fraction]) -> list[list[Fraction]]:
-        ints, vden = clear_denominators(vec)  # over integers: one Fraction per eigenvalue
-        return [
-            [
-                Fraction(sum(c * ints[x] for x, c in pivots[(n, i)] if ints[x]), vden * dens[n])
-                for i in range(size)
-            ]
-            for n in range(n_fit + 1)
-        ]
-
-    ladders = [ladder_values(v) for v in V]
-    varying = [s for s, lv in enumerate(ladders) if any(row != lv[0] for row in lv[1:])]
+    orders = [(max(c for c, x in enumerate(v) if x) - nlam) // per_order for v in V]
+    ladders = [tuple(tuple(v[n * size : (n + 1) * size]) for n in range(n_fit + 1)) for v in V]
+    varying = [s for s, lv in enumerate(ladders) if len(set(lv)) > 1]
     if not varying:
-        raise Infeasible(
-            f"no order up to {max_order} admits an n-dependent eigenvalue ladder"
-        )
+        raise Infeasible(f"no order up to {max_order} admits an n-dependent eigenvalue ladder")
     w = min(varying, key=orders.__getitem__)
     min_order = orders[w]
     feasible = tuple(m >= min_order for m in range(max_order + 1))
@@ -468,8 +450,7 @@ def min_order_check(
         )
         for k in range(min_order + 1)
     ]
-    wl = tuple(tuple(row) for row in ladders[w])
-    return MinOrderResult(min_order, feasible, dims, _trimmed(mats), wl)
+    return MinOrderResult(min_order, feasible, dims, _trimmed(mats), ladders[w])
 
 
 # -- scalar operators ----------------------------------------------------
@@ -543,7 +524,9 @@ def scalar_eigenvalues(
     D: ScalarOperator, seq: MonicSequence, count: int
 ) -> tuple[Fraction, ...]:
     """Exact eigenvalues lambda_m with D s_m = lambda_m s_m for m < count,
-    else raises IdentityViolated naming the first failing degree."""
+    else raises IdentityViolated naming the first failing degree. A
+    negative count raises ValueError."""
+    _require_sizes(count=count)
     return tuple(_eigen_image(D, seq.poly(m), m)[0] for m in range(count))
 
 

@@ -30,9 +30,24 @@ def as_fraction(value) -> Fraction:
         text = value.strip()
         if "/" in text:
             num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(_int(num), _int(den))
+        return Fraction(_int(text))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _int(text: str) -> int:
+    """int(text) at any length. Past sys.get_int_max_str_digits() digits
+    int() refuses even well-formed text; text in int()'s grammar (a sign,
+    then decimal digits with single underscores between them) is then read
+    through Decimal, and any other text keeps int()'s ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not all(part.isdecimal() for part in digits.split("_")):
+            raise
+        return int(Decimal(body.replace("_", "")))
 
 
 def rat_str(q: Fraction) -> str:

@@ -32,8 +32,10 @@ before it checked them inside the band and over integer rows;
 poly_verify_eigen, the residual R_n D - Lambda_n R_n formed in Poly
 matrix arithmetic through apply_right, as verify_eigen did before it
 evaluated discovery's integer equations; section_min_order, which
-takes one nullspace per order for the sections of min_order_check, as
-the library did before it read them off one RREF basis;
+takes one nullspace per order of the hand-eliminated system
+(fraction_min_order_rows) for the sections of min_order_check, as the
+library did before it read them off one RREF basis and let the kernel
+eliminate the eigenvalues;
 all_rows_nullspace, exact_nullspace with every prime eliminating all
 rows through mod_nullspace, as it did before it certified from the rows
 that reach full rank;
@@ -806,9 +808,10 @@ def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int
 
 
 def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
-    """The homogeneous system of min_order_check, each lambda_{n,i}
-    eliminated through the coefficient of y^n in entry (i, i), as dense
-    Fraction rows built from Poly derivatives."""
+    """The homogeneous min-order system with each lambda_{n,i} eliminated
+    by hand through the coefficient of y^n in entry (i, i), as
+    min_order_check built it before the kernel eliminated the
+    eigenvalues, as dense Fraction rows built from Poly derivatives."""
     size = R.block_size
     nuk = (max_order + 1) * size * size * (degree_bound + 1)
 
@@ -843,6 +846,38 @@ def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
                     if any(row):
                         rows.append(row)
     return rows
+
+
+def fraction_min_order_eigen_rows(R, max_order: int, degree_bound: int, n_fit: int):
+    """The system min_order_check hands the kernel, as dense Fraction rows
+    built from Poly derivatives: lambda_{n,i} is the unknown at column
+    n * size + i, before the operator coefficients, and the y^n equation
+    of entry (i, i), which pins it, comes before every other row."""
+    size = R.block_size
+    nlam = size * (n_fit + 1)
+    ncols = nlam + (max_order + 1) * size * size * (degree_bound + 1)
+
+    def uidx(k, l, j, d):
+        return nlam + ((k * size + l) * size + j) * (degree_bound + 1) + d
+
+    pins, rows = [], []
+    for n in range(n_fit + 1):
+        derivs = _deriv_table(R, n, max_order)
+        for i in range(size):
+            maxdeg = max((derivs[0][i, l].degree for l in range(size)), default=0)
+            for j in range(size):
+                for t in range(maxdeg + degree_bound + 1):
+                    row = [Fraction(0)] * ncols
+                    for k in range(max_order + 1):
+                        for l in range(size):
+                            for d in range(degree_bound + 1):
+                                c = _coeff(derivs[k][i, l], t - d)
+                                if c:
+                                    row[uidx(k, l, j, d)] = c
+                    row[n * size + i] = -_coeff(derivs[0][i, j], t)
+                    if any(row):
+                        (pins if (j, t) == (i, n) else rows).append(row)
+    return pins + rows
 
 
 def apply_right(F, op) -> Matrix:

@@ -373,6 +373,7 @@ _NEGATIVE_SIZES = [
     ("min_order_size", "fold", (-1, 2, 6), "max_order"),
     ("min_order_size", "fold", (4, -1, 6), "degree_bound"),
     ("min_order_size", "fold", (4, 2, -1), "n_fit"),
+    ("scalar_eigenvalues", "D seq", (-1,), "count"),
 ]
 
 
@@ -387,8 +388,9 @@ def test_a_negative_size_is_refused_before_any_row_is_built(
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(opfold.bispec, "_int_deriv_table", no_rows)
+    # member names the hermite fixture's entries passed before the sizes
     with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
-        getattr(opfold.bispec, fn)(hermite[member], *sizes)
+        getattr(opfold.bispec, fn)(*map(hermite.__getitem__, member.split()), *sizes)
 
 
 # -- minimal order ---------------------------------------------------------
@@ -455,6 +457,17 @@ def test_min_order_off_the_worked_case(laguerre_c1):
     _assert_witness(laguerre_c1, res, 6)
 
 
+def test_min_order_refuses_a_block_row_not_monic_in_its_own_column(hermite):
+    # lambda_{1,0} is pinned by the leading coefficient of row 0 of block
+    # 1, which must be 1
+    mats = list(hermite["fold"].mats)
+    assert op.min_order_check(op.MatrixPolySequence(tuple(mats), 1, monic=False), 4, 2, 6).min_order == 2
+    mats[1] = op.Matrix([[2 * e for e in mats[1].row(0)], mats[1].row(1)])
+    bad = op.MatrixPolySequence(tuple(mats), 1, monic=False)
+    with pytest.raises(op.IdentityViolated, match="^block 1 row 0 is not monic in its own column$"):
+        op.min_order_check(bad, 4, 2, 6)
+
+
 @pytest.mark.parametrize(
     "case, window",
     [("canon", (8, 6, 10)), ("hermite", (4, 2, 6)), ("laguerre_c1", (8, 6, 6))],
@@ -493,7 +506,7 @@ def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, mo
     op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     monkeypatch.undo()
     expected = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j) for j in range(2)]
-    expected.append(oracles.fraction_min_order_rows(fold, 8, 6, 10))
+    expected.append(oracles.fraction_min_order_eigen_rows(fold, 8, 6, 10))
     expected.append(oracles.fraction_scalar_rows(canon["seq"], op.reference_scalar_ladder, 8, 16))
     assert len(captured) == 4
     for (rows, ncols, basis), frac_rows in zip(captured, expected):
@@ -513,8 +526,10 @@ def test_min_order_size_counts_the_system_min_order_check_builds(canon, monkeypa
     # every row of block n, row i, runs over 2 columns and n + 7 powers,
     # less the one that eliminates lambda_{n,i}
     assert (rows, unknowns) == (sum(2 * (2 * (n + 7) - 1) for n in range(11)), 9 * 2 * 2 * 7)
+    # the kernel also sees the 22 eigenvalues of blocks 0..10, each an
+    # unknown with the row that pins it
     ((built, ncols),) = captured
-    assert ncols == unknowns and len(built) <= rows
+    assert ncols == unknowns + 22 and len(built) <= rows + 22
 
 
 def test_the_verify_paper_systems_give_the_all_rows_bases(canon, monkeypatch):
@@ -530,7 +545,7 @@ def test_the_verify_paper_systems_give_the_all_rows_bases(canon, monkeypatch):
     op.min_order_check(fold, 8, 6, 10)
     op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     monkeypatch.undo()
-    assert [(len(rows), ncols) for rows, ncols in captured] == [(338, 127), (338, 127), (506, 252), (153, 46)]
+    assert [(len(rows), ncols) for rows, ncols in captured] == [(338, 127), (338, 127), (528, 274), (153, 46)]
     for rows, ncols in captured:
         assert exact_nullspace(rows, ncols) == oracles.all_rows_nullspace(rows, ncols)
 

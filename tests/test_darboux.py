@@ -224,3 +224,41 @@ def test_a_singular_first_odd_zeta_is_a_singular_pivot_block():
     with pytest.raises(op.SingularPivotBlock) as info:
         op.block_lu(blockJ)
     assert info.value.index == 1
+
+
+def test_a_table_that_is_not_symmetric_is_not_factored():
+    table = op.BandedOperator.from_fn(3, 1, 1, lambda i, j: 2 if i > j else 1)
+    with pytest.raises(op.IdentityViolated, match="not symmetric"):
+        op.band_symmetric_factorize(table, 1)
+
+
+@pytest.mark.parametrize(
+    "deg, jac_deg, error, message",
+    [
+        (1, 1, op.IdentityViolated, "truncation too small to trust any row"),
+        (12, 20, op.DimensionMismatch, "norm list covers 13 rows, Jacobi truncation has 20"),
+    ],
+)
+def test_the_ul_identity_needs_a_trusted_row_and_every_norm(deg, jac_deg, error, message):
+    # the worked case's connection to degree deg, against the Jacobi
+    # matrix of its Christoffel shift to degree jac_deg
+    mu = op.laguerre_moments(0, 2 * (max(deg, jac_deg) + 3) + 2)
+    M = op.Matrix.rational([[0, 0], [0, 1]])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, Fraction(0), 1, M)), deg)
+    shifted = op.measure_form(op.christoffel_shift(mu, 0, 2))
+    conn = op.connection_matrix(seq, op.monic_sequence(shifted, deg), 1)
+    jac = op.jacobi_matrix(op.monic_sequence(shifted, jac_deg))
+    with pytest.raises(error, match=f"^{message}$"):
+        op.verify_ul_identity(jac, 0, 1, conn)
+
+
+def test_a_zeta_sequence_starts_at_zero():
+    with pytest.raises(op.IdentityViolated, match="zeta_0 must vanish"):
+        op.ZetaSequence((op.Matrix.identity(2),))
+
+
+def test_block_lu_needs_an_identity_superdiagonal():
+    one = op.Matrix.identity(2)
+    blockJ = op.BlockTridiagonal((one, one), (one,), (2 * one,))
+    with pytest.raises(op.IdentityViolated, match="identity superdiagonal"):
+        op.block_lu(blockJ)

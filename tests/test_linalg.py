@@ -116,6 +116,13 @@ def test_dimension_mismatch_raises():
         a + b
 
 
+def test_solve_refuses_a_non_square_system_and_a_short_right_hand_side():
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        solve_linear(Matrix.rational([[1, 2]]), Matrix.rational([[1]]))
+    with pytest.raises(DimensionMismatch, match="wrong row count"):
+        solve_linear(Matrix.identity(2), Matrix.rational([[1]]))
+
+
 def test_nullspace_survives_an_unlucky_first_prime():
     p0 = int(sp.nextprime(2**61))  # first prime of the modular stream
     assert nullspace(Matrix([[p0, 1]])) == [[Fraction(-1, p0), Fraction(1)]]

@@ -206,3 +206,15 @@ def test_leading_entries_are_taylor_coefficients_at_the_fold_centre():
 def test_fold_decompose_refuses_a_negative_n():
     with pytest.raises(ValueError, match="N must be >= 0"):
         op.fold_decompose(op.Poly.monomial(3), -1)
+
+
+def test_a_block_gram_needs_the_scalar_form(canon):
+    fold = canon["fold"]
+    bare = op.MatrixPolySequence(fold.mats, fold.N, monic=False)
+    with pytest.raises(op.DimensionMismatch, match="no scalar form"):
+        op.matrix_gram(bare, 1, 1)
+
+
+def test_the_tabulated_leading_form_needs_n_at_least_2():
+    with pytest.raises(op.InsufficientSequence, match="n >= 2"):
+        op.reference_leading_sq(1)

@@ -53,6 +53,37 @@ def test_rationals_past_the_int_string_limit_render_and_format_messages():
     assert str(NotPositiveDefinite(3, Fraction(-2))) == "nonpositive pivot at degree 3 (pivot = -2)"
 
 
+def test_rationals_past_the_int_string_limit_read_back():
+    # 7**6000 has 5,071 digits: int() alone refuses to parse them
+    for q in (Fraction(7**6000, 3), Fraction(-3, 7**6000), Fraction(-(7**6000))):
+        assert as_fraction(rat_str(q)) == q
+    digits = "_".join(["1234"] * 1500)
+    assert as_fraction(f" -{digits} / 7 ") == Fraction(-int(Decimal("1234" * 1500)), 7)
+
+
+_PAST_THE_LIMIT = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3", "1.5", "1__0", "_1", "nan", "inf", "0x10", ""]
+    + [
+        _PAST_THE_LIMIT + "e3",
+        _PAST_THE_LIMIT + ".5",
+        _PAST_THE_LIMIT + "__0",
+        "_" + _PAST_THE_LIMIT,
+        _PAST_THE_LIMIT + "_",
+        "0x" + _PAST_THE_LIMIT,
+        "- " + _PAST_THE_LIMIT,
+        "1/" + _PAST_THE_LIMIT + "e3",
+    ],
+    ids=lambda text: text if len(text) < 10 else f"{text[:4]}..{text[-4:]}",
+)
+def test_parse_keeps_the_int_grammar_at_any_length(text):
+    with pytest.raises(ValueError):
+        as_fraction(text)
+
+
 def test_parse_accepts_ints_strings_fractions():
     assert as_fraction(7) == Fraction(7)
     assert as_fraction("7") == Fraction(7)
