@@ -130,6 +130,8 @@ class RunConfig:
         raw_moments = None
         if mtype == "moments":
             try:
+                if not isinstance(measure["moments"], list):
+                    raise TypeError("moments must be a list")
                 raw_moments = tuple(as_fraction(v) for v in measure["moments"])
             except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad explicit moments: {exc}") from exc
@@ -143,6 +145,8 @@ class RunConfig:
         mrows = data.get("M")
         if mrows is None:
             raise ConfigError("config needs the mass matrix M")
+        if not isinstance(mrows, list) or not all(isinstance(r, list) for r in mrows):
+            raise ConfigError("bad mass matrix M: must be a list of rows, each a list")
         try:
             M = mass_matrix(mrows, N)
         except (ValueError, TypeError, ZeroDivisionError, DimensionMismatch) as exc:

@@ -9,8 +9,9 @@ checks both inside the band, as integer dot products over one
 denominator per row or column. Each square root is held as a float and
 a power of two that is applied only to orthonormal entries, which stay
 near 1 where the norms overflow a float. The interlaced recurrence is
-checked in the folded variable y = x^2, as exact polynomial identities
-over integer coefficient rows.
+checked as its two identities in the folded variable y = (x-c)^{N+1},
+for any N and c, exact over integer coefficient rows; at N = 1, c = 0
+they read x W_n = W_{n+1} + zeta_n W_{n-1}.
 """
 from __future__ import annotations
 
@@ -277,6 +278,8 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
     trusted = min(m - (N + 1), jsize - (N + 1))
     if trusted <= 0:
         raise IdentityViolated("truncation too small to trust any row")
+    if len(d) < jsize:
+        raise DimensionMismatch(f"norm list covers {len(d)} rows, Jacobi truncation has {jsize}")
     # column j of T diag(d) and of diag(1/nu) T over its rows j..j+N+1
     # (cut at the truncation)
     cols = [[T.entry(n, j) for n in range(j, min(m, j + N + 2))] for j in range(trusted)]
@@ -292,10 +295,6 @@ def verify_ul_identity(jac: JacobiMatrix, c, N: int, conn: ConnectionMatrix) -> 
     def floats():
         sd = [split_csqrt(v) for v in d]
         snu = [split_csqrt(v) for v in nu]
-        if len(sd) < jsize:
-            raise DimensionMismatch(
-                f"norm list covers {len(sd)} rows, Jacobi truncation has {jsize}"
-            )
         off = [_orthonormal(1, sd[i + 1], sd[i]) for i in range(jsize - 1)]
         powf = _band_power([complex(v) for v in shifted], off, off, N + 1)
         lines = [
@@ -351,7 +350,7 @@ def block_lu(blockJ: BlockTridiagonal) -> BlockLU:
 
     Matching coefficients row by row gives the forward recursion
     zeta_{2n+1} = diag_n - zeta_{2n} and zeta_{2n+2} zeta_{2n+1} = sub_n,
-    the latter solved by exact right division. The reassembled LU is
+    the latter solved by exact right division. The product LU is
     compared with the input as a guard on the divisions.
     """
     b = blockJ.block_size
@@ -398,16 +397,16 @@ def darboux_swap(lu: BlockLU) -> BlockTridiagonal:
 
 
 def w_interlace_check(P_mats, Q_mats, zetas: ZetaSequence, count: int) -> list[int]:
-    """Verify x W_n = W_{n+1} + zeta_n W_{n-1} exactly, in y = x^2.
+    """Verify the interlaced recurrence exactly, in y = (x-c)^{N+1}.
 
-    W_{2n} = P_n(x^2) and W_{2n+1} = x Q_n(x^2); inputs are the monic
-    matrix polynomials in the folded variable y. Step 2k of the
-    recurrence is x times P_k = Q_k + zeta_{2k} Q_{k-1}, and step 2k+1 is
-    y Q_k = P_{k+1} + zeta_{2k+1} P_k with y = x^2, so each step is one
-    exact polynomial identity in y over the integer coefficient rows of
-    the blocks, one denominator per block (orthopoly.recurrence_holds).
-    Returns the list of checked indices; raises IdentityViolated(n) on
-    the first nonzero residual.
+    P and Q are monic matrix polynomials in y, for any N and c. Step 2k
+    is P_k = Q_k + zeta_{2k} Q_{k-1} and step 2k+1 is
+    y Q_k = P_{k+1} + zeta_{2k+1} P_k, each one exact polynomial identity
+    in y over the integer coefficient rows of the blocks, one denominator
+    per block (orthopoly.recurrence_holds). At N = 1, c = 0, with
+    W_{2k} = P_k(x^2) and W_{2k+1} = x Q_k(x^2), they read
+    x W_n = W_{n+1} + zeta_n W_{n-1}. Returns the checked indices; raises
+    IdentityViolated(n) on the first nonzero residual.
     """
     P = [int_block(m) for m in P_mats[: count // 2 + 1]]
     Q = [int_block(m) for m in Q_mats[: (count + 1) // 2]]

@@ -3,10 +3,10 @@
 A scalar polynomial's Taylor coefficients at the fold centre c split along
 exponent residues mod N+1; stacking the folds of N+1 consecutive sequence
 members gives an (N+1)x(N+1) matrix polynomial in y = (x-c)^{N+1}, the
-multiplication that is symmetric for the form. All matrix inner products
-reduce to scalar form evaluations of the underlying polynomials, which
-keeps every identity in rational arithmetic. Orthonormal block data is exposed
-as squared rationals with signs. The block three-term recurrence of a fold
+multiplication that is symmetric for the form. The block inner product
+pairs each fold row, interleaved back into its scalar's integer row, with
+the form's monomial Gram. Orthonormal block data is exposed as squared
+rationals with signs. The block three-term recurrence of a fold
 built here from a monic_sequence output is proven by that sequence's
 shift-symmetry certificate (proof in matrix_ttrr); any other fold has each
 step's residual checked over integer coefficient rows.
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .banded import BlockTridiagonal
@@ -59,13 +60,6 @@ class FoldDecomposition:
     def N(self) -> int:
         return len(self.parts) - 1
 
-    def reassemble(self) -> Poly:
-        step = len(self.parts)
-        out = Poly()
-        for k, q in enumerate(self.parts):
-            out = out + Poly.monomial(k) * q.stretch(step)
-        return out.shift(-self.c)
-
 
 def fold_decompose(s: Poly, N: int, c=0) -> FoldDecomposition:
     """Split the Taylor coefficients of s at c by exponent residue mod N+1;
@@ -83,7 +77,7 @@ class MatrixPolySequence:
 
     Row j of block n is the fold about c of scalar number (N+1)n+j; monic
     means every block has identity leading coefficient. The source scalars
-    are kept so inner products can be reduced to the scalar form.
+    are kept for their form, whose Gram gives the block inner product.
     int_blocks[n] is block n as (rows, den) in the form of
     orthopoly.int_block. build_matrix_sequence and monic_normalize carry
     them, and mats is built from them on first read (==, hash and repr
@@ -127,13 +121,6 @@ class MatrixPolySequence:
     def leading_coefficient(self, n: int) -> Matrix:
         rows, den = self.int_block(n)
         return Matrix([[Fraction(coeff_at(e, n), den) for e in row] for row in rows])
-
-    def row_scalar(self, n: int, i: int) -> Poly:
-        """Reassemble row i of block n into its scalar polynomial."""
-        i = checked_index(i, self.block_size, "row")
-        rows, den = self.int_block(n)
-        parts = tuple(Poly(Fraction(a, den) for a in e) for e in rows[i])
-        return FoldDecomposition(parts, self.c).reassemble()
 
 
 def _carrying(blocks, N: int, monic: bool, scalars, c, folded: bool) -> MatrixPolySequence:
@@ -205,20 +192,32 @@ def build_matrix_sequence(seq: MonicSequence, N: int, c=0) -> MatrixPolySequence
 
 
 def matrix_gram(R: MatrixPolySequence, n: int, m: int) -> Matrix:
-    """Block inner product by scalar reduction.
+    """Block inner product from the integer rows against the form's Gram.
 
-    Entry (i,j) equals the scalar form applied to the rows reassembled
-    about the fold centre; no quadrature against the matrix weight is ever
-    performed. Blocks of a folded orthogonal sequence are diagonal for
+    Row i holds the parts e_j of a scalar s = sum_j (x-c)^j e_j((x-c)^{N+1}),
+    so t[j + (N+1)a] = e_j[a] is its Taylor row at c. The Taylor row of
+    s(u+c) at -c is s's monomial row u (_taylor_row), and entry (i,j) is
+    u_i^T G u_j over the denominators, G the form's monomial Gram; no Poly
+    is built. Blocks of a folded orthogonal sequence are diagonal for
     n = m and vanish otherwise.
     """
     if R.scalars is None:
         raise DimensionMismatch("no scalar form available for this sequence")
-    rows_n = [R.row_scalar(n, i) for i in range(R.block_size)]
-    rows_m = [R.row_scalar(m, j) for j in range(R.block_size)]
-    return Matrix.from_fn(
-        R.block_size, R.block_size, lambda i, j: R.scalars.form(rows_n[i], rows_m[j])
-    )
+    step, form = R.block_size, R.scalars.form
+
+    def monomial_rows(k: int):
+        rows, den = R.int_block(k)
+        for row in rows:  # the parts carry no trailing zeros, so t carries none
+            t = [0] * max(j + step * (len(e) - 1) + 1 for j, e in enumerate(row))
+            for j, e in enumerate(row):
+                t[j : j + step * len(e) : step] = e
+            yield _taylor_row(t, den, -R.c)
+
+    us, vs = list(monomial_rows(n)), list(monomial_rows(m))
+    top = max(len(u) for u, _ in us + vs) - 1
+    G, gden = form.gram(max(top, 0))  # past the moments: InsufficientMoments
+    Gv = [([sum(map(mul, G[k], v)) for k in range(top + 1)], dv) for v, dv in vs]
+    return Matrix([[Fraction(sum(map(mul, u, w)), du * dv * gden) for w, dv in Gv] for u, du in us])
 
 
 @dataclass(frozen=True)

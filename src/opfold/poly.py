@@ -158,17 +158,6 @@ class Poly:
                 power *= c
         return Poly(out)
 
-    def stretch(self, k: int) -> "Poly":
-        """Return q with q(x) = p(x**k)."""
-        if k < 1:
-            raise ValueError("stretch factor must be >= 1")
-        if k == 1 or self.is_zero:
-            return self
-        out = [_ZERO] * (self.degree * k + 1)
-        for i, a in enumerate(self.coeffs):
-            out[i * k] = a
-        return Poly(out)
-
     def __call__(self, x):
         """Horner evaluation; works for Fraction, float, and complex points."""
         acc = 0 * x

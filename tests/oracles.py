@@ -4,7 +4,7 @@ Almost everything in this module is computed with sympy over exact
 rationals, through formulas and algorithms deliberately different from the
 library code paths they check. Conversions in and out go through plain
 Fractions so a disagreement can only come from the mathematics, not the
-carrier. Thirteen exceptions keep a replaced library route as the second,
+carrier. These exceptions keep a replaced library route as the second,
 independent one: fraction_christoffel_shift, the Fraction sum of weighted
 moments that christoffel_shift was before it worked over integers;
 IntEchelon, an incremental integer row echelon that used
@@ -39,8 +39,12 @@ eliminate the eigenvalues;
 all_rows_nullspace, exact_nullspace with every prime eliminating all
 rows through mod_nullspace, as it did before it certified from the rows
 that reach full rank;
-and scan_eigen_rows, which scans every (k, l, d) for each power, as
-_eigen_rows did before it made one pass over the nonzero coefficients.
+scan_eigen_rows, which scans every (k, l, d) for each power, as
+_eigen_rows did before it made one pass over the nonzero coefficients;
+and the fold reassembly (stretch, reassemble, row_scalar and
+poly_matrix_gram), which rebuilds each fold row as a scalar Poly and
+evaluates the form once per pair through BilinearForm.__call__, as
+matrix_gram did before it paired the fold's integer rows with the Gram.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from opfold.linalg import (
     ldlt,
     nullspace,
 )
-from opfold.matfold import MatrixPolySequence, MonicNormalization, _taylor_row
+from opfold.matfold import FoldDecomposition, MatrixPolySequence, MonicNormalization, _taylor_row
 from opfold.measures import gram_matrix
 from opfold.orthopoly import (
     BandedRecurrence,
@@ -748,6 +752,34 @@ def eager_monic_mats(R) -> tuple:
     )
 
 
+def stretch(p, k: int):
+    """q with q(x) = p(x**k)."""
+    return Poly(p.coeff(i // k) if i % k == 0 else 0 for i in range(p.degree * k + 1))
+
+
+def reassemble(dec: FoldDecomposition):
+    """The scalar s(x) = sum_k (x-c)^k q_k((x-c)^{N+1}) of a fold: each
+    part stretched and multiplied by x^k, summed, then shifted by -c."""
+    out = Poly()
+    for k, q in enumerate(dec.parts):
+        out = out + Poly.monomial(k) * stretch(q, len(dec.parts))
+    return out.shift(-dec.c)
+
+
+def row_scalar(R, n: int, i: int):
+    """Row i of block n of R reassembled into its scalar polynomial."""
+    rows, den = R.int_block(n)
+    return reassemble(FoldDecomposition(tuple(Poly(Fraction(a, den) for a in e) for e in rows[i]), R.c))
+
+
+def poly_matrix_gram(R, n: int, m: int):
+    """matrix_gram with entry (i, j) the scalar form, called on the Polys
+    of rows i of block n and j of block m."""
+    rows_n = [row_scalar(R, n, i) for i in range(R.block_size)]
+    rows_m = [row_scalar(R, m, j) for j in range(R.block_size)]
+    return Matrix.from_fn(R.block_size, R.block_size, lambda i, j: R.scalars.form(rows_n[i], rows_m[j]))
+
+
 def _deriv_table(R, n: int, order: int):
     mats = [R.mat(n)]
     for _ in range(order):
@@ -1154,7 +1186,7 @@ def poly_w_interlace_check(P_mats, Q_mats, zetas, count: int) -> list[int]:
             return Matrix.zeros(b, b, zero=Poly())
         half, odd = divmod(k, 2)
         mat = (Q_mats if odd else P_mats)[half]
-        stretched = mat.map(lambda e: e.stretch(2) if not e.is_zero else e)
+        stretched = mat.map(lambda e: stretch(e, 2))
         if odd:
             return stretched.map(lambda e: Poly.x() * e)
         return stretched

@@ -568,6 +568,10 @@ def test_float_cross_checks_hold_where_the_norms_overflow_a_float(tmp_path, caps
         {"M": [[True, False], [False, True]]},
         {"measure": {"type": "moments", "moments": [True] * 64}},
         {"float_tolerance": True},
+        # rows and moments are JSON arrays, not strings or objects
+        {"M": ["00", "01"]},
+        {"measure": {"type": "moments", "moments": "1" * 60}},
+        {"measure": {"type": "moments", "moments": {str(k): "1" for k in range(60)}}},
     ],
 )
 def test_bad_configs_exit_with_usage_error(tmp_path, overrides, capsys):

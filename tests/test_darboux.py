@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import opfold as op
+from opfold import darboux
 import oracles
 
 
@@ -239,15 +240,22 @@ def test_a_table_that_is_not_symmetric_is_not_factored():
         (12, 20, op.DimensionMismatch, "norm list covers 13 rows, Jacobi truncation has 20"),
     ],
 )
-def test_the_ul_identity_needs_a_trusted_row_and_every_norm(deg, jac_deg, error, message):
+def test_the_ul_identity_needs_a_trusted_row_and_every_norm(deg, jac_deg, error, message, monkeypatch):
     # the worked case's connection to degree deg, against the Jacobi
-    # matrix of its Christoffel shift to degree jac_deg
+    # matrix of its Christoffel shift to degree jac_deg; both refusals
+    # come before any exact work
     mu = op.laguerre_moments(0, 2 * (max(deg, jac_deg) + 3) + 2)
     M = op.Matrix.rational([[0, 0], [0, 1]])
     seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, Fraction(0), 1, M)), deg)
     shifted = op.measure_form(op.christoffel_shift(mu, 0, 2))
     conn = op.connection_matrix(seq, op.monic_sequence(shifted, deg), 1)
     jac = op.jacobi_matrix(op.monic_sequence(shifted, jac_deg))
+
+    def no_exact_work(*args):
+        raise AssertionError("exact work before the refusal")
+
+    for name in ("clear_denominators", "_int_shift_power"):
+        monkeypatch.setattr(darboux, name, no_exact_work)
     with pytest.raises(error, match=f"^{message}$"):
         op.verify_ul_identity(jac, 0, 1, conn)
 

@@ -120,13 +120,25 @@ def _fresh_hermite_fold(hermite):
 
 
 def test_row_scalars_read_no_poly_block(hermite):
-    # matrix_gram reassembles each row from the integer block
+    # matrix_gram reads the integer blocks; the oracle reassembles each row from them
     seq, R = _fresh_hermite_fold(hermite)
     assert op.matrix_gram(R, 0, 0) == op.matrix_gram(hermite["fold"], 0, 0)
     assert "mats" not in vars(R)
-    scalars = [R.row_scalar(n, i) for n in range(len(R)) for i in range(2)]
+    scalars = [oracles.row_scalar(R, n, i) for n in range(len(R)) for i in range(2)]
     assert scalars == list(oracles.eager_polys(seq))
     assert "mats" not in vars(R) and "polys" not in vars(seq)
+
+
+def test_the_block_gram_builds_no_poly_member(hermite):
+    # every block pair of the fold and its monic normalization, from the integer rows
+    seq, R = _fresh_hermite_fold(hermite)
+    P = op.monic_normalize(R).sequence
+    for S in (R, P):
+        for n in range(len(S)):
+            for m in range(len(S)):
+                op.matrix_gram(S, n, m)
+    assert "polys" not in vars(seq)
+    assert "mats" not in vars(R) and "mats" not in vars(P)
 
 
 def test_conjugation_reads_no_poly_member(hermite):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfold as op
+import oracles
 
 coeffs = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -27,7 +28,7 @@ def test_fold_round_trip(a, N, c):
     p = op.Poly(a)
     dec = op.fold_decompose(p, N, c)
     assert dec.N == N
-    assert dec.reassemble() == p
+    assert oracles.reassemble(dec) == p
     # p(x) = sum_k (x-c)^k q_k((x-c)^{N+1}), read at x = c + 2
     assert p(c + 2) == sum(2**k * q(2 ** (N + 1)) for k, q in enumerate(dec.parts))
 
@@ -38,9 +39,9 @@ def test_fold_blocks_carry_the_scalars(canon):
     for n in range(5):
         for i in range(2):
             s = seq.poly(2 * n + i)
-            assert fold.row_scalar(n, i) == s
+            assert oracles.row_scalar(fold, n, i) == s
             block = fold.mat(n)
-            recomposed = block[i, 0].stretch(2) + x * block[i, 1].stretch(2)
+            recomposed = oracles.stretch(block[i, 0], 2) + x * oracles.stretch(block[i, 1], 2)
             assert recomposed == s
 
 
@@ -124,12 +125,46 @@ def test_a_fold_about_c_carries_the_scalars_and_is_block_orthogonal():
     assert fold.c == P.c == c
     for n in range(len(fold)):
         for i in range(2):
-            assert fold.row_scalar(n, i) == seq.poly(2 * n + i)
+            assert oracles.row_scalar(fold, n, i) == seq.poly(2 * n + i)
         for m in range(len(fold)):
             g = op.matrix_gram(fold, n, m)
             want = [[seq.norm_sq(2 * n + i) if (i == j and n == m) else 0 for j in range(2)] for i in range(2)]
             assert g == op.Matrix.rational(want)
     op.matrix_ttrr(P)  # the block three-term recurrence holds in y = (x-c)^2
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2), Fraction(1)])
+def test_the_block_gram_matches_the_poly_route(c, N):
+    # every block pair of the raw fold, of its monic normalization and of
+    # the fold of powers of x - 1/3, which no pair leaves orthogonal,
+    # against the form called on each pair of reassembled scalar Polys
+    deg = 5 * (N + 1) - 1
+    mu = op.laguerre_moments(1, 2 * (deg + N + 2) + 2)
+    M = op.Matrix.rational([[int(i == j == N) for j in range(N + 1)] for i in range(N + 1)])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, N, M)), deg)
+    powers = tuple(op.Poly((Fraction(-1, 3), 1)) ** k for k in range(deg + 1))
+    skew = op.MonicSequence(powers, (Fraction(1),) * len(powers), seq.form)
+    fold = op.build_matrix_sequence(seq, N, c)
+    for R in (fold, op.monic_normalize(fold).sequence, op.build_matrix_sequence(skew, N, c)):
+        for n in range(len(R)):
+            for m in range(len(R)):
+                assert op.matrix_gram(R, n, m) == oracles.poly_matrix_gram(R, n, m), (n, m)
+    assert all(not op.matrix_gram(R, n, m).is_zero for n in range(len(R)) for m in range(len(R)))
+
+
+def test_a_block_gram_past_the_moments_is_refused():
+    # a hand-built sequence whose form holds moments through order 6 only:
+    # blocks 0 and 1 reach degree 3, block 2 degree 5
+    seq = op.monic_sequence(op.measure_form(op.laguerre_moments(0, 30)), 7)
+    hand = op.MonicSequence(seq.polys, seq.norms_sq, op.measure_form(op.laguerre_moments(0, 7)))
+    fold = op.build_matrix_sequence(hand, 1)
+    assert op.matrix_gram(fold, 1, 0).is_zero
+    assert op.matrix_gram(fold, 1, 1) == op.Matrix.rational([[seq.norm_sq(2), 0], [0, seq.norm_sq(3)]])
+    with pytest.raises(op.InsufficientMoments, match="through order 10, have 6"):
+        op.matrix_gram(fold, 2, 0)
+    with pytest.raises(op.InsufficientSequence, match="block 4 requested, only 4 built"):
+        op.matrix_gram(fold, 4, 0)
 
 
 def test_orthonormal_blocks_match_tabulated_forms(canon):

@@ -206,9 +206,6 @@ def test_member_indices_outside_the_sequence_are_refused(canon):
         for n in (-1, 3):
             with pytest.raises(op.InsufficientSequence, match=f"block {n} requested, only 3 built"):
                 read(n)
-    for i in (-1, 2):
-        with pytest.raises(op.InsufficientSequence, match=f"row {i} requested, only 2 built"):
-            fold.row_scalar(0, i)
     assert "mats" not in vars(fold)
 
 

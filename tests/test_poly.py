@@ -55,15 +55,6 @@ def test_shift_matches_oracle(a, c):
     assert got == want
 
 
-@given(coeff_lists, st.integers(min_value=1, max_value=4))
-@settings(max_examples=60)
-def test_stretch_matches_oracle(a, k):
-    p = Poly(a)
-    got = poly_to_sympy(p.stretch(k))
-    want = sp.expand(poly_to_sympy(p).subs(X, X**k))
-    assert got == want
-
-
 @given(coeff_lists, coeff)
 @settings(max_examples=60)
 def test_exact_evaluation_matches_oracle(a, point):
