@@ -9,6 +9,12 @@ dimension bound and the result is a proven exact basis, not a
 heuristic. Scalar discovery is the 1x1 case, and eigen verification
 evaluates the same equations at a given operator.
 
+Discovery and minimal-order certification solve on _degree_profile: an
+operator with the fitted blocks as eigenfunctions preserves degree, so
+D_k has degree at most k for k <= n_fit, and the unknowns above that,
+zero in every solution, are never built. Its precondition, the shape of
+every fold of a monic sequence, is checked per block by _profile_block.
+
 Minimal-order certification frees the eigenvalues: each diagonal entry of
 Lambda_n joins the unknowns, pinned by the monic leading coefficient of its
 row, and the same kernel certifies them with the operator coefficients.
@@ -16,10 +22,16 @@ An order is feasible when the solutions supported on that order contain
 one whose eigenvalue ladder actually varies with n; constant-ladder
 solutions (scalar shifts act on any sequence whatsoever, and diagonal
 folds admit constant diagonal multipliers) certify nothing.
+
+A scalar operator's image D s_m is formed from the member's integer row
+and D's coefficients over one denominator, and D s_m = lambda_m s_m is
+checked by integer cross-multiplication; a Poly image is built only where
+conjugation evaluates it in floating point.
 """
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -76,8 +88,8 @@ class RightDifferentialOperator:
     coeffs: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise DimensionMismatch("need exactly order+1 coefficient matrices")
+        if self.order < 0 or len(self.coeffs) != self.order + 1:
+            raise DimensionMismatch("need order >= 0 and exactly order+1 coefficient matrices")
         top = self.coeffs[self.order]
         top_zero = all(
             top[i, j].is_zero for i in range(top.nrows) for j in range(top.ncols)
@@ -263,6 +275,41 @@ def _require_sizes(**sizes: int) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
+def _degree_profile(order: int, degree_bound: int, n_fit: int) -> list[int]:
+    """bounds[k], the degree of D_k that a solution on blocks 0..n_fit can
+    reach: min(k, degree_bound) for k <= n_fit, degree_bound beyond.
+
+    Precondition (_profile_block): every block n <= n_fit has degree <= n
+    and a unit lower-triangular coefficient of y^n. Then the rows of blocks
+    0..m span every row vector polynomial of degree <= m, m <= n_fit: there
+    are size * (m + 1) of them, and the leading coefficients of block n
+    form an invertible matrix, so by induction on n they reach every y^n e_l
+    modulo lower degree. A solution of R_n D = Lambda_n R_n maps row i of
+    block n to lambda_{n,i} times it, of degree <= n, so D maps every row
+    polynomial of degree <= m, m <= n_fit, to degree <= m. On y^m e_l,
+    D(y^m e_l) = sum_{k<=m} m!/(m-k)! y^(m-k) e_l D_k, and by induction on
+    m every term with k < m has degree <= m, so row l of m! D_m has degree
+    <= m. The unknowns dropped by the profile therefore vanish in every
+    solution, homogeneous or not, with the eigenvalues fixed or free:
+    each system has the nullspace of its full-bound system restricted to
+    the kept unknowns, with the same free columns and canonical basis.
+    """
+    return [degree_bound if k > n_fit else min(k, degree_bound) for k in range(order + 1)]
+
+
+def _profile_block(R: MatrixPolySequence, n: int):
+    """R.int_block(n), refused with IdentityViolated unless it meets the
+    precondition of _degree_profile: each row i monic in its own column at
+    y^n, with no term past y^n and none right of column i at y^n."""
+    rows, den = block = R.int_block(n)
+    for i, row in enumerate(rows):
+        if coeff_at(row[i], n) != den:
+            raise IdentityViolated(f"block {n} row {i} is not monic in its own column")
+        if any(len(e) > n + 1 or (l > i and coeff_at(e, n)) for l, e in enumerate(row)):
+            raise IdentityViolated(f"block {n} row {i} reaches past y^{n}, or right of its own column at y^{n}")
+    return block
+
+
 def _discover(
     R: MatrixPolySequence,
     ladder: Callable[[int], Matrix],
@@ -276,7 +323,9 @@ def _discover(
     The action couples only one column of every D_k at a time, so each
     column j is one augmented system [A | -b] of the equations of
     _eigen_rows; infeasible, formatted with j, is the message of its
-    Infeasible.
+    Infeasible. Each block must meet _profile_block's precondition, and
+    each ladder(n) be size x size (else DimensionMismatch), before its
+    rows are built.
     """
     size = R.block_size
     widths = [b + 1 for b in bounds]
@@ -284,8 +333,11 @@ def _discover(
     nuk = offsets[-1]
     eqs = []
     for n in range(n_fit + 1):
-        table, _ = _int_deriv_table(R.int_block(n), len(bounds) - 1)
+        block = _profile_block(R, n)
         lam = ladder(n)
+        if lam.shape != (size, size):
+            raise DimensionMismatch(f"{lam.shape} @ {(size, size)}")
+        table, _ = _int_deriv_table(block, len(bounds) - 1)
         eqs += [(as_fraction(lam[i, i]), _eigen_rows(table, i, bounds)) for i in range(size)]
     sols = []
     for j in range(size):
@@ -329,13 +381,15 @@ def discover_operator(
     nullspace vector with nonzero last coordinate is a solution, and the
     vectors with zero last coordinate are homogeneous solutions. Any of
     them raises Underdetermined, so a returned operator is unique at this
-    order and degree bound (hom_dim 0). A negative order, degree_bound
-    or n_fit raises ValueError.
+    order and degree bound (hom_dim 0). The unknowns are those of
+    _degree_profile, so every verdict is the full degree_bound system's.
+    A negative order, degree_bound or n_fit raises ValueError, and a
+    ladder of the wrong size DimensionMismatch.
     """
     _require_sizes(order=order, degree_bound=degree_bound, n_fit=n_fit)
     size = R.block_size
     message = f"no operator of order {order}, degree {degree_bound} fits column {{j}}"
-    sols = _discover(R, ladder, [degree_bound] * (order + 1), n_fit, message)
+    sols = _discover(R, ladder, _degree_profile(order, degree_bound, n_fit), n_fit, message)
     mats = [
         Matrix([[sols[j][k][l] for j in range(size)] for l in range(size)])
         for k in range(order + 1)
@@ -385,8 +439,14 @@ def min_order_check(
     shifts; constant diagonal multipliers when the fold is diagonal) and
     do not witness bispectrality, so they are excluded.
 
+    The unknowns are those of _degree_profile, whose precondition every
+    block meets (else IdentityViolated): the dropped coefficients vanish in
+    every solution, so the free columns, the canonical basis and every
+    verdict below are those of the full degree_bound system, while
+    min_order_size still counts that full system.
+
     The coefficient of y^n in entry (i, i) of block n is 1, as the scalars
-    are monic (else IdentityViolated), so that equation pins lambda_{n,i}:
+    are monic, so that equation pins lambda_{n,i}:
     with the operator zero it forces lambda_{n,i} = 0. No null vector thus
     ends at an eigenvalue, every eigenvalue column is a pivot, and the free
     columns and operator parts of the canonical RREF basis are those of
@@ -409,33 +469,32 @@ def min_order_check(
     feasible and the reconstruction of an enormous nullspace may fail.
     A negative size raises ValueError, as in min_order_size.
     """
+    _require_sizes(max_order=max_order, degree_bound=degree_bound, n_fit=n_fit)
     size = R.block_size
-    _, nuk = min_order_size(R, max_order, degree_bound, n_fit)
-    bounds = [degree_bound] * (max_order + 1)
+    bounds = _degree_profile(max_order, degree_bound, n_fit)
     nlam = size * (n_fit + 1)
+    # starts[k]: the column of the first unknown of D_k
+    starts = list(accumulate((size * size * (b + 1) for b in bounds), initial=nlam))
 
     def uidx(k: int, l: int, j: int, d: int) -> int:
-        return nlam + ((k * size + l) * size + j) * (degree_bound + 1) + d
+        return starts[k] + (l * size + j) * (bounds[k] + 1) + d
 
     pins, rows = [], []
     for n in range(n_fit + 1):
-        table, den = _int_deriv_table(R.int_block(n), max_order)
+        table, _ = _int_deriv_table(_profile_block(R, n), max_order)
         for i in range(size):
-            if coeff_at(table[0][i][i], n) != den:
-                raise IdentityViolated(f"block {n} row {i} is not monic in its own column")
             eqs = _eigen_rows(table, i, bounds)
             for j in range(size):
                 for t, (terms, rhs) in enumerate(eqs):
                     # the equation of entry (i, j) at y^t times den, in integers
-                    row = [0] * (nlam + nuk)
+                    row = [0] * starts[-1]
                     for k, l, d, c in terms:
                         row[uidx(k, l, j, d)] = c
                     row[n * size + i] = -rhs[j]
                     if any(row):
                         (pins if j == i and t == n else rows).append(row)
-    V = exact_nullspace(pins + rows, nlam + nuk)
-    per_order = size * size * (degree_bound + 1)
-    orders = [(max(c for c, x in enumerate(v) if x) - nlam) // per_order for v in V]
+    V = exact_nullspace(pins + rows, starts[-1])
+    orders = [bisect_right(starts, max(c for c, x in enumerate(v) if x)) - 1 for v in V]
     ladders = [tuple(tuple(v[n * size : (n + 1) * size]) for n in range(n_fit + 1)) for v in V]
     varying = [s for s, lv in enumerate(ladders) if len(set(lv)) > 1]
     if not varying:
@@ -446,7 +505,7 @@ def min_order_check(
     dims = tuple(sum(o <= m for o in orders) for m in range(max_order + 1))
     mats = [
         Matrix.from_fn(
-            size, size, lambda l, j: Poly(V[w][uidx(k, l, j, 0) : uidx(k, l, j, degree_bound + 1)])
+            size, size, lambda l, j: Poly(V[w][uidx(k, l, j, 0) : uidx(k, l, j, bounds[k] + 1)])
         )
         for k in range(min_order + 1)
     ]
@@ -464,8 +523,8 @@ class ScalarOperator:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise DimensionMismatch("need exactly order+1 coefficients")
+        if self.order < 0 or len(self.coeffs) != self.order + 1:
+            raise DimensionMismatch("need order >= 0 and exactly order+1 coefficients")
         if self.coeffs[self.order].is_zero and self.order > 0:
             raise IdentityViolated("leading coefficient vanishes")
 
@@ -506,28 +565,43 @@ class ConjugationResult:
     max_deviation: float
 
 
-def _eigen_image(D: ScalarOperator, s: Poly, m: int) -> tuple[Fraction, Poly]:
-    """(lambda_m, D s_m) for the degree-m member s, else raises.
+def _eigen_image(coef, s, m: int) -> tuple[Fraction, list[int], int]:
+    """(lambda_m, img, scale) with D s_m = img / scale = lambda_m s_m for
+    the degree-m member s_m = s / s[-1], s its integer row, else raises.
 
-    A monic leading coefficient pins lambda_m as the top coefficient of
-    the image; the full identity D s_m = lambda_m s_m is then asserted
-    exactly.
+    coef is int_block of the 1-row matrix of D's coefficients, so img is
+    the integer row sum_k rows[k] s^(k) and scale = den * s[-1]. The monic
+    leading coefficient pins lambda_m = img[m] / scale, and the identity is
+    then asserted exactly, cross-multiplied: img[t] s[-1] = img[m] s[t]
+    for every power t.
     """
-    ds = apply_scalar(D, s)
-    lam = ds.coeff(m)
-    if ds != Poly.constant(lam) * s:
+    (rows,), den = coef
+    img = [0] * (len(s) + max(map(len, rows)))
+    for k, c in enumerate(rows):
+        for t, a in enumerate(s[k:]):
+            if a:
+                a *= perm(t + k, k)  # the y^t coefficient of s^(k)
+                for d, b in enumerate(c):
+                    img[t + d] += a * b
+    top = img[m]
+    if any(v * s[-1] != top * coeff_at(s, t) for t, v in enumerate(img)):
         raise IdentityViolated(f"degree-{m} member is not an eigenfunction")
-    return lam, ds
+    return Fraction(top, den * s[-1]), img, den * s[-1]
 
 
 def scalar_eigenvalues(
     D: ScalarOperator, seq: MonicSequence, count: int
 ) -> tuple[Fraction, ...]:
     """Exact eigenvalues lambda_m with D s_m = lambda_m s_m for m < count,
-    else raises IdentityViolated naming the first failing degree. A
-    negative count raises ValueError."""
+    else raises IdentityViolated naming the first failing degree. Each
+    image is formed from the member's integer row, so the sequence's Poly
+    view is not built. A negative count raises ValueError."""
     _require_sizes(count=count)
-    return tuple(_eigen_image(D, seq.poly(m), m)[0] for m in range(count))
+    coef = int_block(Matrix([D.coeffs]))
+    return tuple(
+        _eigen_image(coef, seq.int_rows[checked_index(m, len(seq), "polynomial")], m)[0]
+        for m in range(count)
+    )
 
 
 def conjugation_eval(
@@ -570,15 +644,15 @@ def conjugation_eval(
     # first, so that a block past the fold raises InsufficientSequence
     rows, den = R.int_block(n)
     block = [[Poly(Fraction(a, den) for a in e) for e in row] for row in rows]
+    coef = int_block(Matrix([D.coeffs]))
     lams, images = [], []
     for j in range(step):
         m = step * n + j
-        # s_m = s / s[-1], leaving the sequence's Poly view unbuilt
         s = R.scalars.int_rows[checked_index(m, len(R.scalars), "polynomial")]
-        lam, ds = _eigen_image(D, Poly(Fraction(a, s[-1]) for a in s), m)
+        lam, img, scale = _eigen_image(coef, s, m)
         lams.append(lam)
         # the image about the fold centre, evaluated at w^k y0^{1/(N+1)}
-        images.append(ds.shift(R.c))
+        images.append(Poly(Fraction(v, scale) for v in img).shift(R.c))
     w = cmath.exp(2j * cmath.pi / step)
     results = tuple(_conjugate_at(images, lams, block, step, w, y) for y in points)
     return results if several else results[0]
@@ -643,9 +717,13 @@ def operator_to_json(op: RightDifferentialOperator) -> dict:
 
 
 def operator_from_json(data: dict) -> RightDifferentialOperator:
+    """The operator that operator_to_json wrote; each coefficient must be
+    a size x size matrix (else DimensionMismatch)."""
     size = data["size"]
     mats = []
     for coefs in data["coeffs"]:
+        if len(coefs) != size or any(len(row) != size for row in coefs):
+            raise DimensionMismatch(f"coefficient matrix {len(mats)} is not {size}x{size}")
         mats.append(
             Matrix(
                 [

@@ -44,7 +44,14 @@ _eigen_rows did before it made one pass over the nonzero coefficients;
 and the fold reassembly (stretch, reassemble, row_scalar and
 poly_matrix_gram), which rebuilds each fold row as a scalar Poly and
 evaluates the form once per pair through BilinearForm.__call__, as
-matrix_gram did before it paired the fold's integer rows with the Gram.
+matrix_gram did before it paired the fold's integer rows with the Gram;
+full_bound_discovery and full_bound_min_order, which solve the systems
+of fraction_discovery_rows and fraction_min_order_eigen_rows with every
+coefficient of degree up to degree_bound, as discover_operator and
+min_order_check did before they solved on the degree profile; and
+poly_scalar_eigenvalues, which forms each image D s_m through
+apply_scalar in Poly arithmetic, as scalar_eigenvalues and
+conjugation_eval did before they formed it over integer rows.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from opfold.errors import (
     BandViolation,
     DimensionMismatch,
     IdentityViolated,
+    Infeasible,
     InsufficientMoments,
     InsufficientSequence,
     NotPositiveDefinite,
@@ -71,8 +79,15 @@ from opfold.errors import (
     SingularLeading,
     SingularMatrix,
     SymmetryViolated,
+    Underdetermined,
 )
-from opfold.bispec import EigenReport
+from opfold.bispec import (
+    DiscoveryResult,
+    EigenReport,
+    MinOrderResult,
+    RightDifferentialOperator,
+    apply_scalar,
+)
 from opfold.linalg import (
     Matrix,
     _int_rows,
@@ -814,11 +829,17 @@ def fraction_scalar_rows(seq, ladder, order: int, n_fit: int):
     return rows
 
 
-def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int, j: int):
+def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int, j: int, bounds=None):
     """The augmented system [A | -b] of discover_operator for column j, as
-    dense Fraction rows built from Poly derivatives."""
+    dense Fraction rows built from Poly derivatives, with entry d of
+    (D_k)_{lj} at column offsets[k] + l * (bounds[k] + 1) + d; bounds
+    defaults to degree_bound for every order, the full-bound system."""
     size = R.block_size
-    nuk = (order + 1) * size * (degree_bound + 1)
+    bounds = bounds or [degree_bound] * (order + 1)
+    offsets = [0]
+    for b in bounds:
+        offsets.append(offsets[-1] + size * (b + 1))
+    nuk = offsets[-1]
     rows = []
     for n in range(n_fit + 1):
         derivs = _deriv_table(R, n, order)
@@ -829,10 +850,10 @@ def fraction_discovery_rows(R, ladder, order: int, degree_bound: int, n_fit: int
                 row = [Fraction(0)] * (nuk + 1)
                 for k in range(order + 1):
                     for l in range(size):
-                        for d in range(degree_bound + 1):
+                        for d in range(bounds[k] + 1):
                             c = _coeff(derivs[k][i, l], t - d)
                             if c:
-                                row[(k * size + l) * (degree_bound + 1) + d] = c
+                                row[offsets[k] + l * (bounds[k] + 1) + d] = c
                 row[nuk] = -lam[i, i] * _coeff(derivs[0][i, j], t)
                 if any(row):
                     rows.append(row)
@@ -880,17 +901,23 @@ def fraction_min_order_rows(R, max_order: int, degree_bound: int, n_fit: int):
     return rows
 
 
-def fraction_min_order_eigen_rows(R, max_order: int, degree_bound: int, n_fit: int):
+def fraction_min_order_eigen_rows(R, max_order: int, degree_bound: int, n_fit: int, bounds=None):
     """The system min_order_check hands the kernel, as dense Fraction rows
     built from Poly derivatives: lambda_{n,i} is the unknown at column
     n * size + i, before the operator coefficients, and the y^n equation
-    of entry (i, i), which pins it, comes before every other row."""
+    of entry (i, i), which pins it, comes before every other row. Entry d
+    of (D_k)_{lj} has degree at most bounds[k], by default degree_bound
+    for every order: the full-bound system."""
     size = R.block_size
     nlam = size * (n_fit + 1)
-    ncols = nlam + (max_order + 1) * size * size * (degree_bound + 1)
+    bounds = bounds or [degree_bound] * (max_order + 1)
+    starts = [nlam]
+    for b in bounds:
+        starts.append(starts[-1] + size * size * (b + 1))
+    ncols = starts[-1]
 
     def uidx(k, l, j, d):
-        return nlam + ((k * size + l) * size + j) * (degree_bound + 1) + d
+        return starts[k] + (l * size + j) * (bounds[k] + 1) + d
 
     pins, rows = [], []
     for n in range(n_fit + 1):
@@ -902,7 +929,7 @@ def fraction_min_order_eigen_rows(R, max_order: int, degree_bound: int, n_fit: i
                     row = [Fraction(0)] * ncols
                     for k in range(max_order + 1):
                         for l in range(size):
-                            for d in range(degree_bound + 1):
+                            for d in range(bounds[k] + 1):
                                 c = _coeff(derivs[k][i, l], t - d)
                                 if c:
                                     row[uidx(k, l, j, d)] = c
@@ -910,6 +937,96 @@ def fraction_min_order_eigen_rows(R, max_order: int, degree_bound: int, n_fit: i
                     if any(row):
                         (pins if (j, t) == (i, n) else rows).append(row)
     return pins + rows
+
+
+def profile_columns(blocks: int, degree_bound: int, bounds) -> list[int]:
+    """The columns of a full-bound system's operator unknowns, blocks
+    entries per order of degree_bound + 1 coefficients each, that the
+    degree profile bounds keeps."""
+    width = degree_bound + 1
+    return [
+        (k * blocks + e) * width + d
+        for k, b in enumerate(bounds)
+        for e in range(blocks)
+        for d in range(b + 1)
+    ]
+
+
+def _trimmed_operator(mats):
+    top = len(mats) - 1
+    while top > 0 and all(p.is_zero for row in mats[top].rows for p in row):
+        top -= 1
+    return RightDifferentialOperator(top, tuple(mats[: top + 1]))
+
+
+def full_bound_discovery(R, ladder, order: int, degree_bound: int, n_fit: int) -> DiscoveryResult:
+    """discover_operator on the full-bound systems of fraction_discovery_rows,
+    one nullspace per column, with its errors and messages."""
+    size = R.block_size
+    width = degree_bound + 1
+    nuk = (order + 1) * size * width
+    cols = []
+    for j in range(size):
+        basis = exact_nullspace(_int_rows(fraction_discovery_rows(R, ladder, order, degree_bound, n_fit, j)), nuk + 1)
+        if all(v[nuk] == 0 for v in basis):
+            raise Infeasible(f"no operator of order {order}, degree {degree_bound} fits column {j}")
+        if len(basis) > 1:
+            raise Underdetermined(len(basis) - 1)
+        (v,) = basis
+        cols.append([x / v[nuk] for x in v[:nuk]])
+    mats = [
+        Matrix.from_fn(size, size, lambda l, j: Poly(cols[j][(k * size + l) * width : (k * size + l + 1) * width]))
+        for k in range(order + 1)
+    ]
+    return DiscoveryResult(_trimmed_operator(mats), 0, (0,) * size)
+
+
+def full_bound_min_order(R, max_order: int, degree_bound: int, n_fit: int) -> MinOrderResult:
+    """min_order_check on the full-bound system of
+    fraction_min_order_eigen_rows, with its Infeasible message: the
+    canonical basis, each vector's order read from its highest nonzero
+    unknown, the first basis vector of least order whose ladder varies as
+    the witness."""
+    size = R.block_size
+    nlam = size * (n_fit + 1)
+    width = degree_bound + 1
+    per_order = size * size * width
+    ncols = nlam + (max_order + 1) * per_order
+    V = exact_nullspace(_int_rows(fraction_min_order_eigen_rows(R, max_order, degree_bound, n_fit)), ncols)
+    orders = [(max(c for c, x in enumerate(v) if x) - nlam) // per_order for v in V]
+    ladders = [tuple(tuple(v[n * size : (n + 1) * size]) for n in range(n_fit + 1)) for v in V]
+    varying = [s for s, lv in enumerate(ladders) if len(set(lv)) > 1]
+    if not varying:
+        raise Infeasible(f"no order up to {max_order} admits an n-dependent eigenvalue ladder")
+    w = min(varying, key=lambda s: orders[s])
+    m = orders[w]
+
+    def entry(k, l, j):
+        start = nlam + ((k * size + l) * size + j) * width
+        return Poly(V[w][start : start + width])
+
+    mats = [Matrix.from_fn(size, size, lambda l, j: entry(k, l, j)) for k in range(m + 1)]
+    return MinOrderResult(
+        m,
+        tuple(o >= m for o in range(max_order + 1)),
+        tuple(sum(o <= t for o in orders) for t in range(max_order + 1)),
+        _trimmed_operator(mats),
+        ladders[w],
+    )
+
+
+def poly_scalar_eigenvalues(D, seq, count: int) -> tuple:
+    """scalar_eigenvalues with each image D s_m formed as a Poly through
+    apply_scalar and compared with lambda_m s_m in Poly arithmetic."""
+    lams = []
+    for m in range(count):
+        s = seq.poly(m)
+        ds = apply_scalar(D, s)
+        lam = ds.coeff(m)
+        if ds != Poly.constant(lam) * s:
+            raise IdentityViolated(f"degree-{m} member is not an eigenfunction")
+        lams.append(lam)
+    return tuple(lams)
 
 
 def apply_right(F, op) -> Matrix:

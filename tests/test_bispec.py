@@ -2,6 +2,7 @@
 eigen verification, nullspace-based discovery, minimal-order certificates,
 the scalar route, and the root-of-unity conjugation check."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -123,6 +124,9 @@ def test_operator_and_ladder_guards():
         op.RightDifferentialOperator(1, (zero, zero))
     with pytest.raises(op.DimensionMismatch):
         op.RightDifferentialOperator(2, (zero,))
+    # a negative order is refused before the top coefficient is read
+    with pytest.raises(op.DimensionMismatch, match="order >= 0"):
+        op.RightDifferentialOperator(-1, ())
     skew = op.EigenvalueLadder(
         lambda n: op.Matrix.rational([[0, 1], [0, 0]]), 2
     )
@@ -490,7 +494,9 @@ def _proportional(int_row, frac_row) -> bool:
 def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, monkeypatch):
     # discovery (one system per column), the min-order system and the
     # scalar discovery system of the verify-paper window, captured where
-    # they reach the nullspace kernel
+    # they reach the nullspace kernel: each is the fraction system on the
+    # degree profile, and its basis is the full-bound system's basis
+    # restricted to the unknowns the profile keeps
     captured = []
 
     def capture(rows, ncols):
@@ -505,15 +511,26 @@ def test_integer_systems_match_the_fraction_rows_on_the_canonical_fold(canon, mo
     op.min_order_check(fold, 8, 6, 10)
     op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     monkeypatch.undo()
-    expected = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j) for j in range(2)]
-    expected.append(oracles.fraction_min_order_eigen_rows(fold, 8, 6, 10))
+    disc, mino = op.bispec._degree_profile(8, 6, 12), op.bispec._degree_profile(8, 6, 10)
+    assert disc == mino == [0, 1, 2, 3, 4, 5, 6, 6, 6]
+    expected = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j, disc) for j in range(2)]
+    expected.append(oracles.fraction_min_order_eigen_rows(fold, 8, 6, 10, mino))
     expected.append(oracles.fraction_scalar_rows(canon["seq"], op.reference_scalar_ladder, 8, 16))
+    full = [oracles.fraction_discovery_rows(fold, ladder, 8, 6, 12, j) for j in range(2)]
+    full.append(oracles.fraction_min_order_eigen_rows(fold, 8, 6, 10))
+    full.append(expected[-1])
+    kept = [oracles.profile_columns(2, 6, disc) + [9 * 2 * 7]] * 2
+    kept.append(list(range(22)) + [22 + c for c in oracles.profile_columns(4, 6, mino)])
+    kept.append(list(range(46)))
     assert len(captured) == 4
-    for (rows, ncols, basis), frac_rows in zip(captured, expected):
+    for (rows, ncols, basis), frac_rows, full_rows, cols in zip(captured, expected, full, kept):
         assert all(type(v) is int for r in rows for v in r)
         assert len(rows) == len(frac_rows)
         assert all(_proportional(a, b) for a, b in zip(rows, frac_rows))
         assert basis == exact_nullspace(_int_rows(frac_rows), ncols)
+        full_basis = exact_nullspace(_int_rows(full_rows), len(full_rows[0]))
+        assert ncols == len(cols) and basis == [[v[c] for c in cols] for v in full_basis]
+        assert all(not any(v[c] for c in set(range(len(v))) - set(cols)) for v in full_basis)
 
 
 def test_min_order_size_counts_the_system_min_order_check_builds(canon, monkeypatch):
@@ -523,13 +540,16 @@ def test_min_order_size_counts_the_system_min_order_check_builds(canon, monkeypa
         op.min_order_check(canon["fold"], 8, 6, 10)
     monkeypatch.undo()
     rows, unknowns = op.bispec.min_order_size(canon["fold"], 8, 6, 10)
-    # every row of block n, row i, runs over 2 columns and n + 7 powers,
-    # less the one that eliminates lambda_{n,i}
+    # the gate counts the full-bound window: every row of block n, row i,
+    # runs over 2 columns and n + 7 powers, less the one that eliminates
+    # lambda_{n,i}
     assert (rows, unknowns) == (sum(2 * (2 * (n + 7) - 1) for n in range(11)), 9 * 2 * 2 * 7)
-    # the kernel also sees the 22 eigenvalues of blocks 0..10, each an
-    # unknown with the row that pins it
+    # the kernel sees the degree profile (D_k of degree min(k, 6)) and the
+    # 22 eigenvalues of blocks 0..10, each an unknown with the row that
+    # pins it
     ((built, ncols),) = captured
-    assert ncols == unknowns + 22 and len(built) <= rows + 22
+    assert (len(built), ncols) == (264, 2 * 2 * 42 + 22)
+    assert ncols <= unknowns + 22 and len(built) <= rows + 22
 
 
 def test_the_verify_paper_systems_give_the_all_rows_bases(canon, monkeypatch):
@@ -545,9 +565,113 @@ def test_the_verify_paper_systems_give_the_all_rows_bases(canon, monkeypatch):
     op.min_order_check(fold, 8, 6, 10)
     op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
     monkeypatch.undo()
-    assert [(len(rows), ncols) for rows, ncols in captured] == [(338, 127), (338, 127), (528, 274), (153, 46)]
+    assert [(len(rows), ncols) for rows, ncols in captured] == [(182, 85), (182, 85), (264, 190), (153, 46)]
     for rows, ncols in captured:
         assert exact_nullspace(rows, ncols) == oracles.all_rows_nullspace(rows, ncols)
+
+
+# -- degree profile --------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sobolev_fold(family: str, c: Fraction, N: int, mass: int):
+    """(seq, fold): a Sobolev family with mass times e_N e_N^T at c, folded
+    about c into blocks 0..6. Mass 0 is the plain family, where low orders
+    are feasible."""
+    deg = 7 * (N + 1) - 1
+    count = 2 * (deg + N + 2) + 2
+    mu = op.hermite_moments(count) if family == "hermite" else op.laguerre_moments(int(family[-1]), count)
+    M = op.Matrix.rational([[mass * (i == j == N) for j in range(N + 1)] for i in range(N + 1)])
+    seq = op.monic_sequence(op.sobolev_form(op.SobolevSpec(mu, c, N, M)), deg)
+    return seq, op.build_matrix_sequence(seq, N, c)
+
+
+@st.composite
+def profile_cases(draw):
+    """(seq, fold, order, degree_bound, n_fit) with n_fit on both sides of
+    the order."""
+    family = draw(st.sampled_from(["laguerre0", "laguerre1", "hermite"]))
+    c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2)]))
+    N = draw(st.integers(0, 2))
+    mass = draw(st.integers(0, 1))
+    order = draw(st.integers(0, 4))
+    degree_bound = draw(st.integers(0, 3))
+    n_fit = draw(st.integers(max(order - 2, 0), order + 2))
+    return (*_sobolev_fold(family, c, N, mass), order, degree_bound, n_fit)
+
+
+@given(profile_cases(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_profile_systems_match_the_full_bound_route(case, data):
+    # the profile drops only unknowns that vanish in every solution, so
+    # every result, error and message is the full-bound route's
+    seq, fold, order, degree_bound, n_fit = case
+    size = fold.block_size
+    window = (order, degree_bound, n_fit)
+    res = _outcome(op.min_order_check, fold, *window)
+    assert res == _outcome(oracles.full_bound_min_order, fold, *window)
+    if isinstance(res, op.MinOrderResult) and data.draw(st.booleans()):
+        # the witness ladder: discovery at its order has a solution
+        wl = res.witness_ladder
+        lam = lambda n: op.Matrix.rational([[wl[n][i] if i == j else 0 for j in range(size)] for i in range(size)])
+    else:
+        a = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+        step = lambda m: a[0] + a[1] * m + a[2] * m * m
+        lam = lambda n: op.Matrix.rational(
+            [[step(size * n + i) if i == j else 0 for j in range(size)] for i in range(size)]
+        )
+    ladder = op.EigenvalueLadder(lam, size)
+    got = _outcome(op.discover_operator, fold, ladder, *window)
+    assert got == _outcome(oracles.full_bound_discovery, fold, ladder, *window)
+    # a scalar operator of order <= 3, coefficient c_k of degree <= k + 1
+    k_top = data.draw(st.integers(0, 3))
+    coeffs = [op.Poly(data.draw(st.lists(st.integers(-2, 2), max_size=k + 2))) for k in range(k_top + 1)]
+    if coeffs[-1].is_zero:
+        coeffs[-1] = op.Poly((1,))
+    D = op.ScalarOperator(k_top, tuple(coeffs))
+    count = data.draw(st.integers(0, len(seq)))
+    lams = _outcome(op.scalar_eigenvalues, D, seq, count)
+    assert lams == _outcome(oracles.poly_scalar_eigenvalues, D, seq, count)
+
+
+@pytest.mark.parametrize(
+    "bump, message",
+    [
+        # y^1 right of row 0's own column: not lower triangular
+        ((0, 1, 1), "^block 1 row 0 reaches past y\\^1, or right of its own column at y\\^1$"),
+        # y^2 in row 1: past the block's degree
+        ((1, 0, 2), "^block 1 row 1 reaches past y\\^1, or right of its own column at y\\^1$"),
+        # y^1 left of row 1's own column: a unit lower-triangular leading
+        # coefficient, so the fold is accepted
+        ((1, 0, 1), None),
+    ],
+)
+def test_a_fold_outside_the_profile_precondition_is_refused(hermite, bump, message):
+    i, l, t = bump
+    mats = list(hermite["fold"].mats)
+    extra = lambda a, b: op.Poly.monomial(t) if (a, b) == (i, l) else op.Poly(())
+    mats[1] = op.Matrix.from_fn(2, 2, lambda a, b: mats[1][a, b] + extra(a, b))
+    bad = op.MatrixPolySequence(tuple(mats), 1, monic=False)
+    for call in (
+        lambda: op.min_order_check(bad, 4, 2, 6),
+        lambda: op.discover_operator(bad, _HERMITE_LADDER, 2, 1, 6),
+    ):
+        if message is None:
+            got = _outcome(call)
+            assert not (isinstance(got, tuple) and got[0] is op.IdentityViolated), got
+        else:
+            with pytest.raises(op.IdentityViolated, match=message):
+                call()
+
+
+def test_a_ladder_of_the_wrong_size_is_refused_before_any_row_is_built(hermite, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(opfold.bispec, "_int_deriv_table", no_rows)
+    small = op.EigenvalueLadder(lambda n: op.Matrix.rational([[n]]), 1)
+    with pytest.raises(op.DimensionMismatch, match="^\\(1, 1\\) @ \\(2, 2\\)$"):
+        op.discover_operator(hermite["fold"], small, 2, 1, 6)
 
 
 @st.composite
@@ -589,6 +713,19 @@ def test_scalar_eigenvalues_match_the_quartic_ladder(canon):
     assert op.apply_scalar(D, s4) == op.Poly.constant(lams[4]) * s4
 
 
+def test_the_integer_images_are_the_poly_images(canon, hermite):
+    # every member of both families: the image formed over integer rows
+    # is apply_scalar's Poly image, and its top coefficient the eigenvalue
+    D8 = op.discover_scalar(canon["seq"], op.reference_scalar_ladder, 8, 16)
+    for D, seq in ((D8, canon["seq"]), (hermite["D"], hermite["seq"])):
+        coef = op.bispec.int_block(op.Matrix([D.coeffs]))
+        for m in range(len(seq)):
+            lam, img, scale = op.bispec._eigen_image(coef, seq.int_rows[m], m)
+            ds = op.apply_scalar(D, seq.poly(m))
+            assert op.Poly(Fraction(v, scale) for v in img) == ds
+            assert lam == ds.coeff(m) and ds == op.Poly.constant(lam) * seq.poly(m)
+
+
 def test_scalar_discovery_on_the_gaussian_family(hermite):
     D = op.discover_scalar(hermite["seq"], lambda m: Fraction(-2 * m), 2, 6)
     assert D.coeffs == (op.Poly(()), op.Poly((0, -2)), op.Poly((1,)))
@@ -604,6 +741,8 @@ def test_scalar_eigenvalue_extraction_rejects_non_eigenfunctions(canon):
 def test_scalar_operator_guards():
     with pytest.raises(op.DimensionMismatch):
         op.ScalarOperator(2, (op.Poly((1,)),))
+    with pytest.raises(op.DimensionMismatch, match="order >= 0"):
+        op.ScalarOperator(-1, ())
     with pytest.raises(op.IdentityViolated):
         op.ScalarOperator(1, (op.Poly((1,)), op.Poly(())))
 
@@ -700,3 +839,17 @@ def test_operator_json_round_trip():
     ref, _ = op.reference_operator()
     data = json.loads(json.dumps(op.operator_to_json(ref)))
     assert op.operator_from_json(data) == ref
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [[["1"]]],  # 1x1, the example that raised IndexError
+        [[["1"], ["0"]]],  # one row of two
+        [[["1"], ["0"]], [["1"]]],  # a short second row
+        [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0"]]],  # three rows
+    ],
+)
+def test_operator_json_with_a_wrongly_sized_coefficient_is_refused(coeffs):
+    with pytest.raises(op.DimensionMismatch, match="^coefficient matrix 0 is not 2x2$"):
+        op.operator_from_json({"size": 2, "order": 0, "coeffs": [coeffs]})

@@ -482,16 +482,16 @@ def test_from_dict_yields_a_valid_config_or_a_config_error(data):
 
 
 def test_verify_paper_applies_each_conjugation_operator_once_per_member(tmp_path, monkeypatch):
-    # blocks 0..6 of the N=1 fold: 14 members, each image shared by the
-    # five grid points
+    # blocks 0..6 of the N=1 fold: 14 members, each integer image shared
+    # by the five grid points
     calls = []
-    apply = opfold.bispec.apply_scalar
+    image = opfold.bispec._eigen_image
 
-    def counted(D, p):
-        calls.append(p.degree)
-        return apply(D, p)
+    def counted(coef, s, m):
+        calls.append(m)
+        return image(coef, s, m)
 
-    monkeypatch.setattr(opfold.bispec, "apply_scalar", counted)
+    monkeypatch.setattr(opfold.bispec, "_eigen_image", counted)
     assert main(["verify-paper", "--out", str(tmp_path)]) == 0
     assert sorted(calls) == list(range(14))
 
